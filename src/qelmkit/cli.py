@@ -120,7 +120,7 @@ def cmd_rank(args) -> int:
     out = _out_dir(config)
     path = args.results or os.path.join(out, harness.RESULTS_CSV)
     if not os.path.exists(path):
-        raise ConfigurationError(f"field 'datasets': no results CSV at {path}; "
+        raise ConfigurationError(f"option '--results': no results CSV at {path}; "
                                  "run run-rq1 first or pass --results")
     ranking = harness.build_ranking(harness.read_results_csv(path))
     _write_json(os.path.join(out, "rq1_ranking.json"), ranking.to_dict())

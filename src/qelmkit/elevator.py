@@ -286,7 +286,10 @@ def simulate(config: BuildingConfig, passengers: list[Passenger],
         else:  # car finished a delivery
             start_pickup(payload, now)
 
-    assert all(w is not None for w in waits), "unserved passenger"
+    unserved = [i for i, w in enumerate(waits) if w is None]
+    if unserved:
+        raise ValidationError(f"{len(unserved)} passenger(s) never served, "
+                              f"first: {passengers[unserved[0]]}")
     return [(p, float(w)) for p, w in zip(passengers, waits)]
 
 

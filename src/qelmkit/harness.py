@@ -206,14 +206,14 @@ def load_datasets(config: ExperimentConfig) -> list[Dataset]:
 @dataclass
 class _FoldCache:
     """Everything about one (held-out day, feature set) that does not depend
-    on the encoder/reservoir draw."""
+    on the encoder/reservoir draw. `angles` holds the training rows first,
+    then the test rows, so one circuit batch serves both."""
 
     fold_label: str
     feature_set: str
     num_features: int
-    train_angles: np.ndarray
+    angles: np.ndarray
     train_targets: np.ndarray
-    test_angles: np.ndarray
     test_targets: np.ndarray
 
 
@@ -229,9 +229,9 @@ def _prepare_fold(train_days: list[Dataset], test_day: Dataset,
         fold_label=test_day.label,
         feature_set=feature_set,
         num_features=train_features.shape[1],
-        train_angles=qelm.apply_normalization(norm, train_features),
+        angles=np.vstack([qelm.apply_normalization(norm, train_features),
+                          qelm.apply_normalization(norm, test.feature_matrix())]),
         train_targets=train_targets,
-        test_angles=qelm.apply_normalization(norm, test.feature_matrix()),
         test_targets=test.awt_values(),
     )
 
@@ -246,10 +246,10 @@ def _cell_mse(fold: _FoldCache, encoder_kind: str, reservoir_kind: str,
     reservoir = qelm.build_reservoir(qelm.ReservoirSpec(
         reservoir_kind, fold.num_features, depth=config.reservoir_depth,
         seed=derive_seed(*seed_parts, "reservoir")))
-    train_obs = qelm.run_circuit_batch(encoder, reservoir, fold.train_angles)
-    readout = qelm.fit_readout(train_obs, fold.train_targets, config.ridge_lambda)
-    test_obs = qelm.run_circuit_batch(encoder, reservoir, fold.test_angles)
-    predictions = test_obs @ readout.weights + readout.intercept
+    obs = qelm.run_circuit_batch(encoder, reservoir, fold.angles)
+    num_train = len(fold.train_targets)
+    readout = qelm.fit_readout(obs[:num_train], fold.train_targets, config.ridge_lambda)
+    predictions = obs[num_train:] @ readout.weights + readout.intercept
     return stats.mse(predictions, fold.test_targets)
 
 
@@ -329,6 +329,8 @@ class RankingTable:
 def build_ranking(results: list[RunResults]) -> RankingTable:
     """Rank combinations by AMSE inside every (feature set, dataset) setting;
     ties break lexicographically on the combination name."""
+    if not results:
+        raise ValidationError("cannot rank an empty list of results")
     by_setting: dict[tuple[str, str], list[RunResults]] = {}
     for r in results:
         by_setting.setdefault((r.feature_set, r.dataset), []).append(r)

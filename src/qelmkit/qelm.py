@@ -6,8 +6,23 @@ through a fixed randomly-parameterized reservoir, and measured as the
 3M-vector of per-qubit X/Y/Z expectations. Only the linear readout on top
 of those expectations is trained, by plain (optionally ridge) least squares.
 
-Execution is batched: a whole dataset of angle vectors runs through the
-circuit as one (P, 2^M) amplitude array.
+Execution is batched and compiled: a whole dataset of angle vectors runs
+through the circuit as one (P, 2^M) amplitude array, and no gate is applied
+one at a time.
+
+- Encoder: the first rotation layer acts on |0...0>, so it is built as a
+  product state by M outer products; the CZ ring is one +-1 sign vector.
+  Re-uploading layers (depth > 1) rotate each qubit with its row's angle.
+- Reservoir: `build_reservoir` compiles the reservoir into `Stage`s, each an
+  optional low-qubit matrix, high-qubit matrix and index permutation. HAAR
+  and ISING are one dense stage; CNOT is its whole ring stack composed into
+  one permutation; ROTATION is one stage per layer, two 2^(M/2) Kronecker
+  factors of its rotations plus the layer's ring permutation.
+- Readout: <Z> of every qubit is one product |a|^2 @ signs; <X> and <Y>
+  come from each qubit's pair of half-slices.
+
+`quantum`'s gate-by-gate kernels and `build_encoder`'s symbolic layers are
+the reference these compiled forms are tested against.
 """
 from __future__ import annotations
 
@@ -18,7 +33,7 @@ import numpy as np
 
 from . import quantum
 from .errors import ConfigurationError, ShapeError, ValidationError
-from .quantum import DenseUnitary, GateOp, IsingParams
+from .quantum import GateOp, IsingParams
 
 ENCODER_KINDS = ("DHE", "RHE")
 RESERVOIR_KINDS = ("CNOT", "HAAR", "ISING", "ROTATION")
@@ -165,8 +180,9 @@ class ReservoirSpec:
     def __post_init__(self):
         if self.kind not in RESERVOIR_KINDS:
             raise ConfigurationError(f"unknown reservoir kind {self.kind!r}")
-        if self.num_qubits < 1:
-            raise ConfigurationError("num_qubits must be >= 1")
+        if not 1 <= self.num_qubits <= quantum.MAX_STATE_QUBITS:
+            raise ConfigurationError(
+                f"num_qubits must be in [1, {quantum.MAX_STATE_QUBITS}], got {self.num_qubits}")
         if self.kind in ("CNOT", "ROTATION") and self.depth < 1:
             raise ConfigurationError("reservoir depth must be >= 1")
         if self.ising is not None and self.kind != "ISING":
@@ -175,16 +191,41 @@ class ReservoirSpec:
             raise ConfigurationError("rotation_layers only apply to the ROTATION kind")
 
 
+@dataclass(frozen=True, eq=False)
+class Stage:
+    """One compiled step of a reservoir acting on a (P, 2^M) batch.
+
+    Applied in this order, each part optional: `low` acts on the low qubits
+    (the last axis of the amplitudes reshaped to (..., len(low))), `high` on
+    the remaining high qubits, and `perm` gathers amplitude i from index
+    perm[i]. A dense stage is a `low` matrix over all M qubits.
+    """
+
+    low: np.ndarray | None = None
+    high: np.ndarray | None = None
+    perm: np.ndarray | None = None
+
+    def apply(self, amps: np.ndarray) -> np.ndarray:
+        rows, dim = amps.shape
+        if self.low is not None:
+            amps = (amps.reshape(-1, len(self.low)) @ self.low.T).reshape(rows, dim)
+        if self.high is not None:
+            amps = (self.high @ amps.reshape(rows, len(self.high), -1)).reshape(rows, dim)
+        if self.perm is not None:
+            amps = np.take(amps, self.perm, axis=1)
+        return amps
+
+
 @dataclass
 class Reservoir:
-    """Built reservoir: either a gate list or one dense unitary, with the
-    sampled parameters retained so it serializes without the seed."""
+    """Built reservoir: its compiled stages, plus the sampled parameters
+    retained so it serializes without the seed (a HAAR reservoir's
+    parameter is its single dense stage)."""
 
     kind: str
     num_qubits: int
     depth: int = 10
-    gates: list[GateOp] | None = None
-    unitary: DenseUnitary | None = None
+    stages: tuple[Stage, ...] = ()
     ising: IsingParams | None = None
     rotation_layers: tuple[tuple[tuple[str, float], ...], ...] | None = None
 
@@ -200,26 +241,50 @@ def _sample_rotation_layers(num_qubits: int, depth: int,
     return tuple(layers)
 
 
-def _rotation_gates(num_qubits: int,
-                    layers: tuple[tuple[tuple[str, float], ...], ...]) -> list[GateOp]:
-    gates: list[GateOp] = []
-    for layer in layers:
-        gates.extend(GateOp("R" + axis, target=q, angle=angle)
-                     for q, (axis, angle) in enumerate(layer))
-        gates.extend(cyclic_ring(num_qubits, "CNOT"))
-    return gates
+def _ring_permutation(num_qubits: int, depth: int) -> np.ndarray:
+    """Gather indices of `depth` CNOT rings applied in order: gate g maps
+    amplitudes a -> a[src_g], so the composition is src_1[src_2[...]]."""
+    idx = np.arange(1 << num_qubits)
+    perm = idx
+    for _ in range(depth):
+        for gate in cyclic_ring(num_qubits, "CNOT"):
+            src = np.where((idx >> gate.control) & 1 == 1, idx ^ (1 << gate.target), idx)
+            perm = perm[src]
+    return perm
+
+
+def _kron_rotations(layer: tuple[tuple[str, float], ...]) -> np.ndarray | None:
+    """Kronecker product of one-qubit rotations, the first entry acting on
+    the least-significant qubit; None for no qubits."""
+    mat = None
+    for axis, angle in layer:
+        u = quantum.rotation_matrix(axis, angle)
+        mat = u if mat is None else np.kron(u, mat)
+    return mat
+
+
+def _rotation_stages(num_qubits: int,
+                     layers: tuple[tuple[tuple[str, float], ...], ...]) -> tuple[Stage, ...]:
+    """Per layer: rotations split into two 2^(M/2)-sized Kronecker factors,
+    then the layer's CNOT ring as one permutation. Composing a layer into a
+    dense 2^M matrix would cost more per row and cap the width at the
+    dense limit."""
+    split = num_qubits - num_qubits // 2
+    ring = _ring_permutation(num_qubits, 1)
+    return tuple(Stage(_kron_rotations(layer[:split]), _kron_rotations(layer[split:]), ring)
+                 for layer in layers)
 
 
 def build_reservoir(spec: ReservoirSpec) -> Reservoir:
-    """Materialize a reservoir; deterministic for a fixed spec and seed."""
+    """Materialize and compile a reservoir; deterministic for a fixed spec and seed."""
     d = spec.num_qubits
     if spec.kind == "CNOT":
-        gates = [g for _ in range(spec.depth) for g in cyclic_ring(d, "CNOT")]
-        return Reservoir("CNOT", d, spec.depth, gates=gates)
+        return Reservoir("CNOT", d, spec.depth,
+                         stages=(Stage(perm=_ring_permutation(d, spec.depth)),))
     if spec.kind == "HAAR":
         if spec.seed is None:
             raise ConfigurationError("HAAR reservoir requires a seed")
-        return Reservoir("HAAR", d, unitary=quantum.haar_unitary(1 << d, spec.seed))
+        return _haar_reservoir(d, quantum.haar_unitary(1 << d, spec.seed).entries)
     if spec.kind == "ISING":
         params = spec.ising
         if params is None:
@@ -228,19 +293,34 @@ def build_reservoir(spec: ReservoirSpec) -> Reservoir:
             params = quantum.sample_ising_params(d, spec.seed)
         if params.num_qubits != d:
             raise ConfigurationError("Ising parameter size does not match num_qubits")
-        return Reservoir("ISING", d, unitary=quantum.ising_unitary(params), ising=params)
+        return Reservoir("ISING", d, stages=(Stage(quantum.ising_unitary(params).entries),),
+                         ising=params)
     layers = spec.rotation_layers
     if layers is None:
         if spec.seed is None:
             raise ConfigurationError("ROTATION reservoir requires a seed or layers")
         layers = _sample_rotation_layers(d, spec.depth, spec.seed)
-    return Reservoir("ROTATION", d, spec.depth,
-                     gates=_rotation_gates(d, layers), rotation_layers=layers)
+    return Reservoir("ROTATION", d, spec.depth, stages=_rotation_stages(d, layers),
+                     rotation_layers=layers)
+
+
+def _haar_reservoir(num_qubits: int, entries: np.ndarray) -> Reservoir:
+    return Reservoir("HAAR", num_qubits, stages=(Stage(entries),))
 
 
 # ---------------------------------------------------------------------------
 # circuit execution
 # ---------------------------------------------------------------------------
+
+def _rotated_zero(axes: tuple[str, ...], theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes (<0|, <1|) of R_axis(theta)|0> per row and qubit, each (P, M)."""
+    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    is_x = np.array([a == "X" for a in axes])
+    is_z = np.array([a == "Z" for a in axes])
+    zero = np.where(is_z, c - 1j * s, c)
+    one = np.where(is_z, 0.0, np.where(is_x, -1j * s, s))
+    return zero, one
+
 
 def _apply_bound_rotations(amps: np.ndarray, num_qubits: int, rot: ParamRotation,
                            angles: np.ndarray) -> np.ndarray:
@@ -264,40 +344,71 @@ def _apply_bound_rotations(amps: np.ndarray, num_qubits: int, rot: ParamRotation
     return out.reshape(len(amps), dim)
 
 
+def _encode(encoder: EncoderSpec, angles: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Encoded (P, 2^M) batch. The first rotation layer acts on |0...0>, so
+    it is built as a product state by M in-place outer products; the CZ ring
+    is one +-1 sign vector; re-uploading layers rotate qubit by qubit."""
+    m = encoder.num_features
+    parity = sum(bits[:, g.control] & bits[:, g.target] for g in cyclic_ring(m, "CZ"))
+    ring_signs = 1.0 - 2.0 * (parity & 1)
+    zero, one = _rotated_zero(encoder.axis_assignment[0], angles)
+    amps = np.empty((len(angles), 1 << m), dtype=complex)
+    amps[:, 0], amps[:, 1] = zero[:, 0], one[:, 0]
+    for q in range(1, m):
+        half = 1 << q
+        np.multiply(one[:, q, None], amps[:, :half], out=amps[:, half:2 * half])
+        amps[:, :half] *= zero[:, q, None]
+    amps *= ring_signs
+    for layer_axes in encoder.axis_assignment[1:]:
+        for k, axis in enumerate(layer_axes):
+            amps = _apply_bound_rotations(amps, m, ParamRotation(axis, k, k), angles)
+        amps *= ring_signs
+    return amps
+
+
+def _observe(amps: np.ndarray, num_qubits: int, bits: np.ndarray) -> np.ndarray:
+    """Columns [<X^1>, <Y^1>, <Z^1>, ..., <X^M>, <Y^M>, <Z^M>] of a batch.
+
+    <Z> of every qubit is one product |a|^2 @ signs; <X> and <Y> come from
+    c = sum conj(a0) a1 over each qubit's half-slices."""
+    rows, dim = amps.shape
+    obs = np.empty((rows, 3 * num_qubits))
+    obs[:, 2::3] = (amps.real ** 2 + amps.imag ** 2) @ (1.0 - 2.0 * bits)
+    conj = amps.conj()
+    for q in range(num_qubits):
+        shape = (rows, dim >> (q + 1), 2, 1 << q)
+        cross = np.einsum("phl,phl->p", conj.reshape(shape)[:, :, 0, :],
+                          amps.reshape(shape)[:, :, 1, :])
+        obs[:, 3 * q], obs[:, 3 * q + 1] = 2.0 * cross.real, 2.0 * cross.imag
+    return obs
+
+
 def run_circuit_batch(encoder: EncoderSpec, reservoir: Reservoir | ReservoirSpec,
                       angles: np.ndarray) -> np.ndarray:
     """Observation matrix (P, 3M) for a batch of angle vectors (P, M).
 
     Rows start in |0...0>, go through the encoder with each row's angles
-    bound, then through the reservoir; columns are ordered
+    bound, then through the reservoir's compiled stages; columns are ordered
     [<X^1>, <Y^1>, <Z^1>, ..., <X^M>, <Y^M>, <Z^M>].
     """
+    m = encoder.num_features
+    if m > quantum.MAX_STATE_QUBITS:
+        raise ConfigurationError(
+            f"{m} qubits exceed the state-vector cap of {quantum.MAX_STATE_QUBITS}")
     if isinstance(reservoir, ReservoirSpec):
         reservoir = build_reservoir(reservoir)
     angles = np.atleast_2d(np.asarray(angles, dtype=float))
-    m = encoder.num_features
     if angles.shape[1] != m:
         raise ShapeError(f"expected {m} angles per row, got {angles.shape[1]}")
     if reservoir.num_qubits != m:
         raise ShapeError("reservoir size does not match encoder width")
-    amps = np.zeros((len(angles), 1 << m), dtype=complex)
-    amps[:, 0] = 1.0
-    for layer in build_encoder(encoder):
-        for op in layer:
-            if isinstance(op, ParamRotation):
-                amps = _apply_bound_rotations(amps, m, op, angles)
-            else:
-                amps = quantum.apply_gate_kernel(amps, m, op)
-    if reservoir.unitary is not None:
-        amps = amps @ reservoir.unitary.entries.T
-    else:
-        for op in reservoir.gates:
-            amps = quantum.apply_gate_kernel(amps, m, op)
-    obs = np.empty((len(angles), 3 * m))
-    for q in range(m):
-        x, y, z = quantum.pauli_expectations(amps, m, q)
-        obs[:, 3 * q], obs[:, 3 * q + 1], obs[:, 3 * q + 2] = x, y, z
-    return np.clip(obs, -1.0, 1.0)
+    if m < 2:
+        raise ConfigurationError("cyclic entanglement needs at least 2 qubits")
+    bits = quantum.basis_bits(m)
+    amps = _encode(encoder, angles, bits)
+    for stage in reservoir.stages:
+        amps = stage.apply(amps)
+    return np.clip(_observe(amps, m, bits), -1.0, 1.0)
 
 
 def run_circuit(encoder: EncoderSpec, reservoir: Reservoir | ReservoirSpec,
@@ -462,8 +573,9 @@ def _pipeline_to_dict(p: Pipeline) -> dict:
             [[axis, angle] for axis, angle in layer] for layer in p.reservoir.rotation_layers
         ]
     elif p.reservoir.kind == "HAAR":
-        reservoir["unitary_re"] = p.reservoir.unitary.entries.real.tolist()
-        reservoir["unitary_im"] = p.reservoir.unitary.entries.imag.tolist()
+        entries = p.reservoir.stages[0].low
+        reservoir["unitary_re"] = entries.real.tolist()
+        reservoir["unitary_im"] = entries.imag.tolist()
     return {
         "format": "qelm-pipeline-v1",
         "encoder": {
@@ -506,7 +618,7 @@ def _pipeline_from_dict(doc: dict) -> Pipeline:
                                                   rotation_layers=layers))
     else:
         entries = np.array(res["unitary_re"]) + 1j * np.array(res["unitary_im"])
-        reservoir = Reservoir("HAAR", d, unitary=DenseUnitary(1 << d, entries))
+        reservoir = _haar_reservoir(d, entries)
     norm = NormalizationParams(np.array(doc["normalization"]["mins"], dtype=float),
                                np.array(doc["normalization"]["maxs"], dtype=float))
     ro = doc["readout"]

@@ -12,6 +12,11 @@ Conventions used throughout:
 
 All gate kernels operate on the last axis of an array, so a batch of states
 with shape (batch, 2^D) goes through the same code path as a single state.
+They apply one gate per call and serve as the reference that the compiled
+circuits of `qelm` are tested against. The pipeline itself uses only the
+matrix constructions (`rotation_matrix` for its Kronecker factors,
+`haar_unitary` and `ising_unitary` for its dense stages) and the bit table
+`basis_bits`, from which it derives the CZ ring signs and the <Z> readout.
 """
 from __future__ import annotations
 
@@ -273,39 +278,49 @@ def haar_unitary(dim: int, seed: int) -> DenseUnitary:
     return DenseUnitary(dim, q * phases[None, :])
 
 
+def basis_bits(num_qubits: int) -> np.ndarray:
+    """(2^D, D) table of 0/1 ints: entry [i, b] is bit b of basis index i."""
+    idx = np.arange(1 << num_qubits)
+    return (idx[:, None] >> np.arange(num_qubits)[None, :]) & 1
+
+
 def ising_hamiltonian(params: IsingParams) -> np.ndarray:
-    """Dense 2^D x 2^D matrix of H = sum_{k<j} J[k,j] Z_k Z_j + sum_j a[j] X_j.
+    """Dense real 2^D x 2^D matrix of H = sum_{k<j} J[k,j] Z_k Z_j + sum_j a[j] X_j.
 
     ZZ terms are diagonal (products of the +-1 bit signs); each X_j adds 1s
-    on the bit-j flip off-diagonals.
+    on the bit-j flip off-diagonals. Both are real, so H is real symmetric.
     """
     d = params.num_qubits
     dim = 1 << d
     idx = np.arange(dim)
-    signs = 1.0 - 2.0 * ((idx[:, None] >> np.arange(d)[None, :]) & 1)
+    signs = 1.0 - 2.0 * basis_bits(d)
     diag = np.zeros(dim)
     for k in range(d):
         for j in range(k + 1, d):
             diag += params.couplings[k, j] * signs[:, k] * signs[:, j]
-    h = np.diag(diag).astype(complex)
+    h = np.diag(diag)
     for j in range(d):
         h[idx ^ (1 << j), idx] += params.fields[j]
     return h
 
 
 def ising_unitary(params: IsingParams) -> DenseUnitary:
-    """exp(-i H dt) via Hermitian eigendecomposition (exact, no Trotter error)."""
+    """exp(-i H dt) via the real symmetric eigendecomposition H = V diag(l) V^T
+    (exact, no Trotter error): U = (V cos(l dt)) V^T - i (V sin(l dt)) V^T."""
     if params.num_qubits > MAX_DENSE_QUBITS:
         raise ConfigurationError(
             f"dense exponential capped at {MAX_DENSE_QUBITS} qubits"
         )
     h = ising_hamiltonian(params)
-    if not np.allclose(h, h.conj().T, atol=1e-12):
-        raise ValidationError("Hamiltonian is not Hermitian")
+    if not np.allclose(h, h.T, atol=1e-12):
+        raise ValidationError("Hamiltonian is not symmetric")
     eigvals, eigvecs = np.linalg.eigh(h)
-    phases = np.exp(-1j * eigvals * params.time_step)
-    return DenseUnitary(1 << params.num_qubits,
-                        (eigvecs * phases[None, :]) @ eigvecs.conj().T)
+    phase = eigvals * params.time_step
+    dim = 1 << params.num_qubits
+    entries = np.empty((dim, dim), dtype=complex)
+    entries.real = (eigvecs * np.cos(phase)) @ eigvecs.T
+    entries.imag = (eigvecs * -np.sin(phase)) @ eigvecs.T
+    return DenseUnitary(dim, entries)
 
 
 def sample_ising_params(num_qubits: int, seed: int, time_step: float = 1.0) -> IsingParams:

@@ -173,8 +173,8 @@ def a12_magnitude(value: float) -> str:
 def holm_bonferroni(p_values) -> list[float]:
     """Holm step-down correction; output is on the original order."""
     ps = np.asarray(p_values, dtype=float)
-    if np.any(ps < 0) or np.any(ps > 1):
-        raise ValidationError("p-values must lie in [0, 1]")
+    if not np.all((ps >= 0) & (ps <= 1)):
+        raise ValidationError("p-values must lie in [0, 1] (NaN is not a p-value)")
     m = len(ps)
     order = np.argsort(ps, kind="stable")
     corrected = np.empty(m)

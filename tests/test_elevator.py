@@ -94,6 +94,22 @@ def test_wait_equals_travel_time():
     assert served[0][1] == pytest.approx(5.0)
 
 
+def test_unserved_passenger_raises(monkeypatch):
+    # drop every pickup event, so no call is ever answered; the check must
+    # survive `python -O`, which strips asserts
+    import heapq
+    from types import SimpleNamespace
+
+    def push(events, entry):
+        if entry[1] != 1:
+            heapq.heappush(events, entry)
+
+    monkeypatch.setattr(el, "heapq", SimpleNamespace(
+        heapify=heapq.heapify, heappop=heapq.heappop, heappush=push))
+    with pytest.raises(ValidationError, match="never served"):
+        el.simulate(el.BuildingConfig(), [el.Passenger(0.0, 5, 0, 70.0)])
+
+
 def test_two_simultaneous_calls_two_cars():
     cfg = el.BuildingConfig(num_elevators=2, floor_travel_time=1.0)
     passengers = [el.Passenger(10.0, 2, 6, 70.0), el.Passenger(10.0, 7, 1, 70.0)]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qelmkit import cli, elevator, harness, qelm, stats
-from qelmkit.errors import ConfigurationError
+from qelmkit.errors import ConfigurationError, ValidationError
 from qelmkit.harness import ExperimentConfig
 from qelmkit.stats import RunResults
 
@@ -244,6 +244,11 @@ def test_build_ranking_tie_breaks_lexicographically():
     assert ranking.winner == "DHE_HAAR"
 
 
+def test_build_ranking_rejects_empty_results():
+    with pytest.raises(ValidationError, match="empty"):
+        harness.build_ranking([])
+
+
 def test_ranking_text_and_dict():
     results = [RunResults("Day1", "FS2", "DHE", "ISING", np.array([1.0])),
                RunResults("Day1", "FS2", "DHE", "CNOT", np.array([2.0]))]
@@ -456,6 +461,13 @@ def test_cli_exit_code_2_on_config_errors(tmp_path, capsys):
     # gen-data on a path-list config cannot generate
     paths = write_cli_config(tmp_path, datasets=["a.csv", "b.csv"])
     assert cli.main(["gen-data", "--config", str(paths)]) == 2
+
+
+def test_cli_rank_without_results_names_results_option(tmp_path, capsys):
+    path = write_cli_config(tmp_path)
+    assert cli.main(["rank", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "--results" in err and "datasets" not in err
 
 
 def test_cli_exit_code_1_on_runtime_failure(tmp_path, capsys, monkeypatch):

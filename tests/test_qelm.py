@@ -3,16 +3,84 @@ execution, least-squares readout against a normal-equation oracle, and
 pipeline serialization."""
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qelmkit import qelm, quantum
 from qelmkit.errors import ConfigurationError, ShapeError, ValidationError
 from qelmkit.qelm import EncoderSpec, ParamRotation, ReservoirSpec
+
+from test_quantum import dense_gate
 
 
 def identity_reservoir(num_qubits: int) -> ReservoirSpec:
     params = quantum.IsingParams(num_qubits, np.zeros((num_qubits, num_qubits)),
                                  np.zeros(num_qubits), 1.0)
     return ReservoirSpec("ISING", num_qubits, ising=params)
+
+
+# ---------------------------------------------------------------------------
+# gate-level oracle for the compiled circuits
+# ---------------------------------------------------------------------------
+
+def reservoir_gates(res: qelm.Reservoir) -> list[quantum.GateOp]:
+    """The CNOT or ROTATION reservoir as a gate list, rebuilt from its depth
+    and sampled rotation layers (rotations, then the CNOT ring, per layer)."""
+    ring = qelm.cyclic_ring(res.num_qubits, "CNOT")
+    if res.kind == "CNOT":
+        return ring * res.depth
+    gates = []
+    for layer in res.rotation_layers:
+        gates += [quantum.GateOp("R" + axis, target=q, angle=angle)
+                  for q, (axis, angle) in enumerate(layer)]
+        gates += ring
+    return gates
+
+
+def reservoir_oracle(res: qelm.Reservoir, seed: int) -> np.ndarray:
+    """Dense reservoir matrix built independently of the compiled stages:
+    the Kronecker gate product, the seeded Haar draw, or expm(-i H dt)."""
+    dim = 1 << res.num_qubits
+    if res.kind == "HAAR":
+        return quantum.haar_unitary(dim, seed).entries
+    if res.kind == "ISING":
+        h = quantum.ising_hamiltonian(res.ising)
+        return scipy.linalg.expm(-1j * h * res.ising.time_step)
+    u = np.eye(dim, dtype=complex)
+    for gate in reservoir_gates(res):
+        u = dense_gate(gate, res.num_qubits) @ u
+    return u
+
+
+def stages_matrix(res: qelm.Reservoir) -> np.ndarray:
+    """Dense matrix of the compiled stages: row j of the batch starts as
+    basis state j, so the result holds U's columns as rows."""
+    amps = np.eye(1 << res.num_qubits, dtype=complex)
+    for stage in res.stages:
+        amps = stage.apply(amps)
+    return amps.T
+
+
+def gate_by_gate_observations(enc: EncoderSpec, res: qelm.Reservoir, seed: int,
+                              angles: np.ndarray) -> np.ndarray:
+    """One row at a time through quantum.apply_gate and expectation_pauli."""
+    m = enc.num_features
+    dense = None if res.kind in ("CNOT", "ROTATION") else reservoir_oracle(res, seed)
+    rows = []
+    for row in angles:
+        state = quantum.new_state(m)
+        for layer in qelm.build_encoder(enc):
+            for op in layer:
+                if isinstance(op, ParamRotation):
+                    op = quantum.GateOp("R" + op.axis, op.qubit, angle=row[op.feature])
+                state = quantum.apply_gate(state, op)
+        if dense is None:
+            for gate in reservoir_gates(res):
+                state = quantum.apply_gate(state, gate)
+        else:
+            state = quantum.apply_dense_unitary(state, dense)
+        rows.append([quantum.expectation_pauli(state, q, axis)
+                     for q in range(m) for axis in "XYZ"])
+    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +177,14 @@ def test_rhe_requires_seed():
 
 def test_cnot_reservoir_structure():
     res = qelm.build_reservoir(ReservoirSpec("CNOT", 3, depth=1))
-    assert [(g.kind, g.control, g.target) for g in res.gates] == [
+    assert [(g.kind, g.control, g.target) for g in reservoir_gates(res)] == [
         ("CNOT", 0, 1), ("CNOT", 1, 2), ("CNOT", 2, 0)]
+    np.testing.assert_array_equal(stages_matrix(res), reservoir_oracle(res, 0))
     deep = qelm.build_reservoir(ReservoirSpec("CNOT", 3, depth=10))
-    assert len(deep.gates) == 30
+    assert len(reservoir_gates(deep)) == 30
+    # the whole ring stack is one gather
+    assert len(deep.stages) == 1 and deep.stages[0].low is None
+    np.testing.assert_array_equal(stages_matrix(deep), reservoir_oracle(deep, 0))
 
 
 def test_rotation_reservoir_structure():
@@ -122,23 +194,33 @@ def test_rotation_reservoir_structure():
         assert len(layer) == 3
         for axis, angle in layer:
             assert axis in "XYZ" and 0.0 <= angle < 2 * np.pi
-    # per layer: 3 rotations + 3 ring CNOTs
-    assert len(res.gates) == 12
+    # per layer: 3 rotations + 3 ring CNOTs, compiled into one stage
+    assert len(reservoir_gates(res)) == 12
+    assert len(res.stages) == 2
+    np.testing.assert_allclose(stages_matrix(res), reservoir_oracle(res, 8), atol=1e-12)
     again = qelm.build_reservoir(ReservoirSpec("ROTATION", 3, depth=2, seed=8))
     assert again.rotation_layers == res.rotation_layers
 
 
 def test_haar_reservoir_unitary():
     res = qelm.build_reservoir(ReservoirSpec("HAAR", 3, seed=4))
-    assert res.unitary.dim == 8
-    assert quantum.unitarity_defect(res.unitary.entries) < 1e-10
+    u = stages_matrix(res)
+    assert u.shape == (8, 8)
+    assert quantum.unitarity_defect(u) < 1e-10
+    np.testing.assert_allclose(u, reservoir_oracle(res, 4), atol=1e-12)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_ising_reservoir_stage_matches_expm(m):
+    res = qelm.build_reservoir(ReservoirSpec("ISING", m, seed=m))
+    np.testing.assert_allclose(stages_matrix(res), reservoir_oracle(res, m), atol=1e-10)
 
 
 def test_identity_ising_reservoir_equals_encoder_only():
     enc = EncoderSpec("DHE", 3)
     angles = np.array([0.3, 1.0, 2.0])
     with_res = qelm.run_circuit(enc, identity_reservoir(3), angles)
-    cnot_zero_depth = qelm.Reservoir("CNOT", 3, gates=[])  # encoder only
+    cnot_zero_depth = qelm.Reservoir("CNOT", 3, depth=0)  # no stages: encoder only
     without = qelm.run_circuit(enc, cnot_zero_depth, angles)
     np.testing.assert_allclose(with_res, without, atol=1e-12)
 
@@ -205,20 +287,36 @@ def test_run_circuit_batch_matches_single_state_path():
     res = qelm.build_reservoir(ReservoirSpec("ROTATION", 3, depth=2, seed=9))
     angles = rng.uniform(0, np.pi, size=3)
     fast = qelm.run_circuit(enc, res, angles)
-    state = quantum.new_state(3)
-    for layer in qelm.build_encoder(enc):
-        for op in layer:
-            if isinstance(op, ParamRotation):
-                state = quantum.apply_gate(
-                    state, quantum.GateOp("R" + op.axis, op.qubit,
-                                          angle=angles[op.feature]))
-            else:
-                state = quantum.apply_gate(state, op)
-    for gate in res.gates:
-        state = quantum.apply_gate(state, gate)
-    slow = [quantum.expectation_pauli(state, qubit, axis)
-            for qubit in range(3) for axis in "XYZ"]
+    slow = gate_by_gate_observations(enc, res, 9, angles[None, :])[0]
     np.testing.assert_allclose(fast, slow, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["CNOT", "HAAR", "ISING", "ROTATION"])
+@pytest.mark.parametrize("encoder_kind", ["DHE", "RHE"])
+@pytest.mark.parametrize("m", [2, 3, 5])
+@pytest.mark.parametrize("encoder_depth", [1, 2])
+def test_compiled_circuit_matches_gate_by_gate_oracle(kind, encoder_kind, m,
+                                                      encoder_depth):
+    seed = 10 * m + encoder_depth
+    rng = np.random.default_rng(seed)
+    enc = EncoderSpec(encoder_kind, m, depth=encoder_depth, seed=seed)
+    res = qelm.build_reservoir(ReservoirSpec(kind, m, depth=3, seed=seed))
+    angles = rng.uniform(0, np.pi, size=(6, m))
+    compiled = qelm.run_circuit_batch(enc, res, angles)
+    oracle = gate_by_gate_observations(enc, res, seed, angles)
+    np.testing.assert_allclose(compiled, oracle, rtol=0, atol=1e-12)
+
+
+def test_run_circuit_batch_width_guard():
+    # one qubit past the cap: 2^17 amplitudes would still be cheap to allocate,
+    # so a missing guard shows as a test failure, not a memory blow-up
+    m = quantum.MAX_STATE_QUBITS + 1
+    with pytest.raises(ConfigurationError, match="cap"):
+        qelm.run_circuit_batch(EncoderSpec("DHE", m), qelm.Reservoir("CNOT", m, depth=0),
+                               np.zeros((1, m)))
+    with pytest.raises(ConfigurationError):
+        qelm.qelm_train((np.zeros((4, m)), np.zeros(4)), EncoderSpec("DHE", m),
+                        ReservoirSpec("ROTATION", m, seed=0))
 
 
 def test_run_circuit_shape_errors():

@@ -193,6 +193,11 @@ def test_holm_examples():
         stats.holm_bonferroni([0.5, 1.2])
 
 
+def test_holm_rejects_nan():
+    with pytest.raises(ValidationError):
+        stats.holm_bonferroni([0.01, float("nan"), 0.2])
+
+
 def test_holm_hand_worked_three():
     # sorted: 0.01*3=0.03, 0.02*2=0.04, 0.9*1 -> 0.9
     out = stats.holm_bonferroni([0.9, 0.01, 0.02])
