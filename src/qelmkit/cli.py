@@ -35,14 +35,41 @@ def _out_dir(config) -> str:
     return config.output_dir
 
 
-def _write_json(path, payload: dict) -> None:
-    with open(path, "w") as fh:
+def _stored_results(out_dir):
+    path = os.path.join(out_dir, harness.RESULTS_CSV)
+    return harness.read_results_csv(path) if os.path.exists(path) else None
+
+
+def _write_report(out, stem, payload: dict, text: str) -> list[str]:
+    """Write `stem`.json and `stem`.txt into `out`; returns the two file names."""
+    names = [f"{stem}.json", f"{stem}.txt"]
+    with open(os.path.join(out, names[0]), "w") as fh:
         json.dump(payload, fh, indent=2)
-
-
-def _write_text(path, text: str) -> None:
-    with open(path, "w") as fh:
+    with open(os.path.join(out, names[1]), "w") as fh:
         fh.write(text + "\n")
+    return names
+
+
+def _rq1_report(out, ranking) -> tuple[list[str], str]:
+    text = ranking.to_text()
+    return _write_report(out, "rq1_ranking", ranking.to_dict(), text), text
+
+
+def _rq2_report(out, config, combination, datasets, results) -> tuple[list[str], str]:
+    reports = harness.run_rq2_comparison(config, combination, datasets, results=results)
+    payload = {"combination": combination,
+               "datasets": {day: report.to_dict() for day, report in reports.items()}}
+    text = "\n\n".join(f"== {day} ==\n{report.to_text()}"
+                       for day, report in reports.items())
+    return _write_report(out, "rq2_report", payload, text), text
+
+
+def _rq3_report(out, config, combination, datasets, results,
+                baselines) -> tuple[list[str], str]:
+    report = harness.run_rq3_baseline(config, combination, datasets, results=results,
+                                      baselines=baselines)
+    text = report.to_text()
+    return _write_report(out, "rq3_report", report.to_dict(), text), text
 
 
 def cmd_gen_data(args) -> int:
@@ -67,33 +94,18 @@ def cmd_run_rq1(args) -> int:
     out = _out_dir(config)
     ranking, results = harness.run_rq1_sweep(config)
     harness.write_results_csv(os.path.join(out, harness.RESULTS_CSV), results)
-    _write_json(os.path.join(out, "rq1_ranking.json"), ranking.to_dict())
-    _write_text(os.path.join(out, "rq1_ranking.txt"), ranking.to_text())
-    harness.write_manifest(out, "run-rq1", config,
-                           [harness.RESULTS_CSV, "rq1_ranking.json", "rq1_ranking.txt"])
-    print(ranking.to_text())
+    files, text = _rq1_report(out, ranking)
+    harness.write_manifest(out, "run-rq1", config, [harness.RESULTS_CSV] + files)
+    print(text)
     return 0
-
-
-def _stored_results(out_dir):
-    path = os.path.join(out_dir, harness.RESULTS_CSV)
-    return harness.read_results_csv(path) if os.path.exists(path) else None
 
 
 def cmd_run_rq2(args) -> int:
     config = _load_config(args)
     out = _out_dir(config)
-    datasets = harness.load_datasets(config)
-    reports = harness.run_rq2_comparison(config, args.combination, datasets,
-                                         results=_stored_results(out))
-    payload = {day: report.to_dict() for day, report in reports.items()}
-    _write_json(os.path.join(out, "rq2_report.json"),
-                {"combination": args.combination, "datasets": payload})
-    text = "\n\n".join(f"== {day} ==\n{report.to_text()}"
-                       for day, report in reports.items())
-    _write_text(os.path.join(out, "rq2_report.txt"), text)
-    harness.write_manifest(out, "run-rq2", config,
-                           ["rq2_report.json", "rq2_report.txt"])
+    files, text = _rq2_report(out, config, args.combination,
+                              harness.load_datasets(config), _stored_results(out))
+    harness.write_manifest(out, "run-rq2", config, files)
     print(text)
     return 0
 
@@ -103,15 +115,11 @@ def cmd_run_rq3(args) -> int:
     out = _out_dir(config)
     datasets = harness.load_datasets(config)
     baselines = harness.baseline_tree_mse(datasets)
-    report = harness.run_rq3_baseline(config, args.combination, datasets,
-                                      results=_stored_results(out),
-                                      baselines=baselines)
+    files, text = _rq3_report(out, config, args.combination, datasets,
+                              _stored_results(out), baselines)
     harness.write_baselines_csv(os.path.join(out, harness.BASELINES_CSV), baselines)
-    _write_json(os.path.join(out, "rq3_report.json"), report.to_dict())
-    _write_text(os.path.join(out, "rq3_report.txt"), report.to_text())
-    harness.write_manifest(out, "run-rq3", config,
-                           [harness.BASELINES_CSV, "rq3_report.json", "rq3_report.txt"])
-    print(report.to_text())
+    harness.write_manifest(out, "run-rq3", config, [harness.BASELINES_CSV] + files)
+    print(text)
     return 0
 
 
@@ -122,10 +130,8 @@ def cmd_rank(args) -> int:
     if not os.path.exists(path):
         raise ConfigurationError(f"option '--results': no results CSV at {path}; "
                                  "run run-rq1 first or pass --results")
-    ranking = harness.build_ranking(harness.read_results_csv(path))
-    _write_json(os.path.join(out, "rq1_ranking.json"), ranking.to_dict())
-    _write_text(os.path.join(out, "rq1_ranking.txt"), ranking.to_text())
-    print(ranking.to_text())
+    _, text = _rq1_report(out, harness.build_ranking(harness.read_results_csv(path)))
+    print(text)
     return 0
 
 
@@ -135,31 +141,15 @@ def cmd_report(args) -> int:
     results = _stored_results(out)
     if results is None:
         raise ConfigurationError(f"no {harness.RESULTS_CSV} in {out}; run run-rq1 first")
-    written = []
-    ranking = harness.build_ranking(results)
-    _write_json(os.path.join(out, "rq1_ranking.json"), ranking.to_dict())
-    _write_text(os.path.join(out, "rq1_ranking.txt"), ranking.to_text())
-    written += ["rq1_ranking.json", "rq1_ranking.txt"]
+    written, _ = _rq1_report(out, harness.build_ranking(results))
     datasets = harness.load_datasets(config)
     covered = {r.combination for r in results}
     if args.combination in covered and len(config.feature_sets) >= 2:
-        reports = harness.run_rq2_comparison(config, args.combination, datasets,
-                                             results=results)
-        _write_json(os.path.join(out, "rq2_report.json"),
-                    {"combination": args.combination,
-                     "datasets": {d: r.to_dict() for d, r in reports.items()}})
-        _write_text(os.path.join(out, "rq2_report.txt"),
-                    "\n\n".join(f"== {d} ==\n{r.to_text()}"
-                                for d, r in reports.items()))
-        written += ["rq2_report.json", "rq2_report.txt"]
+        written += _rq2_report(out, config, args.combination, datasets, results)[0]
         baseline_path = os.path.join(out, harness.BASELINES_CSV)
         if os.path.exists(baseline_path):
-            baselines = harness.read_baselines_csv(baseline_path)
-            rq3 = harness.run_rq3_baseline(config, args.combination, datasets,
-                                           results=results, baselines=baselines)
-            _write_json(os.path.join(out, "rq3_report.json"), rq3.to_dict())
-            _write_text(os.path.join(out, "rq3_report.txt"), rq3.to_text())
-            written += ["rq3_report.json", "rq3_report.txt"]
+            written += _rq3_report(out, config, args.combination, datasets, results,
+                                   harness.read_baselines_csv(baseline_path))[0]
     harness.write_manifest(out, "report", config, written)
     print(f"regenerated: {', '.join(written)}")
     return 0

@@ -339,17 +339,17 @@ def floor_tiers(num_floors: int) -> tuple[range, range, range]:
 
 
 def windowize(config: BuildingConfig, served: list[tuple[Passenger, float]],
-              window_seconds: int = WINDOW_SECONDS, label: str = "day") -> Dataset:
-    """Roll served calls into fixed windows of the 12 features plus AWT.
+              label: str = "day") -> Dataset:
+    """Roll served calls into WINDOW_SECONDS windows of the 12 features plus AWT.
 
     Windows with no calls get awt = 0 and the `empty` flag so downstream
     training can exclude them.
     """
     low, _, high = floor_tiers(config.num_floors)
-    num_windows = math.ceil(DAY_SECONDS / window_seconds)
+    num_windows = math.ceil(DAY_SECONDS / WINDOW_SECONDS)
     buckets: list[list[tuple[Passenger, float]]] = [[] for _ in range(num_windows)]
     for p, wait in served:
-        buckets[int(p.arrival_time // window_seconds)].append((p, wait))
+        buckets[int(p.arrival_time // WINDOW_SECONDS)].append((p, wait))
 
     windows: list[FeatureWindow] = []
     prev_up = prev_down = 0.0
@@ -374,8 +374,8 @@ def windowize(config: BuildingConfig, served: list[tuple[Passenger, float]],
         f[10] = f[0] + f[1] + f[2]
         f[11] = f[3] + f[4] + f[5]
         awt = float(np.mean(waits)) if waits else 0.0
-        windows.append(FeatureWindow(float(i * window_seconds),
-                                     float(window_seconds), f, awt,
+        windows.append(FeatureWindow(float(i * WINDOW_SECONDS),
+                                     float(WINDOW_SECONDS), f, awt,
                                      empty=not bucket))
         prev_up, prev_down = f[10], f[11]
     return Dataset(label, windows)

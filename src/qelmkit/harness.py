@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import combinations as iter_pairs
 
@@ -41,13 +42,6 @@ def derive_seed(*parts) -> int:
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
-
-_CONFIG_FIELDS = {
-    "datasets", "feature_sets", "combinations", "repetitions",
-    "fs10_repetitions", "encoder_depth", "reservoir_depth", "ridge_lambda",
-    "master_seed", "output_dir",
-}
-
 
 @dataclass
 class ExperimentConfig:
@@ -82,15 +76,19 @@ class ExperimentConfig:
         elif not (isinstance(self.datasets, dict) and "generate" in self.datasets):
             raise ConfigurationError(
                 "field 'datasets' must be a list of CSV paths or a {'generate': ...} spec")
-        if self.repetitions < 1:
-            raise ConfigurationError("field 'repetitions' must be >= 1")
-        if self.fs10_repetitions is not None and self.fs10_repetitions < 1:
-            raise ConfigurationError("field 'fs10_repetitions' must be >= 1")
-        if self.encoder_depth < 1:
-            raise ConfigurationError("field 'encoder_depth' must be >= 1")
-        if self.reservoir_depth < 1:
-            raise ConfigurationError("field 'reservoir_depth' must be >= 1")
-        if self.ridge_lambda < 0:
+        for name in ("repetitions", "fs10_repetitions", "encoder_depth",
+                     "reservoir_depth", "master_seed"):
+            value = getattr(self, name)
+            if value is None and name == "fs10_repetitions":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"field '{name}' must be an integer, got {value!r}")
+            if name != "master_seed" and value < 1:
+                raise ConfigurationError(f"field '{name}' must be >= 1")
+        lam = self.ridge_lambda
+        if isinstance(lam, bool) or not isinstance(lam, numbers.Real):
+            raise ConfigurationError(f"field 'ridge_lambda' must be a number, got {lam!r}")
+        if not lam >= 0:   # also rejects NaN
             raise ConfigurationError("field 'ridge_lambda' must be >= 0")
 
     def repetitions_for(self, feature_set: str) -> int:
@@ -109,7 +107,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"config file is not valid JSON: {exc}")
         if not isinstance(doc, dict):
             raise ConfigurationError("config file must hold a JSON object")
-        unknown = set(doc) - _CONFIG_FIELDS
+        unknown = set(doc) - set(_CONFIG_FIELDS)
         if unknown:
             raise ConfigurationError(f"unknown config field(s): {', '.join(sorted(unknown))}")
         for required in ("datasets", "feature_sets", "combinations"):
@@ -118,11 +116,11 @@ class ExperimentConfig:
         return cls(config_dir=os.path.dirname(os.path.abspath(path)), **doc)
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k)
-                for k in ("datasets", "feature_sets", "combinations",
-                          "repetitions", "fs10_repetitions", "encoder_depth",
-                          "reservoir_depth", "ridge_lambda", "master_seed",
-                          "output_dir")}
+        return {k: getattr(self, k) for k in _CONFIG_FIELDS}
+
+
+# the fields a config file may set, in declaration order
+_CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "config_dir")
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +159,12 @@ def generate_days(spec: dict) -> list[Dataset]:
         ds = elevator.simulate_day(building, profile, derive_seed(seed, "traffic", d),
                                    label=f"Day{d + 1}")
         if awt_mode == "nonlinear":
-            ds = _overlay_nonlinear_awt(ds, derive_seed(seed, "awt", d))
+            ds = _overlay_nonlinear_awt(ds)
         days.append(ds)
     return days
 
 
-def _overlay_nonlinear_awt(dataset: Dataset, seed: int) -> Dataset:
+def _overlay_nonlinear_awt(dataset: Dataset) -> Dataset:
     """Add a smooth saturating response of the aggregate down-call count on
     top of the simulated waiting times; feature columns stay untouched.
 
@@ -175,7 +173,6 @@ def _overlay_nonlinear_awt(dataset: Dataset, seed: int) -> Dataset:
     aggregate-feature models and the component-feature baseline while the
     queueing dynamics keep every feature informative.
     """
-    del seed  # deterministic overlay; signature kept for per-day variants
     windows = []
     for w in dataset.windows:
         f = w.raw_features
@@ -200,7 +197,7 @@ def load_datasets(config: ExperimentConfig) -> list[Dataset]:
 
 
 # ---------------------------------------------------------------------------
-# cross-validation core
+# leave-one-day-out sweep
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -237,8 +234,8 @@ def _prepare_fold(train_days: list[Dataset], test_day: Dataset,
 
 
 def _cell_mse(fold: _FoldCache, encoder_kind: str, reservoir_kind: str,
-              config: ExperimentConfig, rep: int, master_seed: int) -> float:
-    seed_parts = (master_seed, fold.fold_label,
+              config: ExperimentConfig, rep: int) -> float:
+    seed_parts = (config.master_seed, fold.fold_label,
                   f"{encoder_kind}_{reservoir_kind}", fold.feature_set, rep)
     encoder = qelm.EncoderSpec(encoder_kind, fold.num_features,
                                depth=config.encoder_depth,
@@ -253,33 +250,32 @@ def _cell_mse(fold: _FoldCache, encoder_kind: str, reservoir_kind: str,
     return stats.mse(predictions, fold.test_targets)
 
 
-def _setting_mse_values(fold: _FoldCache, combination: str,
-                        config: ExperimentConfig) -> np.ndarray:
-    encoder_kind, reservoir_kind = combination.split("_")
-    reps = config.repetitions_for(fold.feature_set)
-    # DHE + CNOT has no random parameters at all: one run covers every rep
-    if encoder_kind == "DHE" and reservoir_kind == "CNOT":
-        value = _cell_mse(fold, encoder_kind, reservoir_kind, config, 0,
-                          config.master_seed)
-        return np.full(reps, value)
-    return np.array([_cell_mse(fold, encoder_kind, reservoir_kind, config, rep,
-                               config.master_seed) for rep in range(reps)])
-
-
-def cross_validate(datasets: list[Dataset], config: ExperimentConfig,
-                   combination: str, feature_set: str) -> dict[str, RunResults]:
-    """Leave-one-day-out: each dataset is held out once while the others
-    train; returns per-fold repetition MSE values keyed by the test day."""
+def _leave_one_day_out(datasets: list[Dataset]) -> list[tuple[list[Dataset], Dataset]]:
+    """(training days, held-out day) per fold, holding out each day in order."""
     if len(datasets) < 2:
-        raise ConfigurationError("cross-validation needs at least 2 datasets")
-    encoder_kind, reservoir_kind = combination.split("_")
-    results = {}
-    for i, test_day in enumerate(datasets):
-        train_days = [d for j, d in enumerate(datasets) if j != i]
-        fold = _prepare_fold(train_days, test_day, feature_set)
-        values = _setting_mse_values(fold, combination, config)
-        results[test_day.label] = RunResults(test_day.label, feature_set,
-                                             encoder_kind, reservoir_kind, values)
+        raise ConfigurationError("leave-one-day-out needs at least 2 datasets")
+    return [([d for j, d in enumerate(datasets) if j != i], test_day)
+            for i, test_day in enumerate(datasets)]
+
+
+def _sweep(config: ExperimentConfig, datasets: list[Dataset],
+           combinations: list[str]) -> list[RunResults]:
+    """Repetition MSEs for every (feature set, fold, combination), in that order."""
+    folds = _leave_one_day_out(datasets)
+    results = []
+    for feature_set in config.feature_sets:
+        reps = config.repetitions_for(feature_set)
+        for train_days, test_day in folds:
+            fold = _prepare_fold(train_days, test_day, feature_set)
+            for combination in combinations:
+                enc, res = combination.split("_")
+                # DHE + CNOT has no random parameters at all: one run covers every rep
+                if combination == "DHE_CNOT":
+                    values = np.full(reps, _cell_mse(fold, enc, res, config, 0))
+                else:
+                    values = np.array([_cell_mse(fold, enc, res, config, rep)
+                                       for rep in range(reps)])
+                results.append(RunResults(test_day.label, feature_set, enc, res, values))
     return results
 
 
@@ -344,11 +340,8 @@ def build_ranking(results: list[RunResults]) -> RankingTable:
             podium.setdefault(combo, [0, 0, 0])[place] += 1
     for r in results:
         podium.setdefault(r.combination, [0, 0, 0])
-    winner = max(podium, key=lambda c: (podium[c][0], podium[c][1],
-                                        podium[c][2], c))
-    # prefer lexicographic order among exact podium ties
-    tied = [c for c in podium if podium[c] == podium[winner]]
-    winner = sorted(tied)[0]
+    # most firsts, then seconds, then thirds; exact ties go to the first name
+    winner = min(podium, key=lambda c: ([-n for n in podium[c]], c))
     return RankingTable(settings, podium, winner)
 
 
@@ -360,18 +353,7 @@ def run_rq1_sweep(config: ExperimentConfig,
     A single-combination config degenerates to rank 1 everywhere."""
     if datasets is None:
         datasets = load_datasets(config)
-    if len(datasets) < 2:
-        raise ConfigurationError("RQ1 needs at least 2 datasets")
-    results: list[RunResults] = []
-    for feature_set in config.feature_sets:
-        for i, test_day in enumerate(datasets):
-            train_days = [d for j, d in enumerate(datasets) if j != i]
-            fold = _prepare_fold(train_days, test_day, feature_set)
-            for combination in config.combinations:
-                enc, res = combination.split("_")
-                values = _setting_mse_values(fold, combination, config)
-                results.append(RunResults(test_day.label, feature_set, enc, res,
-                                          values))
+    results = _sweep(config, datasets, config.combinations)
     return build_ranking(results), results
 
 
@@ -383,17 +365,15 @@ def _collect_results(config: ExperimentConfig, combination: str,
                      datasets: list[Dataset],
                      results: list[RunResults] | None) -> dict[tuple[str, str], np.ndarray]:
     """MSE samples keyed by (dataset, feature_set) for one combination,
-    reusing precomputed results when they cover the request."""
-    wanted = {(d.label, fs) for d in datasets for fs in config.feature_sets}
-    if results is not None:
-        table = {(r.dataset, r.feature_set): r.mse_values for r in results
-                 if r.combination == combination}
-        if wanted <= set(table):
-            return {k: table[k] for k in wanted}
-    table = {}
-    for fs in config.feature_sets:
-        for label, run in cross_validate(datasets, config, combination, fs).items():
-            table[(label, fs)] = run.mse_values
+    reusing precomputed results when they cover the request and running the
+    sweep for that combination otherwise."""
+    def by_setting(runs):
+        return {(r.dataset, r.feature_set): r.mse_values for r in runs
+                if r.combination == combination}
+
+    table = by_setting(results or [])
+    if not {(d.label, fs) for d in datasets for fs in config.feature_sets} <= set(table):
+        table = by_setting(_sweep(config, datasets, [combination]))
     return table
 
 
@@ -476,12 +456,10 @@ class Rq3Report:
 def baseline_tree_mse(datasets: list[Dataset], max_splits: int = 25) -> dict[str, float]:
     """Regression-tree baseline trained on the 10-feature set of the training
     days of each fold; one fixed MSE per held-out day."""
-    if len(datasets) < 2:
-        raise ConfigurationError("baseline needs at least 2 datasets")
     out = {}
-    for i, test_day in enumerate(datasets):
+    for train_days, test_day in _leave_one_day_out(datasets):
         train_parts = [elevator.select_features(d, "FS10").drop_empty()
-                       for j, d in enumerate(datasets) if j != i]
+                       for d in train_days]
         test = elevator.select_features(test_day, "FS10").drop_empty()
         features = np.vstack([p.feature_matrix() for p in train_parts])
         targets = np.concatenate([p.awt_values() for p in train_parts])

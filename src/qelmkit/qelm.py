@@ -63,18 +63,22 @@ def fit_normalization(training_features: np.ndarray) -> NormalizationParams:
         raise ShapeError("training features must be a 2-D (windows x features) matrix")
     if feats.shape[0] < 1:
         raise ValidationError("training features must contain at least one row")
+    if not np.all(np.isfinite(feats)):
+        raise ValidationError("training features must be finite (no NaN or infinity)")
     return NormalizationParams(feats.min(axis=0), feats.max(axis=0))
 
 
 def apply_normalization(params: NormalizationParams, features: np.ndarray) -> np.ndarray:
     """Map features linearly so the training min is 0 and the training max
-    is pi; values outside the training range are clamped, and a constant
-    training feature maps to 0 (its rotation becomes a no-op)."""
+    is pi; finite values outside the training range are clamped, and a
+    constant training feature maps to 0 (its rotation becomes a no-op)."""
     feats = np.asarray(features, dtype=float)
     if feats.shape[-1] != params.num_features:
         raise ShapeError(
             f"expected {params.num_features} features, got {feats.shape[-1]}"
         )
+    if not np.all(np.isfinite(feats)):
+        raise ValidationError("features must be finite (no NaN or infinity)")
     span = params.maxs - params.mins
     safe_span = np.where(span > 0, span, 1.0)
     angles = (feats - params.mins) / safe_span * np.pi
@@ -189,6 +193,8 @@ class ReservoirSpec:
             raise ConfigurationError("ising parameters only apply to the ISING kind")
         if self.rotation_layers is not None and self.kind != "ROTATION":
             raise ConfigurationError("rotation_layers only apply to the ROTATION kind")
+        if any(len(layer) != self.num_qubits for layer in self.rotation_layers or ()):
+            raise ConfigurationError("each rotation layer must cover every qubit")
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,7 +290,7 @@ def build_reservoir(spec: ReservoirSpec) -> Reservoir:
     if spec.kind == "HAAR":
         if spec.seed is None:
             raise ConfigurationError("HAAR reservoir requires a seed")
-        return _haar_reservoir(d, quantum.haar_unitary(1 << d, spec.seed).entries)
+        return Reservoir("HAAR", d, stages=(Stage(quantum.haar_unitary(1 << d, spec.seed)),))
     if spec.kind == "ISING":
         params = spec.ising
         if params is None:
@@ -293,7 +299,7 @@ def build_reservoir(spec: ReservoirSpec) -> Reservoir:
             params = quantum.sample_ising_params(d, spec.seed)
         if params.num_qubits != d:
             raise ConfigurationError("Ising parameter size does not match num_qubits")
-        return Reservoir("ISING", d, stages=(Stage(quantum.ising_unitary(params).entries),),
+        return Reservoir("ISING", d, stages=(Stage(quantum.ising_unitary(params)),),
                          ising=params)
     layers = spec.rotation_layers
     if layers is None:
@@ -302,10 +308,6 @@ def build_reservoir(spec: ReservoirSpec) -> Reservoir:
         layers = _sample_rotation_layers(d, spec.depth, spec.seed)
     return Reservoir("ROTATION", d, spec.depth, stages=_rotation_stages(d, layers),
                      rotation_layers=layers)
-
-
-def _haar_reservoir(num_qubits: int, entries: np.ndarray) -> Reservoir:
-    return Reservoir("HAAR", num_qubits, stages=(Stage(entries),))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +385,7 @@ def _observe(amps: np.ndarray, num_qubits: int, bits: np.ndarray) -> np.ndarray:
     return obs
 
 
-def run_circuit_batch(encoder: EncoderSpec, reservoir: Reservoir | ReservoirSpec,
+def run_circuit_batch(encoder: EncoderSpec, reservoir: Reservoir,
                       angles: np.ndarray) -> np.ndarray:
     """Observation matrix (P, 3M) for a batch of angle vectors (P, M).
 
@@ -395,8 +397,6 @@ def run_circuit_batch(encoder: EncoderSpec, reservoir: Reservoir | ReservoirSpec
     if m > quantum.MAX_STATE_QUBITS:
         raise ConfigurationError(
             f"{m} qubits exceed the state-vector cap of {quantum.MAX_STATE_QUBITS}")
-    if isinstance(reservoir, ReservoirSpec):
-        reservoir = build_reservoir(reservoir)
     angles = np.atleast_2d(np.asarray(angles, dtype=float))
     if angles.shape[1] != m:
         raise ShapeError(f"expected {m} angles per row, got {angles.shape[1]}")
@@ -409,12 +409,6 @@ def run_circuit_batch(encoder: EncoderSpec, reservoir: Reservoir | ReservoirSpec
     for stage in reservoir.stages:
         amps = stage.apply(amps)
     return np.clip(_observe(amps, m, bits), -1.0, 1.0)
-
-
-def run_circuit(encoder: EncoderSpec, reservoir: Reservoir | ReservoirSpec,
-                angles: np.ndarray) -> np.ndarray:
-    """Observation vector (3M,) for one angle vector (M,)."""
-    return run_circuit_batch(encoder, reservoir, np.asarray(angles)[None, :])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -465,16 +459,6 @@ def fit_readout(observations: np.ndarray, targets: np.ndarray,
     intercept = float(solution[-1]) if include_intercept else 0.0
     weights = solution[:k]
     return ReadoutModel(weights, include_intercept, intercept, float(ridge_lambda))
-
-
-def predict(model: ReadoutModel, observation: np.ndarray) -> float:
-    """W . V (+ intercept if the model has one)."""
-    v = np.asarray(observation, dtype=float)
-    if v.shape != model.weights.shape:
-        raise ShapeError(
-            f"observation length {v.shape} does not match weights {model.weights.shape}"
-        )
-    return float(model.weights @ v + model.intercept)
 
 
 # ---------------------------------------------------------------------------
@@ -550,11 +534,6 @@ def qelm_train(train, encoder: EncoderSpec, reservoir: ReservoirSpec | Reservoir
                     training_rss=float(residuals @ residuals))
 
 
-def qelm_predict(pipeline: Pipeline, features: np.ndarray) -> float:
-    """Normalize, run the circuit, apply the readout."""
-    return pipeline.predict(features)
-
-
 # ---------------------------------------------------------------------------
 # serialization helpers
 # ---------------------------------------------------------------------------
@@ -598,6 +577,29 @@ def _pipeline_to_dict(p: Pipeline) -> dict:
 def _pipeline_from_dict(doc: dict) -> Pipeline:
     if doc.get("format") != "qelm-pipeline-v1":
         raise ConfigurationError("unrecognized pipeline document format")
+    try:
+        pipeline = _pipeline_fields(doc)
+    except KeyError as exc:
+        raise ValidationError(f"pipeline document is missing key {exc.args[0]!r}") from None
+    m = pipeline.encoder.num_features
+    if pipeline.reservoir.num_qubits != m:
+        raise ValidationError(f"reservoir width {pipeline.reservoir.num_qubits} "
+                              f"does not match encoder width {m}")
+    norm = pipeline.normalization
+    if not (len(norm.mins) == len(norm.maxs) == m
+            and np.all(np.isfinite(norm.mins)) and np.all(np.isfinite(norm.maxs))):
+        raise ValidationError(f"normalization must hold {m} finite mins and maxs")
+    if pipeline.readout.weights.shape != (3 * m,):
+        raise ValidationError(f"readout needs {3 * m} weights, "
+                              f"got {pipeline.readout.weights.shape}")
+    if pipeline.reservoir.kind == "HAAR":
+        u = pipeline.reservoir.stages[0].low
+        if u.shape != (1 << m, 1 << m) or not quantum.unitarity_defect(u) < 1e-10:
+            raise ValidationError(f"HAAR matrix must be a {1 << m}x{1 << m} unitary")
+    return pipeline
+
+
+def _pipeline_fields(doc: dict) -> Pipeline:
     enc = doc["encoder"]
     encoder = EncoderSpec(enc["kind"], enc["num_features"], enc["depth"],
                           axis_assignment=tuple(tuple(layer)
@@ -616,9 +618,11 @@ def _pipeline_from_dict(doc: dict) -> Pipeline:
                        for layer in res["rotation_layers"])
         reservoir = build_reservoir(ReservoirSpec("ROTATION", d, depth,
                                                   rotation_layers=layers))
-    else:
+    elif kind == "HAAR":
         entries = np.array(res["unitary_re"]) + 1j * np.array(res["unitary_im"])
-        reservoir = _haar_reservoir(d, entries)
+        reservoir = Reservoir("HAAR", d, stages=(Stage(entries),))
+    else:
+        raise ValidationError(f"unknown reservoir kind {kind!r}")
     norm = NormalizationParams(np.array(doc["normalization"]["mins"], dtype=float),
                                np.array(doc["normalization"]["maxs"], dtype=float))
     ro = doc["readout"]

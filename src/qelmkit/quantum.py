@@ -94,35 +94,10 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-@dataclass
-class DenseUnitary:
-    """Explicit dim x dim complex matrix; dim must be a power of two."""
-
-    dim: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        if self.dim < 1 or (self.dim & (self.dim - 1)) != 0:
-            raise ConfigurationError(f"dim {self.dim} is not a power of two")
-        if self.entries.shape != (self.dim, self.dim):
-            raise ShapeError(
-                f"entries shape {self.entries.shape} does not match dim {self.dim}"
-            )
-
-
 def unitarity_defect(entries: np.ndarray) -> float:
     """max |U^dag U - I|, zero (to precision) for a unitary matrix."""
     dim = entries.shape[0]
     return float(np.max(np.abs(entries.conj().T @ entries - np.eye(dim))))
-
-
-def dump_unitary_csv(path, u: "DenseUnitary | np.ndarray") -> None:
-    """Debug dump: one row per matrix row, each entry as re,im column pair."""
-    entries = u.entries if isinstance(u, DenseUnitary) else np.asarray(u)
-    with open(path, "w") as fh:
-        for row in entries:
-            fh.write(",".join(f"{float(c.real)!r},{float(c.imag)!r}"
-                              for c in row) + "\n")
 
 
 @dataclass
@@ -215,9 +190,9 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
                        apply_gate_kernel(state.amplitudes, state.num_qubits, gate))
 
 
-def apply_dense_unitary(state: StateVector, u: DenseUnitary | np.ndarray) -> StateVector:
+def apply_dense_unitary(state: StateVector, u: np.ndarray) -> StateVector:
     """Apply an explicit matrix to the full register."""
-    entries = u.entries if isinstance(u, DenseUnitary) else np.asarray(u)
+    entries = np.asarray(u)
     if entries.shape != (state.dim, state.dim):
         raise ShapeError(
             f"unitary shape {entries.shape} does not match state dim {state.dim}"
@@ -259,7 +234,7 @@ def expectation_pauli(state: StateVector, qubit: int, axis: str) -> float:
 # random unitary construction
 # ---------------------------------------------------------------------------
 
-def haar_unitary(dim: int, seed: int) -> DenseUnitary:
+def haar_unitary(dim: int, seed: int) -> np.ndarray:
     """Haar-distributed random unitary via QR of a complex Ginibre matrix.
 
     The QR phases are fixed by rescaling Q's columns with R_ii / |R_ii|,
@@ -275,7 +250,7 @@ def haar_unitary(dim: int, seed: int) -> DenseUnitary:
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)
     phases = diag / np.abs(diag)
-    return DenseUnitary(dim, q * phases[None, :])
+    return q * phases[None, :]
 
 
 def basis_bits(num_qubits: int) -> np.ndarray:
@@ -304,7 +279,7 @@ def ising_hamiltonian(params: IsingParams) -> np.ndarray:
     return h
 
 
-def ising_unitary(params: IsingParams) -> DenseUnitary:
+def ising_unitary(params: IsingParams) -> np.ndarray:
     """exp(-i H dt) via the real symmetric eigendecomposition H = V diag(l) V^T
     (exact, no Trotter error): U = (V cos(l dt)) V^T - i (V sin(l dt)) V^T."""
     if params.num_qubits > MAX_DENSE_QUBITS:
@@ -320,7 +295,7 @@ def ising_unitary(params: IsingParams) -> DenseUnitary:
     entries = np.empty((dim, dim), dtype=complex)
     entries.real = (eigvecs * np.cos(phase)) @ eigvecs.T
     entries.imag = (eigvecs * -np.sin(phase)) @ eigvecs.T
-    return DenseUnitary(dim, entries)
+    return entries
 
 
 def sample_ising_params(num_qubits: int, seed: int, time_step: float = 1.0) -> IsingParams:

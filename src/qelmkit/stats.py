@@ -114,12 +114,12 @@ def kruskal_wallis(groups) -> tuple[float, float]:
     return float(h), _chi2_sf(h, len(samples) - 1)
 
 
-def mann_whitney_u(a, b, use_continuity: bool = True) -> tuple[float, float]:
+def mann_whitney_u(a, b) -> tuple[float, float]:
     """U statistic of the first sample and a two-sided p-value.
 
     U counts pairs (a_i, b_j) with a_i > b_j, ties at half weight. The
-    p-value uses the normal approximation with tie correction and, by
-    default, a 0.5 continuity correction.
+    p-value uses the normal approximation with tie correction and a 0.5
+    continuity correction.
     """
     x = np.asarray(a, dtype=float)
     y = np.asarray(b, dtype=float)
@@ -135,8 +135,7 @@ def mann_whitney_u(a, b, use_continuity: bool = True) -> tuple[float, float]:
     if var <= 0:
         return u, 1.0
     diff = u - mu
-    if use_continuity:
-        diff = math.copysign(max(abs(diff) - 0.5, 0.0), diff)
+    diff = math.copysign(max(abs(diff) - 0.5, 0.0), diff)
     z = diff / math.sqrt(var)
     return u, min(1.0, 2.0 * _normal_sf(abs(z)))
 
@@ -185,13 +184,12 @@ def holm_bonferroni(p_values) -> list[float]:
     return corrected.tolist()
 
 
-def wilcoxon_one_sample(sample, reference: float,
-                        use_continuity: bool = True) -> tuple[float, float]:
+def wilcoxon_one_sample(sample, reference: float) -> tuple[float, float]:
     """Signed-rank test of a sample against a single reference value.
 
     Zero differences are dropped; W is the rank sum of the positive
     differences; the two-sided p-value uses the normal approximation with
-    tie correction.
+    tie correction and a 0.5 continuity correction.
     """
     x = np.asarray(sample, dtype=float)
     d = x - reference
@@ -206,8 +204,7 @@ def wilcoxon_one_sample(sample, reference: float,
     if var <= 0:
         return w_plus, 1.0
     diff = w_plus - mu
-    if use_continuity:
-        diff = math.copysign(max(abs(diff) - 0.5, 0.0), diff)
+    diff = math.copysign(max(abs(diff) - 0.5, 0.0), diff)
     z = diff / math.sqrt(var)
     return w_plus, min(1.0, 2.0 * _normal_sf(abs(z)))
 

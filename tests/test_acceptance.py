@@ -68,21 +68,21 @@ def test_criterion_2_reservoir_constructions():
     worst_haar = 0.0
     for power in range(1, 11):
         u = quantum.haar_unitary(1 << power, seed=power)
-        worst_haar = max(worst_haar, quantum.unitarity_defect(u.entries))
+        worst_haar = max(worst_haar, quantum.unitarity_defect(u))
 
     identity = quantum.ising_unitary(
         quantum.IsingParams(2, np.zeros((2, 2)), np.zeros(2), 1.0))
-    err_identity = float(np.max(np.abs(identity.entries - np.eye(4))))
+    err_identity = float(np.max(np.abs(identity - np.eye(4))))
     half_turn = quantum.ising_unitary(
         quantum.IsingParams(1, np.zeros((1, 1)), np.array([1.0]), np.pi / 2))
-    err_field = float(np.max(np.abs(half_turn.entries + 1j * quantum.PAULI_X)))
+    err_field = float(np.max(np.abs(half_turn + 1j * quantum.PAULI_X)))
     t = 0.7
     zz = quantum.ising_unitary(quantum.IsingParams(
         2, np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2), t))
     expected = np.diag(np.exp(-1j * t * np.array([1, -1, -1, 1])))
-    err_zz = float(np.max(np.abs(zz.entries - expected)))
+    err_zz = float(np.max(np.abs(zz - expected)))
 
-    moment = np.mean([abs(quantum.haar_unitary(4, seed=s).entries[0, 0]) ** 2
+    moment = np.mean([abs(quantum.haar_unitary(4, seed=s)[0, 0]) ** 2
                       for s in range(1000)])
     moment_err = abs(moment - 0.25)
 

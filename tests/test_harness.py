@@ -2,6 +2,7 @@
 the research-question flows, result files and the CLI contract."""
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,6 +54,14 @@ def test_config_defaults_and_file_loading(tmp_path):
     ({"encoder_depth": 0}, "encoder_depth"),
     ({"ridge_lambda": -0.5}, "ridge_lambda"),
     ({"datasets": []}, "datasets"),
+    ({"repetitions": "3"}, "repetitions"),
+    ({"repetitions": True}, "repetitions"),
+    ({"fs10_repetitions": 2.0}, "fs10_repetitions"),
+    ({"encoder_depth": "1"}, "encoder_depth"),
+    ({"reservoir_depth": False}, "reservoir_depth"),
+    ({"master_seed": 1.5}, "master_seed"),
+    ({"ridge_lambda": "0"}, "ridge_lambda"),
+    ({"ridge_lambda": True}, "ridge_lambda"),
 ])
 def test_config_diagnostics_name_field(tmp_path, patch, fragment):
     doc = {"datasets": ["a.csv"], "feature_sets": ["FS2"],
@@ -133,12 +142,18 @@ def test_generate_days_validates_spec():
 
 
 # ---------------------------------------------------------------------------
-# cross-validation
+# leave-one-day-out cross-validation
 # ---------------------------------------------------------------------------
+
+def sweep_one(days, cfg, combination):
+    """The RQ1 sweep of a one-combination config, keyed by held-out day."""
+    _, results = harness.run_rq1_sweep(replace(cfg, combinations=[combination]), days)
+    return {r.dataset: r for r in results}
+
 
 def test_cross_validate_fold_structure(toy_days):
     cfg = toy_config()
-    runs = harness.cross_validate(toy_days, cfg, "DHE_ISING", "FS2")
+    runs = sweep_one(toy_days, cfg, "DHE_ISING")
     assert set(runs) == {"Day1", "Day2"}
     for label, run in runs.items():
         assert run.dataset == label
@@ -148,14 +163,20 @@ def test_cross_validate_fold_structure(toy_days):
 
 
 def test_cross_validate_needs_two_datasets(toy_days):
-    with pytest.raises(ConfigurationError):
-        harness.cross_validate(toy_days[:1], toy_config(), "DHE_ISING", "FS2")
+    with pytest.raises(ConfigurationError, match="at least 2 datasets"):
+        sweep_one(toy_days[:1], toy_config(), "DHE_ISING")
+    # the RQ2/RQ3 recompute path and the tree baseline share the check
+    with pytest.raises(ConfigurationError, match="at least 2 datasets"):
+        harness.run_rq2_comparison(toy_config(feature_sets=["FS2", "FS3b"]),
+                                   "DHE_ISING", toy_days[:1])
+    with pytest.raises(ConfigurationError, match="at least 2 datasets"):
+        harness.baseline_tree_mse(toy_days[:1])
 
 
 def test_cross_validate_deterministic(toy_days):
     cfg = toy_config()
-    a = harness.cross_validate(toy_days, cfg, "RHE_ROTATION", "FS2")
-    b = harness.cross_validate(toy_days, cfg, "RHE_ROTATION", "FS2")
+    a = sweep_one(toy_days, cfg, "RHE_ROTATION")
+    b = sweep_one(toy_days, cfg, "RHE_ROTATION")
     for label in a:
         np.testing.assert_array_equal(a[label].mse_values, b[label].mse_values)
 
@@ -164,7 +185,7 @@ def test_cross_validate_identical_datasets_reproduce_training_residual(toy_days)
     day = toy_days[0]
     twin = elevator.Dataset("Twin", day.windows, day.feature_names)
     cfg = toy_config(repetitions=1)
-    runs = harness.cross_validate([day, twin], cfg, "DHE_ISING", "FS2")
+    runs = sweep_one([day, twin], cfg, "DHE_ISING")
     # train == test, so the test MSE equals the training residual MSE
     projected = elevator.select_features(day, "FS2").drop_empty()
     pipe = qelm.qelm_train(
@@ -185,7 +206,7 @@ def test_no_leakage_into_normalization(toy_days, monkeypatch):
         return original(features)
 
     monkeypatch.setattr(qelm, "fit_normalization", spy)
-    harness.cross_validate(toy_days, toy_config(repetitions=1), "DHE_ISING", "FS2")
+    sweep_one(toy_days, toy_config(repetitions=1), "DHE_ISING")
     held_out = {label: elevator.select_features(day, "FS2").drop_empty().feature_matrix()
                 for label, day in zip(["Day1", "Day2"], toy_days)}
     # fold order follows dataset order: fold 0 holds out Day1, fold 1 Day2
@@ -447,6 +468,39 @@ def test_cli_run_rq2_and_rq3(tmp_path, capsys):
     doc = json.loads((out / "rq3_report.json").read_text())
     assert doc["combination"] == "DHE_ISING"
     assert len(doc["cells"]) == 4  # 2 feature sets x 2 days
+    capsys.readouterr()
+
+
+REPORT_FILES = [f"{stem}.{ext}" for stem in ("rq1_ranking", "rq2_report", "rq3_report")
+                for ext in ("json", "txt")]
+
+
+def test_cli_report_rewrites_every_report_byte_identically(tmp_path, capsys):
+    path = write_cli_config(tmp_path, feature_sets=["FS2", "FS3b"])
+    out = tmp_path / "out"
+    for command in ("run-rq1", "run-rq2", "run-rq3"):
+        assert cli.main([command, "--config", str(path)]) == 0
+    before = {name: (out / name).read_bytes() for name in REPORT_FILES}
+    for name in REPORT_FILES:
+        (out / name).unlink()
+    assert cli.main(["report", "--config", str(path)]) == 0
+    assert {name: (out / name).read_bytes() for name in REPORT_FILES} == before
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("combination", ["RHE_ROTATION", "DHE_CNOT"])
+def test_cli_rq2_rq3_recompute_matches_stored_results(tmp_path, capsys, combination):
+    path = write_cli_config(tmp_path, feature_sets=["FS2", "FS3b"],
+                            combinations=["DHE_CNOT", "RHE_ROTATION"])
+    stored, empty = tmp_path / "stored", tmp_path / "empty"
+    assert cli.main(["run-rq1", "--config", str(path), "--out", str(stored)]) == 0
+    for out in (stored, empty):
+        for command in ("run-rq2", "run-rq3"):
+            assert cli.main([command, "--config", str(path), "--out", str(out),
+                             "--combination", combination]) == 0
+    assert not (empty / "results_raw.csv").exists()
+    for name in REPORT_FILES[2:] + ["baselines.csv"]:
+        assert (stored / name).read_bytes() == (empty / name).read_bytes()
     capsys.readouterr()
 
 

@@ -1,6 +1,8 @@
 """QELM pipeline tests: normalization, encoder/reservoir structure, circuit
 execution, least-squares readout against a normal-equation oracle, and
 pipeline serialization."""
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,10 +14,10 @@ from qelmkit.qelm import EncoderSpec, ParamRotation, ReservoirSpec
 from test_quantum import dense_gate
 
 
-def identity_reservoir(num_qubits: int) -> ReservoirSpec:
+def identity_reservoir(num_qubits: int) -> qelm.Reservoir:
     params = quantum.IsingParams(num_qubits, np.zeros((num_qubits, num_qubits)),
                                  np.zeros(num_qubits), 1.0)
-    return ReservoirSpec("ISING", num_qubits, ising=params)
+    return qelm.build_reservoir(ReservoirSpec("ISING", num_qubits, ising=params))
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +43,7 @@ def reservoir_oracle(res: qelm.Reservoir, seed: int) -> np.ndarray:
     the Kronecker gate product, the seeded Haar draw, or expm(-i H dt)."""
     dim = 1 << res.num_qubits
     if res.kind == "HAAR":
-        return quantum.haar_unitary(dim, seed).entries
+        return quantum.haar_unitary(dim, seed)
     if res.kind == "ISING":
         h = quantum.ising_hamiltonian(res.ising)
         return scipy.linalg.expm(-1j * h * res.ising.time_step)
@@ -115,6 +117,17 @@ def test_apply_normalization_degenerate_feature():
     params = qelm.fit_normalization(np.array([[5.0], [5.0]]))
     assert qelm.apply_normalization(params, [5.0])[0] == 0.0
     assert qelm.apply_normalization(params, [123.0])[0] == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_normalization_rejects_non_finite(bad):
+    train = np.array([[0.0, 1.0], [10.0, 3.0], [5.0, 2.0]])
+    poisoned = train.copy()
+    poisoned[1, 0] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        qelm.fit_normalization(poisoned)
+    with pytest.raises(ValidationError, match="finite"):
+        qelm.apply_normalization(qelm.fit_normalization(train), [bad, 2.0])
 
 
 def test_apply_normalization_shape_error():
@@ -219,9 +232,9 @@ def test_ising_reservoir_stage_matches_expm(m):
 def test_identity_ising_reservoir_equals_encoder_only():
     enc = EncoderSpec("DHE", 3)
     angles = np.array([0.3, 1.0, 2.0])
-    with_res = qelm.run_circuit(enc, identity_reservoir(3), angles)
+    with_res = qelm.run_circuit_batch(enc, identity_reservoir(3), angles)[0]
     cnot_zero_depth = qelm.Reservoir("CNOT", 3, depth=0)  # no stages: encoder only
-    without = qelm.run_circuit(enc, cnot_zero_depth, angles)
+    without = qelm.run_circuit_batch(enc, cnot_zero_depth, angles)[0]
     np.testing.assert_allclose(with_res, without, atol=1e-12)
 
 
@@ -241,12 +254,14 @@ def test_reservoir_spec_field_validation():
 # ---------------------------------------------------------------------------
 
 def test_run_circuit_zero_angles():
-    obs = qelm.run_circuit(EncoderSpec("DHE", 2), identity_reservoir(2), [0.0, 0.0])
+    obs = qelm.run_circuit_batch(EncoderSpec("DHE", 2), identity_reservoir(2),
+                                 [0.0, 0.0])[0]
     np.testing.assert_allclose(obs, [0, 0, 1, 0, 0, 1], atol=1e-12)
 
 
 def test_run_circuit_pi_angle_flips_first_qubit():
-    obs = qelm.run_circuit(EncoderSpec("DHE", 2), identity_reservoir(2), [np.pi, 0.0])
+    obs = qelm.run_circuit_batch(EncoderSpec("DHE", 2), identity_reservoir(2),
+                                 [np.pi, 0.0])[0]
     assert obs[2] == pytest.approx(-1.0)   # <Z^1>
     assert obs[5] == pytest.approx(1.0)    # <Z^2>
 
@@ -254,7 +269,8 @@ def test_run_circuit_pi_angle_flips_first_qubit():
 def test_observation_ordering_xyz_per_qubit():
     # identity reservoir, qubit 1 rotated by theta: its Y = -sin, Z = cos
     theta = 1.1
-    obs = qelm.run_circuit(EncoderSpec("DHE", 2), identity_reservoir(2), [0.0, theta])
+    obs = qelm.run_circuit_batch(EncoderSpec("DHE", 2), identity_reservoir(2),
+                                 [0.0, theta])[0]
     assert obs[3] == pytest.approx(0.0, abs=1e-12)          # <X^2>
     assert obs[4] == pytest.approx(-np.sin(theta))          # <Y^2>
     assert obs[5] == pytest.approx(np.cos(theta))           # <Z^2>
@@ -274,10 +290,10 @@ def test_observation_bounds_property(kind, m):
 
 def test_run_circuit_deterministic():
     enc = EncoderSpec("DHE", 3)
-    res = ReservoirSpec("ISING", 3, seed=21)
+    res = qelm.build_reservoir(ReservoirSpec("ISING", 3, seed=21))
     angles = np.array([0.1, 0.9, 2.2])
-    a = qelm.run_circuit(enc, res, angles)
-    b = qelm.run_circuit(enc, res, angles)
+    a = qelm.run_circuit_batch(enc, res, angles)[0]
+    b = qelm.run_circuit_batch(enc, res, angles)[0]
     np.testing.assert_array_equal(a, b)
 
 
@@ -286,7 +302,7 @@ def test_run_circuit_batch_matches_single_state_path():
     enc = EncoderSpec("RHE", 3, seed=5, depth=2)
     res = qelm.build_reservoir(ReservoirSpec("ROTATION", 3, depth=2, seed=9))
     angles = rng.uniform(0, np.pi, size=3)
-    fast = qelm.run_circuit(enc, res, angles)
+    fast = qelm.run_circuit_batch(enc, res, angles)[0]
     slow = gate_by_gate_observations(enc, res, 9, angles[None, :])[0]
     np.testing.assert_allclose(fast, slow, atol=1e-12)
 
@@ -321,9 +337,9 @@ def test_run_circuit_batch_width_guard():
 
 def test_run_circuit_shape_errors():
     with pytest.raises(ShapeError):
-        qelm.run_circuit(EncoderSpec("DHE", 3), identity_reservoir(3), [0.1, 0.2])
+        qelm.run_circuit_batch(EncoderSpec("DHE", 3), identity_reservoir(3), [0.1, 0.2])[0]
     with pytest.raises(ShapeError):
-        qelm.run_circuit(EncoderSpec("DHE", 2), identity_reservoir(3), [0.1, 0.2])
+        qelm.run_circuit_batch(EncoderSpec("DHE", 2), identity_reservoir(3), [0.1, 0.2])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -398,16 +414,6 @@ def test_fit_readout_validation():
         qelm.fit_readout(np.eye(2), [1.0, 2.0, 3.0])
 
 
-def test_predict_examples():
-    assert qelm.predict(qelm.ReadoutModel(np.array([1.0, 0.0, 0.0])),
-                        [0.5, -1.0, 1.0]) == pytest.approx(0.5)
-    assert qelm.predict(qelm.ReadoutModel(np.zeros(3)), [0.1, 0.2, 0.3]) == 0.0
-    assert qelm.predict(qelm.ReadoutModel(np.array([2.0, 3.0])),
-                        [1.0, 1.0]) == pytest.approx(5.0)
-    with pytest.raises(ShapeError):
-        qelm.predict(qelm.ReadoutModel(np.ones(3)), [1.0])
-
-
 def test_intercept_flag():
     rng = np.random.default_rng(8)
     v = rng.normal(size=(30, 4))
@@ -452,9 +458,9 @@ def test_qelm_predict_finite_and_matches_pipeline():
     pipe = qelm.qelm_train((features, targets), EncoderSpec("DHE", 3),
                            ReservoirSpec("CNOT", 3))
     x = np.array([25.0, -3.0, 7.0])   # outside training range: clamped
-    value = qelm.qelm_predict(pipe, x)
+    value = pipe.predict(x)
     assert np.isfinite(value)
-    assert value == pipe.predict(x)
+    assert value == pipe.predict_batch(x[None, :])[0]
 
 
 def test_qelm_train_shape_guard():
@@ -480,6 +486,81 @@ def test_pipeline_roundtrip_bit_identical(tmp_path, kind):
 
 def kind_seed(kind: str) -> int:
     return sum(map(ord, kind))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_fail_loudly(bad):
+    features, targets = make_training_data()
+    pipe = qelm.qelm_train((features, targets), EncoderSpec("DHE", 3),
+                           ReservoirSpec("ISING", 3, seed=1))
+    with pytest.raises(ValidationError):
+        pipe.predict(np.array([1.0, bad, 3.0]))
+    features[7, 1] = bad   # one bad training value would zero that feature's angle
+    with pytest.raises(ValidationError):
+        qelm.qelm_train((features, targets), EncoderSpec("DHE", 3),
+                        ReservoirSpec("ISING", 3, seed=1))
+
+
+def pipeline_doc(kind: str) -> dict:
+    features, targets = make_training_data()
+    return json.loads(qelm.qelm_train((features, targets), EncoderSpec("DHE", 3),
+                                      ReservoirSpec(kind, 3, seed=5)).to_json())
+
+
+def corrupt_weights(doc):
+    doc["readout"]["weights"] = doc["readout"]["weights"][:-2]
+
+
+def corrupt_normalization(doc):
+    doc["normalization"]["mins"].append(0.0)
+
+
+def corrupt_reservoir_width(doc):
+    doc["reservoir"]["num_qubits"] = 4
+
+
+def corrupt_haar_entry(doc):
+    doc["reservoir"]["unitary_re"][2][5] += 0.5
+
+
+def corrupt_haar_shape(doc):
+    doc["reservoir"]["unitary_re"] = doc["reservoir"]["unitary_re"][:4]
+    doc["reservoir"]["unitary_im"] = doc["reservoir"]["unitary_im"][:4]
+
+
+def drop_ising_fields(doc):
+    del doc["reservoir"]["ising"]["fields"]
+
+
+def corrupt_normalization_value(doc):
+    doc["normalization"]["mins"][1] = float("nan")
+
+
+def truncate_rotation_layer(doc):
+    doc["reservoir"]["rotation_layers"][0].pop()
+
+
+def rename_reservoir_kind(doc):
+    doc["reservoir"]["kind"] = "WEIRD"
+
+
+@pytest.mark.parametrize("kind,corrupt,error,fragment", [
+    ("CNOT", corrupt_weights, ValidationError, "weights"),
+    ("ROTATION", corrupt_normalization, ValidationError, "normalization"),
+    ("CNOT", corrupt_reservoir_width, ValidationError, "width"),
+    ("HAAR", corrupt_haar_entry, ValidationError, "unitary"),
+    ("HAAR", corrupt_haar_shape, ValidationError, "unitary"),
+    ("ISING", drop_ising_fields, ValidationError, "'fields'"),
+    ("ISING", corrupt_normalization_value, ValidationError, "finite"),
+    ("ROTATION", truncate_rotation_layer, ConfigurationError, "every qubit"),
+    ("CNOT", rename_reservoir_kind, ValidationError, "WEIRD"),
+])
+def test_pipeline_from_json_rejects_inconsistent_documents(kind, corrupt, error, fragment):
+    doc = pipeline_doc(kind)
+    qelm.Pipeline.from_json(json.dumps(doc))   # the untouched document loads
+    corrupt(doc)
+    with pytest.raises(error, match=fragment):
+        qelm.Pipeline.from_json(json.dumps(doc))
 
 
 def test_dhe_family_mse_spread_finite():

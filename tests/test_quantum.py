@@ -220,16 +220,16 @@ def test_expectation_invalid_qubit():
 def test_haar_unitarity_and_determinism():
     for dim in (1, 2, 4, 8, 32):
         u = q.haar_unitary(dim, seed=dim)
-        assert q.unitarity_defect(u.entries) < 1e-10
-    a = q.haar_unitary(16, seed=99).entries
-    b = q.haar_unitary(16, seed=99).entries
+        assert q.unitarity_defect(u) < 1e-10
+    a = q.haar_unitary(16, seed=99)
+    b = q.haar_unitary(16, seed=99)
     assert a.tobytes() == b.tobytes()
-    assert not np.allclose(a, q.haar_unitary(16, seed=100).entries)
+    assert not np.allclose(a, q.haar_unitary(16, seed=100))
 
 
 def test_haar_dim_one_is_phase():
     u = q.haar_unitary(1, seed=0)
-    assert abs(abs(u.entries[0, 0]) - 1.0) < 1e-12
+    assert abs(abs(u[0, 0]) - 1.0) < 1e-12
 
 
 def test_haar_rejects_non_power_of_two():
@@ -241,7 +241,7 @@ def test_haar_rejects_non_power_of_two():
 
 def test_haar_first_entry_moment():
     # E|U_00|^2 = 1/dim for Haar; Monte-Carlo estimate at dim 4
-    values = [abs(q.haar_unitary(4, seed=s).entries[0, 0]) ** 2 for s in range(1000)]
+    values = [abs(q.haar_unitary(4, seed=s)[0, 0]) ** 2 for s in range(1000)]
     assert abs(np.mean(values) - 0.25) < 0.02
 
 
@@ -251,13 +251,13 @@ def test_haar_first_entry_moment():
 
 def test_ising_zero_params_is_identity():
     params = q.IsingParams(2, np.zeros((2, 2)), np.zeros(2), 1.0)
-    np.testing.assert_allclose(q.ising_unitary(params).entries, np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(q.ising_unitary(params), np.eye(4), atol=1e-12)
 
 
 def test_ising_single_qubit_field_half_turn():
     # exp(-i (pi/2) X) = -i X
     params = q.IsingParams(1, np.zeros((1, 1)), np.array([1.0]), np.pi / 2)
-    np.testing.assert_allclose(q.ising_unitary(params).entries,
+    np.testing.assert_allclose(q.ising_unitary(params),
                                -1j * q.PAULI_X, atol=1e-12)
 
 
@@ -267,20 +267,20 @@ def test_ising_zz_diagonal_phases():
     params = q.IsingParams(2, coupling, np.zeros(2), t)
     u = q.ising_unitary(params)
     expected = np.diag(np.exp(-1j * t * np.array([1, -1, -1, 1])))
-    np.testing.assert_allclose(u.entries, expected, atol=1e-12)
+    np.testing.assert_allclose(u, expected, atol=1e-12)
 
 
 def test_ising_random_unitarity():
     for seed in range(5):
         params = q.sample_ising_params(4, seed)
-        assert q.unitarity_defect(q.ising_unitary(params).entries) < 1e-9
+        assert q.unitarity_defect(q.ising_unitary(params)) < 1e-9
 
 
 def test_ising_matches_expm_oracle():
     params = q.sample_ising_params(3, seed=12, time_step=0.9)
     h = q.ising_hamiltonian(params)
     oracle = scipy.linalg.expm(-1j * h * 0.9)
-    np.testing.assert_allclose(q.ising_unitary(params).entries, oracle, atol=1e-10)
+    np.testing.assert_allclose(q.ising_unitary(params), oracle, atol=1e-10)
 
 
 def test_ising_rejects_bad_couplings():
@@ -302,14 +302,3 @@ def test_sample_ising_params_contract():
     assert len(upper) == 3 and len(a.fields) == 3
     np.testing.assert_array_equal(a.couplings, a.couplings.T)
     assert a.time_step == 1.0
-
-
-def test_dump_unitary_csv(tmp_path):
-    u = q.haar_unitary(4, seed=1)
-    path = tmp_path / "u.csv"
-    q.dump_unitary_csv(path, u)
-    rows = path.read_text().splitlines()
-    assert len(rows) == 4
-    first = [float(x) for x in rows[0].split(",")]
-    assert len(first) == 8
-    assert first[0] == u.entries[0, 0].real and first[1] == u.entries[0, 0].imag
