@@ -176,6 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override master_seed")
         if name in ("run-rq2", "run-rq3", "report"):
             p.add_argument("--combination", default="DHE_ISING",
+                           choices=harness.ALL_COMBINATIONS,
                            help="encoder_reservoir pair (default DHE_ISING)")
         if name == "rank":
             p.add_argument("--results", help="path to a raw-results CSV")

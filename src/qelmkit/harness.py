@@ -208,24 +208,29 @@ class _FoldCache:
 
     fold_label: str
     feature_set: str
-    num_features: int
     angles: np.ndarray
     train_targets: np.ndarray
     test_targets: np.ndarray
 
 
-def _prepare_fold(train_days: list[Dataset], test_day: Dataset,
-                  feature_set: str) -> _FoldCache:
+def _fold_windows(train_days: list[Dataset], test_day: Dataset,
+                  feature_set: str) -> tuple[np.ndarray, np.ndarray, Dataset]:
+    """Training features and targets stacked over `train_days`, and the
+    held-out day, all restricted to `feature_set` with empty windows dropped."""
     train_parts = [elevator.select_features(d, feature_set).drop_empty()
                    for d in train_days]
     test = elevator.select_features(test_day, feature_set).drop_empty()
-    train_features = np.vstack([p.feature_matrix() for p in train_parts])
-    train_targets = np.concatenate([p.awt_values() for p in train_parts])
+    return (np.vstack([p.feature_matrix() for p in train_parts]),
+            np.concatenate([p.awt_values() for p in train_parts]), test)
+
+
+def _prepare_fold(train_days: list[Dataset], test_day: Dataset,
+                  feature_set: str) -> _FoldCache:
+    train_features, train_targets, test = _fold_windows(train_days, test_day, feature_set)
     norm = qelm.fit_normalization(train_features)
     return _FoldCache(
         fold_label=test_day.label,
         feature_set=feature_set,
-        num_features=train_features.shape[1],
         angles=np.vstack([qelm.apply_normalization(norm, train_features),
                           qelm.apply_normalization(norm, test.feature_matrix())]),
         train_targets=train_targets,
@@ -237,11 +242,12 @@ def _cell_mse(fold: _FoldCache, encoder_kind: str, reservoir_kind: str,
               config: ExperimentConfig, rep: int) -> float:
     seed_parts = (config.master_seed, fold.fold_label,
                   f"{encoder_kind}_{reservoir_kind}", fold.feature_set, rep)
-    encoder = qelm.EncoderSpec(encoder_kind, fold.num_features,
+    num_features = fold.angles.shape[1]
+    encoder = qelm.EncoderSpec(encoder_kind, num_features,
                                depth=config.encoder_depth,
                                seed=derive_seed(*seed_parts, "encoder"))
     reservoir = qelm.build_reservoir(qelm.ReservoirSpec(
-        reservoir_kind, fold.num_features, depth=config.reservoir_depth,
+        reservoir_kind, num_features, depth=config.reservoir_depth,
         seed=derive_seed(*seed_parts, "reservoir")))
     obs = qelm.run_circuit_batch(encoder, reservoir, fold.angles)
     num_train = len(fold.train_targets)
@@ -458,11 +464,7 @@ def baseline_tree_mse(datasets: list[Dataset], max_splits: int = 25) -> dict[str
     days of each fold; one fixed MSE per held-out day."""
     out = {}
     for train_days, test_day in _leave_one_day_out(datasets):
-        train_parts = [elevator.select_features(d, "FS10").drop_empty()
-                       for d in train_days]
-        test = elevator.select_features(test_day, "FS10").drop_empty()
-        features = np.vstack([p.feature_matrix() for p in train_parts])
-        targets = np.concatenate([p.awt_values() for p in train_parts])
+        features, targets, test = _fold_windows(train_days, test_day, "FS10")
         tree = stats.fit_regression_tree(features, targets, max_splits=max_splits)
         predictions = stats.predict_tree_batch(tree, test.feature_matrix())
         out[test_day.label] = stats.mse(predictions, test.awt_values())

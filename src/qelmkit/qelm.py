@@ -18,11 +18,13 @@ one at a time.
   and ISING are one dense stage; CNOT is its whole ring stack composed into
   one permutation; ROTATION is one stage per layer, two 2^(M/2) Kronecker
   factors of its rotations plus the layer's ring permutation.
-- Readout: <Z> of every qubit is one product |a|^2 @ signs; <X> and <Y>
-  come from each qubit's pair of half-slices.
+- Readout: `quantum.pauli_expectations`, one GEMM for every qubit's <Z>.
 
-`quantum`'s gate-by-gate kernels and `build_encoder`'s symbolic layers are
-the reference these compiled forms are tested against.
+The compiled forms call `quantum`'s kernels: `apply_gate_kernel` for the
+Pauli of each re-uploaded rotation and for composing the CNOT rings,
+`pauli_expectations` for the readout, `rotation_matrix`, `haar_unitary` and
+`ising_unitary` for the reservoir matrices. The dense Kronecker oracle in
+the tests is their independent reference.
 """
 from __future__ import annotations
 
@@ -248,14 +250,12 @@ def _sample_rotation_layers(num_qubits: int, depth: int,
 
 
 def _ring_permutation(num_qubits: int, depth: int) -> np.ndarray:
-    """Gather indices of `depth` CNOT rings applied in order: gate g maps
-    amplitudes a -> a[src_g], so the composition is src_1[src_2[...]]."""
-    idx = np.arange(1 << num_qubits)
-    perm = idx
-    for _ in range(depth):
-        for gate in cyclic_ring(num_qubits, "CNOT"):
-            src = np.where((idx >> gate.control) & 1 == 1, idx ^ (1 << gate.target), idx)
-            perm = perm[src]
+    """Gather indices of `depth` CNOT rings applied in order: each gate's
+    kernel is itself a gather a -> a[src], so applying the gates to the
+    identity index array composes them."""
+    perm = np.arange(1 << num_qubits)
+    for gate in cyclic_ring(num_qubits, "CNOT") * depth:
+        perm = quantum.apply_gate_kernel(perm, num_qubits, gate)
     return perm
 
 
@@ -314,46 +314,19 @@ def build_reservoir(spec: ReservoirSpec) -> Reservoir:
 # circuit execution
 # ---------------------------------------------------------------------------
 
-def _rotated_zero(axes: tuple[str, ...], theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitudes (<0|, <1|) of R_axis(theta)|0> per row and qubit, each (P, M)."""
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    is_x = np.array([a == "X" for a in axes])
-    is_z = np.array([a == "Z" for a in axes])
-    zero = np.where(is_z, c - 1j * s, c)
-    one = np.where(is_z, 0.0, np.where(is_x, -1j * s, s))
-    return zero, one
-
-
-def _apply_bound_rotations(amps: np.ndarray, num_qubits: int, rot: ParamRotation,
-                           angles: np.ndarray) -> np.ndarray:
-    """Apply one rotation slot with a per-row angle to a (P, 2^D) batch."""
-    dim = 1 << num_qubits
-    theta = angles[:, rot.feature]
-    c = np.cos(theta / 2.0)[:, None, None]
-    s = np.sin(theta / 2.0)[:, None, None]
-    arr = amps.reshape(len(amps), dim >> (rot.qubit + 1), 2, 1 << rot.qubit)
-    a0, a1 = arr[:, :, 0, :], arr[:, :, 1, :]
-    out = np.empty_like(arr)
-    if rot.axis == "X":
-        out[:, :, 0, :] = c * a0 - 1j * s * a1
-        out[:, :, 1, :] = -1j * s * a0 + c * a1
-    elif rot.axis == "Y":
-        out[:, :, 0, :] = c * a0 - s * a1
-        out[:, :, 1, :] = s * a0 + c * a1
-    else:
-        out[:, :, 0, :] = (c - 1j * s) * a0
-        out[:, :, 1, :] = (c + 1j * s) * a1
-    return out.reshape(len(amps), dim)
-
-
-def _encode(encoder: EncoderSpec, angles: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Encoded (P, 2^M) batch. The first rotation layer acts on |0...0>, so
-    it is built as a product state by M in-place outer products; the CZ ring
-    is one +-1 sign vector; re-uploading layers rotate qubit by qubit."""
+def _encode(encoder: EncoderSpec, angles: np.ndarray) -> np.ndarray:
+    """Encoded (P, 2^M) batch, with R_axis(t) = cos(t/2) I - i sin(t/2) P_axis:
+    the first layer is a product state of the qubits' R_axis(t)|0>, the CZ
+    ring one +-1 sign vector, and re-uploaded rotations take P_axis a from
+    the Pauli gate kernel."""
     m = encoder.num_features
+    bits = quantum.basis_bits(m)
     parity = sum(bits[:, g.control] & bits[:, g.target] for g in cyclic_ring(m, "CZ"))
     ring_signs = 1.0 - 2.0 * (parity & 1)
-    zero, one = _rotated_zero(encoder.axis_assignment[0], angles)
+    c, s = np.cos(angles / 2.0), np.sin(angles / 2.0)
+    pauli_on_zero = np.array([quantum.PAULI[a][:, 0] for a in encoder.axis_assignment[0]])
+    zero = c - 1j * s * pauli_on_zero[:, 0]
+    one = -1j * s * pauli_on_zero[:, 1]
     amps = np.empty((len(angles), 1 << m), dtype=complex)
     amps[:, 0], amps[:, 1] = zero[:, 0], one[:, 0]
     for q in range(1, m):
@@ -363,26 +336,12 @@ def _encode(encoder: EncoderSpec, angles: np.ndarray, bits: np.ndarray) -> np.nd
     amps *= ring_signs
     for layer_axes in encoder.axis_assignment[1:]:
         for k, axis in enumerate(layer_axes):
-            amps = _apply_bound_rotations(amps, m, ParamRotation(axis, k, k), angles)
+            flipped = quantum.apply_gate_kernel(amps, m, GateOp(axis, target=k))
+            flipped *= -1j * s[:, k, None]
+            amps *= c[:, k, None]
+            amps += flipped
         amps *= ring_signs
     return amps
-
-
-def _observe(amps: np.ndarray, num_qubits: int, bits: np.ndarray) -> np.ndarray:
-    """Columns [<X^1>, <Y^1>, <Z^1>, ..., <X^M>, <Y^M>, <Z^M>] of a batch.
-
-    <Z> of every qubit is one product |a|^2 @ signs; <X> and <Y> come from
-    c = sum conj(a0) a1 over each qubit's half-slices."""
-    rows, dim = amps.shape
-    obs = np.empty((rows, 3 * num_qubits))
-    obs[:, 2::3] = (amps.real ** 2 + amps.imag ** 2) @ (1.0 - 2.0 * bits)
-    conj = amps.conj()
-    for q in range(num_qubits):
-        shape = (rows, dim >> (q + 1), 2, 1 << q)
-        cross = np.einsum("phl,phl->p", conj.reshape(shape)[:, :, 0, :],
-                          amps.reshape(shape)[:, :, 1, :])
-        obs[:, 3 * q], obs[:, 3 * q + 1] = 2.0 * cross.real, 2.0 * cross.imag
-    return obs
 
 
 def run_circuit_batch(encoder: EncoderSpec, reservoir: Reservoir,
@@ -404,11 +363,10 @@ def run_circuit_batch(encoder: EncoderSpec, reservoir: Reservoir,
         raise ShapeError("reservoir size does not match encoder width")
     if m < 2:
         raise ConfigurationError("cyclic entanglement needs at least 2 qubits")
-    bits = quantum.basis_bits(m)
-    amps = _encode(encoder, angles, bits)
+    amps = _encode(encoder, angles)
     for stage in reservoir.stages:
         amps = stage.apply(amps)
-    return np.clip(_observe(amps, m, bits), -1.0, 1.0)
+    return quantum.pauli_expectations(amps, m)
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,10 @@ Conventions used throughout:
 
 All gate kernels operate on the last axis of an array, so a batch of states
 with shape (batch, 2^D) goes through the same code path as a single state.
-They apply one gate per call and serve as the reference that the compiled
-circuits of `qelm` are tested against. The pipeline itself uses only the
-matrix constructions (`rotation_matrix` for its Kronecker factors,
-`haar_unitary` and `ising_unitary` for its dense stages) and the bit table
-`basis_bits`, from which it derives the CZ ring signs and the <Z> readout.
+The compiled circuits of `qelm` call `apply_gate_kernel`,
+`pauli_expectations`, `rotation_matrix`, `haar_unitary`, `ising_unitary` and
+`basis_bits`; the dense Kronecker oracle in the tests is their independent
+reference.
 """
 from __future__ import annotations
 
@@ -38,7 +37,7 @@ GATE_KINDS = ROTATION_KINDS + PAULI_KINDS + CONTROLLED_KINDS
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_PAULI = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+PAULI = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
 def rotation_matrix(axis: str, angle: float) -> np.ndarray:
@@ -178,7 +177,7 @@ def apply_gate_kernel(amps: np.ndarray, num_qubits: int, gate: GateOp) -> np.nda
         return apply_single_qubit(amps, num_qubits, gate.target,
                                   rotation_matrix(gate.kind[1], gate.angle))
     if gate.kind in PAULI_KINDS:
-        return apply_single_qubit(amps, num_qubits, gate.target, _PAULI[gate.kind])
+        return apply_single_qubit(amps, num_qubits, gate.target, PAULI[gate.kind])
     if gate.kind == "CZ":
         return apply_cz(amps, num_qubits, gate.control, gate.target)
     return apply_cnot(amps, num_qubits, gate.control, gate.target)
@@ -204,19 +203,24 @@ def apply_dense_unitary(state: StateVector, u: np.ndarray) -> StateVector:
 # measurement
 # ---------------------------------------------------------------------------
 
-def pauli_expectations(amps: np.ndarray, num_qubits: int, qubit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """<X>, <Y>, <Z> of one qubit for a (batch, 2^D) amplitude array.
+def pauli_expectations(amps: np.ndarray, num_qubits: int) -> np.ndarray:
+    """Columns [<X^0>, <Y^0>, <Z^0>, ..., <X^{D-1}>, <Y^{D-1}>, <Z^{D-1}>] of a
+    (batch, 2^D) amplitude array, clipped to [-1, 1].
 
-    Works on the two half-slices along the qubit axis: with c = sum conj(a0)*a1,
-    <X> = 2 Re c, <Y> = 2 Im c, <Z> = sum |a0|^2 - |a1|^2. Never materializes
-    a 2^D x 2^D operator.
+    <Z> of every qubit is one product |a|^2 @ signs; <X> and <Y> are 2 Re c
+    and 2 Im c with c = sum conj(a0) a1 over the qubit's two half-slices.
+    Never materializes a 2^D x 2^D operator.
     """
-    dim = 1 << num_qubits
-    arr = amps.reshape(-1, dim >> (qubit + 1), 2, 1 << qubit)
-    a0, a1 = arr[:, :, 0, :], arr[:, :, 1, :]
-    cross = np.sum(np.conj(a0) * a1, axis=(1, 2))
-    z = np.sum(np.abs(a0) ** 2 - np.abs(a1) ** 2, axis=(1, 2))
-    return 2.0 * cross.real, 2.0 * cross.imag, z
+    rows, dim = amps.shape
+    obs = np.empty((rows, 3 * num_qubits))
+    obs[:, 2::3] = (amps.real ** 2 + amps.imag ** 2) @ (1.0 - 2.0 * basis_bits(num_qubits))
+    conj = amps.conj()
+    for q in range(num_qubits):
+        shape = (rows, dim >> (q + 1), 2, 1 << q)
+        cross = np.einsum("phl,phl->p", conj.reshape(shape)[:, :, 0, :],
+                          amps.reshape(shape)[:, :, 1, :])
+        obs[:, 3 * q], obs[:, 3 * q + 1] = 2.0 * cross.real, 2.0 * cross.imag
+    return np.clip(obs, -1.0, 1.0, out=obs)
 
 
 def expectation_pauli(state: StateVector, qubit: int, axis: str) -> float:
@@ -225,9 +229,8 @@ def expectation_pauli(state: StateVector, qubit: int, axis: str) -> float:
         raise IndexError(f"qubit {qubit} out of range")
     if axis not in PAULI_KINDS:
         raise ConfigurationError(f"axis must be one of {PAULI_KINDS}, got {axis!r}")
-    x, y, z = pauli_expectations(state.amplitudes[None, :], state.num_qubits, qubit)
-    value = {"X": x, "Y": y, "Z": z}[axis][0]
-    return float(np.clip(value, -1.0, 1.0))
+    obs = pauli_expectations(state.amplitudes[None, :], state.num_qubits)
+    return float(obs[0, 3 * qubit + PAULI_KINDS.index(axis)])
 
 
 # ---------------------------------------------------------------------------

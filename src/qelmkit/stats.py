@@ -70,6 +70,15 @@ def _normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
+def _two_sided_p(stat: float, mu: float, var: float) -> float:
+    """Two-sided normal-approximation p-value of `stat` around its null mean
+    `mu`, with a 0.5 continuity correction; 1 when the variance vanishes."""
+    if var <= 0:
+        return 1.0
+    z = max(abs(stat - mu) - 0.5, 0.0) / math.sqrt(var)
+    return min(1.0, 2.0 * _normal_sf(z))
+
+
 def _chi2_sf(x: float, dof: int) -> float:
     """Chi-square survival function for integer dof via the stepping identity
     Q(x; v+2) = Q(x; v) + (x/2)^(v/2) exp(-x/2) / Gamma(v/2 + 1)."""
@@ -132,12 +141,7 @@ def mann_whitney_u(a, b) -> tuple[float, float]:
     mu = n1 * n2 / 2.0
     n = n1 + n2
     var = n1 * n2 / 12.0 * ((n + 1) - _tie_term(pooled) / (n * (n - 1)))
-    if var <= 0:
-        return u, 1.0
-    diff = u - mu
-    diff = math.copysign(max(abs(diff) - 0.5, 0.0), diff)
-    z = diff / math.sqrt(var)
-    return u, min(1.0, 2.0 * _normal_sf(abs(z)))
+    return u, _two_sided_p(u, mu, var)
 
 
 def vargha_delaney_a12(a, b) -> float:
@@ -201,12 +205,7 @@ def wilcoxon_one_sample(sample, reference: float) -> tuple[float, float]:
     w_plus = float(ranks[d > 0].sum())
     mu = n * (n + 1) / 4.0
     var = n * (n + 1) * (2 * n + 1) / 24.0 - _tie_term(np.abs(d)) / 48.0
-    if var <= 0:
-        return w_plus, 1.0
-    diff = w_plus - mu
-    diff = math.copysign(max(abs(diff) - 0.5, 0.0), diff)
-    z = diff / math.sqrt(var)
-    return w_plus, min(1.0, 2.0 * _normal_sf(abs(z)))
+    return w_plus, _two_sided_p(w_plus, mu, var)
 
 
 def cohens_d_one_sample(sample, reference: float) -> float:

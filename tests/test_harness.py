@@ -524,6 +524,18 @@ def test_cli_rank_without_results_names_results_option(tmp_path, capsys):
     assert "--results" in err and "datasets" not in err
 
 
+@pytest.mark.parametrize("command", ["run-rq2", "run-rq3", "report"])
+@pytest.mark.parametrize("combination", ["DHECNOT", "DHE_FOO"])
+def test_cli_unknown_combination_names_option(tmp_path, capsys, command, combination):
+    path = write_cli_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", str(path), "--combination", combination])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--combination" in err and combination in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_exit_code_1_on_runtime_failure(tmp_path, capsys, monkeypatch):
     path = write_cli_config(tmp_path)
     monkeypatch.setattr(harness, "run_rq1_sweep",

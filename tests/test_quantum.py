@@ -195,6 +195,17 @@ def test_expectation_matches_dense_operator():
         dense = embed(PAULI[axis], qubit, 3)
         expected = np.real(s.amplitudes.conj() @ dense @ s.amplitudes)
         assert q.expectation_pauli(s, qubit, axis) == pytest.approx(expected, abs=1e-12)
+    # the batched all-qubit readout, every column against the dense operator
+    for d in range(1, 6):
+        amps = np.array([random_state(d, rng).amplitudes for _ in range(7)])
+        obs = q.pauli_expectations(amps, d)
+        assert obs.shape == (7, 3 * d)
+        for qubit in range(d):
+            for k, axis in enumerate("XYZ"):
+                dense = embed(PAULI[axis], qubit, d)
+                expected = np.real(np.einsum("pi,ij,pj->p", amps.conj(), dense, amps))
+                np.testing.assert_allclose(obs[:, 3 * qubit + k], expected,
+                                           rtol=0, atol=1e-12)
 
 
 def test_expectation_bounds_property():
