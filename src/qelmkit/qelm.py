@@ -16,8 +16,11 @@ one at a time.
 - Reservoir: `build_reservoir` compiles the reservoir into `Stage`s, each an
   optional low-qubit matrix, high-qubit matrix and index permutation. HAAR
   and ISING are one dense stage; CNOT is its whole ring stack composed into
-  one permutation; ROTATION is one stage per layer, two 2^(M/2) Kronecker
-  factors of its rotations plus the layer's ring permutation.
+  one permutation. ROTATION takes the cheaper of two exact forms: one stage
+  per layer (two Kronecker factors of 2^ceil(M/2) and 2^floor(M/2) for its
+  rotations, plus the layer's ring permutation), or, where
+  2^M <= L * (2^ceil(M/2) + 2^floor(M/2)) for L layers, the whole stack
+  folded into one dense stage.
 - Readout: `quantum.pauli_expectations`, one GEMM for every qubit's <Z>.
 
 The compiled forms call `quantum`'s kernels: `apply_gate_kernel` for the
@@ -251,11 +254,15 @@ def _sample_rotation_layers(num_qubits: int, depth: int,
 
 def _ring_permutation(num_qubits: int, depth: int) -> np.ndarray:
     """Gather indices of `depth` CNOT rings applied in order: each gate's
-    kernel is itself a gather a -> a[src], so applying the gates to the
-    identity index array composes them."""
-    perm = np.arange(1 << num_qubits)
-    for gate in cyclic_ring(num_qubits, "CNOT") * depth:
-        perm = quantum.apply_gate_kernel(perm, num_qubits, gate)
+    kernel is itself a gather a -> a[src], so applying one ring's gates to
+    the identity index array composes them, and gathering that ring through
+    itself adds a ring."""
+    ring = np.arange(1 << num_qubits)
+    for gate in cyclic_ring(num_qubits, "CNOT"):
+        ring = quantum.apply_gate_kernel(ring, num_qubits, gate)
+    perm = ring
+    for _ in range(depth - 1):
+        perm = perm[ring]
     return perm
 
 
@@ -271,14 +278,23 @@ def _kron_rotations(layer: tuple[tuple[str, float], ...]) -> np.ndarray | None:
 
 def _rotation_stages(num_qubits: int,
                      layers: tuple[tuple[tuple[str, float], ...], ...]) -> tuple[Stage, ...]:
-    """Per layer: rotations split into two 2^(M/2)-sized Kronecker factors,
-    then the layer's CNOT ring as one permutation. Composing a layer into a
-    dense 2^M matrix would cost more per row and cap the width at the
-    dense limit."""
+    """Per layer: rotations split into Kronecker factors of 2^ceil(M/2) and
+    2^floor(M/2), then the layer's CNOT ring as one permutation. That costs
+    L * (2^ceil(M/2) + 2^floor(M/2)) multiply-adds per amplitude for L
+    layers, against 2^M for one dense matrix of the whole stack; where the
+    dense matrix costs no more, the stack is folded into it by pushing the
+    identity through the staged form. Wider registers stay staged, which
+    also keeps them clear of the dense-matrix cap."""
     split = num_qubits - num_qubits // 2
     ring = _ring_permutation(num_qubits, 1)
-    return tuple(Stage(_kron_rotations(layer[:split]), _kron_rotations(layer[split:]), ring)
-                 for layer in layers)
+    stages = tuple(Stage(_kron_rotations(layer[:split]), _kron_rotations(layer[split:]), ring)
+                   for layer in layers)
+    if 1 << num_qubits > len(layers) * ((1 << split) + (1 << (num_qubits - split))):
+        return stages
+    amps = np.eye(1 << num_qubits, dtype=complex)
+    for stage in stages:
+        amps = stage.apply(amps)
+    return (Stage(amps.T),)   # row j of amps is column j of the stack's matrix
 
 
 def build_reservoir(spec: ReservoirSpec) -> Reservoir:

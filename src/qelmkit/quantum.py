@@ -20,6 +20,7 @@ reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import cos, sin
 
 import numpy as np
@@ -256,10 +257,14 @@ def haar_unitary(dim: int, seed: int) -> np.ndarray:
     return q * phases[None, :]
 
 
+@lru_cache(maxsize=None)
 def basis_bits(num_qubits: int) -> np.ndarray:
-    """(2^D, D) table of 0/1 ints: entry [i, b] is bit b of basis index i."""
+    """(2^D, D) table of 0/1 ints: entry [i, b] is bit b of basis index i.
+    Built once per width and shared, so it is read-only."""
     idx = np.arange(1 << num_qubits)
-    return (idx[:, None] >> np.arange(num_qubits)[None, :]) & 1
+    bits = (idx[:, None] >> np.arange(num_qubits)[None, :]) & 1
+    bits.flags.writeable = False
+    return bits
 
 
 def ising_hamiltonian(params: IsingParams) -> np.ndarray:
@@ -282,22 +287,46 @@ def ising_hamiltonian(params: IsingParams) -> np.ndarray:
     return h
 
 
+def _real_symmetric_exponential(h: np.ndarray, time_step: float) -> np.ndarray:
+    """exp(-i h t) = (V cos(l t)) V^T - i (V sin(l t)) V^T for h = V diag(l) V^T."""
+    eigvals, eigvecs = np.linalg.eigh(h)
+    phase = eigvals * time_step
+    entries = np.empty(h.shape, dtype=complex)
+    entries.real = (eigvecs * np.cos(phase)) @ eigvecs.T
+    entries.imag = (eigvecs * -np.sin(phase)) @ eigvecs.T
+    return entries
+
+
 def ising_unitary(params: IsingParams) -> np.ndarray:
-    """exp(-i H dt) via the real symmetric eigendecomposition H = V diag(l) V^T
-    (exact, no Trotter error): U = (V cos(l dt)) V^T - i (V sin(l dt)) V^T."""
-    if params.num_qubits > MAX_DENSE_QUBITS:
+    """exp(-i H dt), exact (no Trotter error), from H's two spin-flip parity
+    blocks.
+
+    H commutes with the global flip X^D, which maps |i> to |~i> with
+    ~i = 2^D - 1 - i, i.e. reverses the basis: H[::-1, ::-1] == H. With
+    n = 2^(D-1), R the n x n reversal, A = H[:n, :n] and B = H[:n, n:], that
+    makes H = [[A, B], [R B R, R A R]]. The states (|i> +- |~i>)/sqrt(2) for
+    i < n split the space into the flip's +1 and -1 eigenspaces, on which H
+    acts as the real symmetric n x n blocks A + B R and A - B R. Each block
+    is exponentiated through its own real `eigh`, giving U+ and U-, and
+    mapping back with a = (U+ + U-)/2 and b = (U+ - U-)/2 gives
+    U = [[a, b R], [R b, R a R]]: two half-size eigendecompositions and
+    GEMMs in place of one of the full size.
+    """
+    if not 1 <= params.num_qubits <= MAX_DENSE_QUBITS:
         raise ConfigurationError(
-            f"dense exponential capped at {MAX_DENSE_QUBITS} qubits"
+            f"dense exponential needs 1 to {MAX_DENSE_QUBITS} qubits"
         )
     h = ising_hamiltonian(params)
     if not np.allclose(h, h.T, atol=1e-12):
         raise ValidationError("Hamiltonian is not symmetric")
-    eigvals, eigvecs = np.linalg.eigh(h)
-    phase = eigvals * params.time_step
-    dim = 1 << params.num_qubits
-    entries = np.empty((dim, dim), dtype=complex)
-    entries.real = (eigvecs * np.cos(phase)) @ eigvecs.T
-    entries.imag = (eigvecs * -np.sin(phase)) @ eigvecs.T
+    n = h.shape[0] // 2
+    a_block, b_reversed = h[:n, :n], h[:n, ::-1][:, :n]
+    plus = _real_symmetric_exponential(a_block + b_reversed, params.time_step)
+    minus = _real_symmetric_exponential(a_block - b_reversed, params.time_step)
+    a, b = (plus + minus) / 2.0, (plus - minus) / 2.0
+    entries = np.empty(h.shape, dtype=complex)
+    entries[:n, :n], entries[:n, n:] = a, b[:, ::-1]
+    entries[n:, :n], entries[n:, n:] = b[::-1], a[::-1, ::-1]
     return entries
 
 

@@ -207,12 +207,19 @@ def test_rotation_reservoir_structure():
         assert len(layer) == 3
         for axis, angle in layer:
             assert axis in "XYZ" and 0.0 <= angle < 2 * np.pi
-    # per layer: 3 rotations + 3 ring CNOTs, compiled into one stage
-    assert len(reservoir_gates(res)) == 12
-    assert len(res.stages) == 2
+    assert len(reservoir_gates(res)) == 12   # per layer: 3 rotations + 3 ring CNOTs
+    # 2^3 <= 2 * (4 + 2): the whole stack folds into one dense stage
+    assert len(res.stages) == 1
+    assert res.stages[0].high is None and res.stages[0].perm is None
     np.testing.assert_allclose(stages_matrix(res), reservoir_oracle(res, 8), atol=1e-12)
     again = qelm.build_reservoir(ReservoirSpec("ROTATION", 3, depth=2, seed=8))
     assert again.rotation_layers == res.rotation_layers
+    # 2^3 > 1 * (4 + 2): one stage per layer, two Kronecker factors and the ring
+    shallow = qelm.build_reservoir(ReservoirSpec("ROTATION", 3, depth=1, seed=8))
+    assert len(shallow.stages) == 1
+    assert shallow.stages[0].high is not None and shallow.stages[0].perm is not None
+    np.testing.assert_allclose(stages_matrix(shallow), reservoir_oracle(shallow, 8),
+                               atol=1e-12)
 
 
 def test_haar_reservoir_unitary():
@@ -317,6 +324,23 @@ def test_compiled_circuit_matches_gate_by_gate_oracle(kind, encoder_kind, m,
     rng = np.random.default_rng(seed)
     enc = EncoderSpec(encoder_kind, m, depth=encoder_depth, seed=seed)
     res = qelm.build_reservoir(ReservoirSpec(kind, m, depth=3, seed=seed))
+    angles = rng.uniform(0, np.pi, size=(6, m))
+    compiled = qelm.run_circuit_batch(enc, res, angles)
+    oracle = gate_by_gate_observations(enc, res, seed, angles)
+    np.testing.assert_allclose(compiled, oracle, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("m,depth", [(3, 1), (9, 2)])
+@pytest.mark.parametrize("encoder_kind", ["DHE", "RHE"])
+@pytest.mark.parametrize("encoder_depth", [1, 2])
+def test_staged_rotation_matches_gate_by_gate_oracle(m, depth, encoder_kind, encoder_depth):
+    # below the fold rule's break-even the ROTATION stack keeps one stage per layer
+    seed = 10 * m + depth + encoder_depth
+    rng = np.random.default_rng(seed)
+    enc = EncoderSpec(encoder_kind, m, depth=encoder_depth, seed=seed)
+    res = qelm.build_reservoir(ReservoirSpec("ROTATION", m, depth=depth, seed=seed))
+    assert len(res.stages) == depth
+    assert all(s.high is not None and s.perm is not None for s in res.stages)
     angles = rng.uniform(0, np.pi, size=(6, m))
     compiled = qelm.run_circuit_batch(enc, res, angles)
     oracle = gate_by_gate_observations(enc, res, seed, angles)

@@ -294,6 +294,31 @@ def test_ising_matches_expm_oracle():
     np.testing.assert_allclose(q.ising_unitary(params), oracle, atol=1e-10)
 
 
+def test_ising_matches_expm_at_eight_qubits():
+    params = q.sample_ising_params(8, seed=5, time_step=0.8)
+    oracle = scipy.linalg.expm(-1j * q.ising_hamiltonian(params) * params.time_step)
+    np.testing.assert_allclose(q.ising_unitary(params), oracle, atol=1e-10)
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 7))
+def test_ising_commutes_with_global_flip(num_qubits):
+    u = q.ising_unitary(q.sample_ising_params(num_qubits, seed=num_qubits))
+    # conjugating by X on every qubit reverses the basis order
+    np.testing.assert_allclose(u[::-1, ::-1], u, atol=1e-12)
+
+
+def test_ising_unitary_at_ten_qubits():
+    u = q.ising_unitary(q.sample_ising_params(10, seed=3))
+    assert q.unitarity_defect(u) < 1e-12
+
+
+def test_basis_bits_is_read_only():
+    bits = q.basis_bits(3)
+    assert bits is q.basis_bits(3)
+    with pytest.raises(ValueError):
+        bits[0, 0] = 1
+
+
 def test_ising_rejects_bad_couplings():
     with pytest.raises(ValidationError):
         q.IsingParams(2, np.array([[0.0, 1.0], [0.5, 0.0]]), np.zeros(2))
