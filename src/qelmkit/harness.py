@@ -6,12 +6,23 @@ Every run is a pure function of (config, master_seed): per-cell seeds are
 derived with a stable hash over (master_seed, fold, combination, feature
 set, repetition), so any cell can be reproduced in isolation and two full
 runs emit byte-identical result payloads.
+
+Because each cell is a pure function of its seeds, a fold's cells run in
+the order of their encoder's (kind, axis assignment), and each run of equal
+encoders shares one `qelm.encode_batch` of the fold's angles: DHE is one
+batch per fold, RHE at most 3^(M * depth). A batch is shared only while it
+holds at most 2^`quantum.MAX_STATE_QUBITS` amplitudes (rows * 2^M, the size
+of the largest single state the package allows); larger ones, such as a
+10-qubit fold, are encoded per cell so they never sit on top of a
+reservoir build's memory peak. Results are still reported in (feature set,
+fold, combination, repetition) order.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
 import json
+import math
 import numbers
 import os
 from dataclasses import dataclass, field, fields
@@ -20,7 +31,7 @@ from itertools import combinations as iter_pairs
 
 import numpy as np
 
-from . import elevator, qelm, stats
+from . import elevator, qelm, quantum, stats
 from .elevator import BuildingConfig, Dataset, TrafficProfile
 from .errors import ConfigurationError, DegenerateInputError, ValidationError
 from .stats import ComparisonReport, PairwiseResult, RunResults
@@ -238,22 +249,57 @@ def _prepare_fold(train_days: list[Dataset], test_day: Dataset,
     )
 
 
-def _cell_mse(fold: _FoldCache, encoder_kind: str, reservoir_kind: str,
-              config: ExperimentConfig, rep: int) -> float:
-    seed_parts = (config.master_seed, fold.fold_label,
-                  f"{encoder_kind}_{reservoir_kind}", fold.feature_set, rep)
-    num_features = fold.angles.shape[1]
-    encoder = qelm.EncoderSpec(encoder_kind, num_features,
-                               depth=config.encoder_depth,
-                               seed=derive_seed(*seed_parts, "encoder"))
+def _shares_encoded_batch(fold: _FoldCache) -> bool:
+    """Whether a fold's cells may share one encoded batch: only while it is
+    no larger than the largest single state the package allows, so holding
+    it across cells never stacks a large batch on a reservoir build's peak."""
+    rows, width = fold.angles.shape
+    return rows << width <= 1 << quantum.MAX_STATE_QUBITS
+
+
+def _cell_mse(fold: _FoldCache, encoder: qelm.EncoderSpec, reservoir_kind: str,
+              config: ExperimentConfig, seed_parts: tuple,
+              encoded: np.ndarray | None) -> float:
     reservoir = qelm.build_reservoir(qelm.ReservoirSpec(
-        reservoir_kind, num_features, depth=config.reservoir_depth,
+        reservoir_kind, encoder.num_features, depth=config.reservoir_depth,
         seed=derive_seed(*seed_parts, "reservoir")))
-    obs = qelm.run_circuit_batch(encoder, reservoir, fold.angles)
+    obs = qelm.run_circuit_batch(encoder, reservoir, fold.angles, encoded=encoded)
     num_train = len(fold.train_targets)
     readout = qelm.fit_readout(obs[:num_train], fold.train_targets, config.ridge_lambda)
     predictions = obs[num_train:] @ readout.weights + readout.intercept
     return stats.mse(predictions, fold.test_targets)
+
+
+def _fold_mses(fold: _FoldCache, combinations: list[str], config: ExperimentConfig,
+               reps: int) -> list[np.ndarray]:
+    """Repetition MSEs of one fold for each combination, in order.
+
+    Every cell is a pure function of its derived seeds, so the cells run in
+    the order of their encoder's (kind, axis assignment): each run of equal
+    keys encodes the fold's angles once and shares the batch, which keeps
+    one encoded batch alive at a time."""
+    cells = []     # (combination index, reps covered, encoder, reservoir kind, seed parts)
+    for index, combination in enumerate(combinations):
+        enc, res = combination.split("_")
+        # DHE + CNOT has no random parameters at all: one run covers every rep
+        covers = [slice(None)] if combination == "DHE_CNOT" else range(reps)
+        for rep, covered in enumerate(covers):
+            seed_parts = (config.master_seed, fold.fold_label, combination,
+                          fold.feature_set, rep)
+            encoder = qelm.EncoderSpec(enc, fold.angles.shape[1],
+                                       depth=config.encoder_depth,
+                                       seed=derive_seed(*seed_parts, "encoder"))
+            cells.append((index, covered, encoder, res, seed_parts))
+    share = _shares_encoded_batch(fold)
+    values = [np.empty(reps) for _ in combinations]
+    key = encoded = None
+    for index, covered, encoder, res, seed_parts in sorted(
+            cells, key=lambda cell: (cell[2].kind, cell[2].axis_assignment)):
+        if share and key != (encoder.kind, encoder.axis_assignment):
+            key = (encoder.kind, encoder.axis_assignment)
+            encoded = qelm.encode_batch(encoder, fold.angles)
+        values[index][covered] = _cell_mse(fold, encoder, res, config, seed_parts, encoded)
+    return values
 
 
 def _leave_one_day_out(datasets: list[Dataset]) -> list[tuple[list[Dataset], Dataset]]:
@@ -273,14 +319,9 @@ def _sweep(config: ExperimentConfig, datasets: list[Dataset],
         reps = config.repetitions_for(feature_set)
         for train_days, test_day in folds:
             fold = _prepare_fold(train_days, test_day, feature_set)
-            for combination in combinations:
+            mses = _fold_mses(fold, combinations, config, reps)
+            for combination, values in zip(combinations, mses):
                 enc, res = combination.split("_")
-                # DHE + CNOT has no random parameters at all: one run covers every rep
-                if combination == "DHE_CNOT":
-                    values = np.full(reps, _cell_mse(fold, enc, res, config, 0))
-                else:
-                    values = np.array([_cell_mse(fold, enc, res, config, rep)
-                                       for rep in range(reps)])
                 results.append(RunResults(test_day.label, feature_set, enc, res, values))
     return results
 
@@ -525,8 +566,18 @@ def read_results_csv(path) -> list[RunResults]:
         if header != ["dataset", "feature_set", "encoder", "reservoir",
                       "repetition", "mse"]:
             raise ValidationError(f"unexpected results CSV header: {header}")
-        for row in reader:
-            rows.setdefault((row[0], row[1], row[2], row[3]), []).append(float(row[5]))
+        for line, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ValidationError(f"{path}: row {line} has {len(row)} fields, "
+                                      f"expected {len(header)}")
+            try:
+                value = float(row[5])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValidationError(f"{path}: row {line} has mse {row[5]!r}; "
+                                      "MSEs must be finite numbers")
+            rows.setdefault((row[0], row[1], row[2], row[3]), []).append(value)
     return [RunResults(day, fs, enc, res, np.array(values))
             for (day, fs, enc, res), values in rows.items()]
 

@@ -10,28 +10,35 @@ Execution is batched and compiled: a whole dataset of angle vectors runs
 through the circuit as one (P, 2^M) amplitude array, and no gate is applied
 one at a time.
 
-- Encoder: the first rotation layer acts on |0...0>, so it is built as a
-  product state by M outer products; the CZ ring is one +-1 sign vector.
-  Re-uploading layers (depth > 1) rotate each qubit with its row's angle.
+- Encoder: `encode_batch`. The first rotation layer acts on |0...0>, so it
+  is built as a product state by M outer products; the CZ ring is one +-1
+  sign vector. Re-uploading layers (depth > 1) rotate each qubit with its
+  row's angle. The batch depends only on the angles and the encoder's axis
+  assignment, so `run_circuit_batch` accepts a precomputed one (`encoded`)
+  and only reads it: the sweep encodes each fold's angles once per distinct
+  assignment and shares the batch among that assignment's cells, while the
+  batch holds at most 2^MAX_STATE_QUBITS amplitudes (see `harness`).
 - Reservoir: `build_reservoir` compiles the reservoir into `Stage`s, each an
   optional low-qubit matrix, high-qubit matrix and index permutation. HAAR
   and ISING are one dense stage; CNOT is its whole ring stack composed into
   one permutation. ROTATION takes the cheaper of two exact forms: one stage
   per layer (two Kronecker factors of 2^ceil(M/2) and 2^floor(M/2) for its
-  rotations, plus the layer's ring permutation), or, where
-  2^M <= L * (2^ceil(M/2) + 2^floor(M/2)) for L layers, the whole stack
-  folded into one dense stage.
+  rotations, built for every layer in one broadcast, plus the layer's ring
+  permutation), or, where 2^M <= L * (2^ceil(M/2) + 2^floor(M/2)) for L
+  layers, the whole stack folded into one dense stage.
 - Readout: `quantum.pauli_expectations`, one GEMM for every qubit's <Z>.
 
 The compiled forms call `quantum`'s kernels: `apply_gate_kernel` for the
 Pauli of each re-uploaded rotation and for composing the CNOT rings,
-`pauli_expectations` for the readout, `rotation_matrix`, `haar_unitary` and
-`ising_unitary` for the reservoir matrices. The dense Kronecker oracle in
-the tests is their independent reference.
+`pauli_expectations` for the readout, `haar_unitary` and `ising_unitary`
+for the reservoir matrices. The dense Kronecker oracle in the tests is
+their independent reference.
 """
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +50,14 @@ from .quantum import GateOp, IsingParams
 ENCODER_KINDS = ("DHE", "RHE")
 RESERVOIR_KINDS = ("CNOT", "HAAR", "ISING", "ROTATION")
 AXES = ("X", "Y", "Z")
+
+
+def _require_count(name: str, value, minimum: int) -> None:
+    """Reject a spec field that is not an integer (bools included) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"field '{name}' must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigurationError(f"field '{name}' must be >= {minimum}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +136,8 @@ class EncoderSpec:
     def __post_init__(self):
         if self.kind not in ENCODER_KINDS:
             raise ConfigurationError(f"unknown encoder kind {self.kind!r}")
-        if self.depth < 1:
-            raise ConfigurationError("encoder depth must be >= 1")
+        _require_count("num_features", self.num_features, 1)
+        _require_count("depth", self.depth, 1)
         if self.axis_assignment is None:
             if self.kind == "DHE":
                 axes = tuple(tuple("X" for _ in range(self.num_features))
@@ -136,6 +151,10 @@ class EncoderSpec:
                     for _ in range(self.depth)
                 )
             self.axis_assignment = axes
+        if len(self.axis_assignment) != self.depth:
+            raise ConfigurationError(
+                f"field 'axis_assignment' must hold {self.depth} layers (the depth), "
+                f"got {len(self.axis_assignment)}")
         for layer in self.axis_assignment:
             if len(layer) != self.num_features:
                 raise ConfigurationError("axis assignment must cover every qubit")
@@ -189,17 +208,37 @@ class ReservoirSpec:
     def __post_init__(self):
         if self.kind not in RESERVOIR_KINDS:
             raise ConfigurationError(f"unknown reservoir kind {self.kind!r}")
-        if not 1 <= self.num_qubits <= quantum.MAX_STATE_QUBITS:
+        _require_count("num_qubits", self.num_qubits, 1)
+        if self.num_qubits > quantum.MAX_STATE_QUBITS:
             raise ConfigurationError(
                 f"num_qubits must be in [1, {quantum.MAX_STATE_QUBITS}], got {self.num_qubits}")
-        if self.kind in ("CNOT", "ROTATION") and self.depth < 1:
-            raise ConfigurationError("reservoir depth must be >= 1")
+        # only CNOT and ROTATION stack layers, but every kind records its depth
+        _require_count("depth", self.depth, 1 if self.kind in ("CNOT", "ROTATION") else 0)
         if self.ising is not None and self.kind != "ISING":
             raise ConfigurationError("ising parameters only apply to the ISING kind")
-        if self.rotation_layers is not None and self.kind != "ROTATION":
+        if self.rotation_layers is not None:
+            self._check_rotation_layers()
+
+    def _check_rotation_layers(self) -> None:
+        if self.kind != "ROTATION":
             raise ConfigurationError("rotation_layers only apply to the ROTATION kind")
-        if any(len(layer) != self.num_qubits for layer in self.rotation_layers or ()):
-            raise ConfigurationError("each rotation layer must cover every qubit")
+        if len(self.rotation_layers) != self.depth:
+            raise ConfigurationError(
+                f"field 'rotation_layers' must hold {self.depth} layers (the depth), "
+                f"got {len(self.rotation_layers)}")
+        for layer in self.rotation_layers:
+            if len(layer) != self.num_qubits:
+                raise ConfigurationError("each rotation layer must cover every qubit")
+            for axis, angle in layer:
+                if axis not in AXES:
+                    raise ConfigurationError(
+                        f"field 'rotation_layers' has axis {axis!r}; axes must be X, Y or Z")
+                if isinstance(angle, bool) or not isinstance(angle, numbers.Real):
+                    raise ConfigurationError(
+                        f"field 'rotation_layers' has angle {angle!r}; angles must be numbers")
+                if not math.isfinite(angle):
+                    raise ValidationError(
+                        f"field 'rotation_layers' has angle {angle!r}; angles must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,20 +305,47 @@ def _ring_permutation(num_qubits: int, depth: int) -> np.ndarray:
     return perm
 
 
-def _kron_rotations(layer: tuple[tuple[str, float], ...]) -> np.ndarray | None:
-    """Kronecker product of one-qubit rotations, the first entry acting on
-    the least-significant qubit; None for no qubits."""
-    mat = None
-    for axis, angle in layer:
-        u = quantum.rotation_matrix(axis, angle)
-        mat = u if mat is None else np.kron(u, mat)
-    return mat
+def _rotation_factors(layers: tuple[tuple[tuple[str, float], ...], ...],
+                      split: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Kronecker factors of every layer's rotations: (L, 2^split, 2^split) for
+    qubits below `split` and (L, 2^(M-split), 2^(M-split)) for the rest (None
+    when no qubit is left), the first qubit of each factor on its least
+    significant index bit.
+
+    One cos/sin over the (L, M) angles gives the entries of R_X, R_Y and R_Z
+    for every slot, each slot's axis code selects its 2x2 matrix, and each
+    factor grows one qubit at a time as u (x) mat by a broadcast outer
+    product over all L layers at once."""
+    codes = np.array([[AXES.index(axis) for axis, _ in layer] for layer in layers])
+    half = np.array([[angle for _, angle in layer] for layer in layers]) / 2.0
+    c, s = np.cos(half), np.sin(half)
+    zero = np.zeros_like(c)
+    table = np.array([[[c, -1j * s], [-1j * s, c]],                  # R_X
+                      [[c, -s], [s, c]],                             # R_Y
+                      [[c - 1j * s, zero], [zero, c + 1j * s]]],     # R_Z
+                     dtype=complex)                                  # (axis, 2, 2, L, M)
+    num_layers, num_qubits = codes.shape
+    rot = np.moveaxis(table, (1, 2), (3, 4))[
+        codes, np.arange(num_layers)[:, None], np.arange(num_qubits)]   # (L, M, 2, 2)
+
+    def kron(qubits: np.ndarray) -> np.ndarray | None:
+        if qubits.shape[1] == 0:
+            return None
+        mat = qubits[:, 0]
+        for q in range(1, qubits.shape[1]):
+            dim = mat.shape[1]
+            mat = (qubits[:, q, :, None, :, None] * mat[:, None, :, None, :]
+                   ).reshape(num_layers, 2 * dim, 2 * dim)
+        return mat
+
+    return kron(rot[:, :split]), kron(rot[:, split:])
 
 
 def _rotation_stages(num_qubits: int,
                      layers: tuple[tuple[tuple[str, float], ...], ...]) -> tuple[Stage, ...]:
     """Per layer: rotations split into Kronecker factors of 2^ceil(M/2) and
-    2^floor(M/2), then the layer's CNOT ring as one permutation. That costs
+    2^floor(M/2) (`_rotation_factors`, built for all layers in one
+    broadcast), then the layer's CNOT ring as one permutation. That costs
     L * (2^ceil(M/2) + 2^floor(M/2)) multiply-adds per amplitude for L
     layers, against 2^M for one dense matrix of the whole stack; where the
     dense matrix costs no more, the stack is folded into it by pushing the
@@ -287,8 +353,9 @@ def _rotation_stages(num_qubits: int,
     also keeps them clear of the dense-matrix cap."""
     split = num_qubits - num_qubits // 2
     ring = _ring_permutation(num_qubits, 1)
-    stages = tuple(Stage(_kron_rotations(layer[:split]), _kron_rotations(layer[split:]), ring)
-                   for layer in layers)
+    low, high = _rotation_factors(layers, split)
+    stages = tuple(Stage(low[k], None if high is None else high[k], ring)
+                   for k in range(len(layers)))
     if 1 << num_qubits > len(layers) * ((1 << split) + (1 << (num_qubits - split))):
         return stages
     amps = np.eye(1 << num_qubits, dtype=complex)
@@ -330,11 +397,30 @@ def build_reservoir(spec: ReservoirSpec) -> Reservoir:
 # circuit execution
 # ---------------------------------------------------------------------------
 
-def _encode(encoder: EncoderSpec, angles: np.ndarray) -> np.ndarray:
-    """Encoded (P, 2^M) batch, with R_axis(t) = cos(t/2) I - i sin(t/2) P_axis:
-    the first layer is a product state of the qubits' R_axis(t)|0>, the CZ
-    ring one +-1 sign vector, and re-uploaded rotations take P_axis a from
-    the Pauli gate kernel."""
+def _angle_batch(encoder: EncoderSpec, angles) -> np.ndarray:
+    """`angles` as a (P, M) float array, checked against the encoder's width."""
+    m = encoder.num_features
+    if m > quantum.MAX_STATE_QUBITS:
+        raise ConfigurationError(
+            f"{m} qubits exceed the state-vector cap of {quantum.MAX_STATE_QUBITS}")
+    if m < 2:
+        raise ConfigurationError("cyclic entanglement needs at least 2 qubits")
+    angles = np.atleast_2d(np.asarray(angles, dtype=float))
+    if angles.shape[1] != m:
+        raise ShapeError(f"expected {m} angles per row, got {angles.shape[1]}")
+    return angles
+
+
+def encode_batch(encoder: EncoderSpec, angles: np.ndarray) -> np.ndarray:
+    """Encoded (P, 2^M) batch for a batch of angle vectors (P, M).
+
+    With R_axis(t) = cos(t/2) I - i sin(t/2) P_axis: the first layer is a
+    product state of the qubits' R_axis(t)|0>, the CZ ring one +-1 sign
+    vector, and re-uploaded rotations take P_axis a from the Pauli gate
+    kernel. The batch depends only on the angles and the encoder's axis
+    assignment, so cells that share both may share one batch (see
+    `run_circuit_batch`)."""
+    angles = _angle_batch(encoder, angles)
     m = encoder.num_features
     bits = quantum.basis_bits(m)
     parity = sum(bits[:, g.control] & bits[:, g.target] for g in cyclic_ring(m, "CZ"))
@@ -361,26 +447,27 @@ def _encode(encoder: EncoderSpec, angles: np.ndarray) -> np.ndarray:
 
 
 def run_circuit_batch(encoder: EncoderSpec, reservoir: Reservoir,
-                      angles: np.ndarray) -> np.ndarray:
+                      angles: np.ndarray, encoded: np.ndarray | None = None) -> np.ndarray:
     """Observation matrix (P, 3M) for a batch of angle vectors (P, M).
 
     Rows start in |0...0>, go through the encoder with each row's angles
     bound, then through the reservoir's compiled stages; columns are ordered
-    [<X^1>, <Y^1>, <Z^1>, ..., <X^M>, <Y^M>, <Z^M>].
+    [<X^1>, <Y^1>, <Z^1>, ..., <X^M>, <Y^M>, <Z^M>]. `encoded`, when given,
+    is `encode_batch(encoder, angles)` computed earlier; it must be (P, 2^M)
+    and is only read, so one batch can serve many reservoirs.
     """
+    angles = _angle_batch(encoder, angles)
     m = encoder.num_features
-    if m > quantum.MAX_STATE_QUBITS:
-        raise ConfigurationError(
-            f"{m} qubits exceed the state-vector cap of {quantum.MAX_STATE_QUBITS}")
-    angles = np.atleast_2d(np.asarray(angles, dtype=float))
-    if angles.shape[1] != m:
-        raise ShapeError(f"expected {m} angles per row, got {angles.shape[1]}")
     if reservoir.num_qubits != m:
         raise ShapeError("reservoir size does not match encoder width")
-    if m < 2:
-        raise ConfigurationError("cyclic entanglement needs at least 2 qubits")
-    amps = _encode(encoder, angles)
-    for stage in reservoir.stages:
+    if encoded is None:
+        amps = encode_batch(encoder, angles)
+    elif np.shape(encoded) != (len(angles), 1 << m):
+        raise ShapeError(f"encoded batch must be {(len(angles), 1 << m)}, "
+                         f"got {np.shape(encoded)}")
+    else:
+        amps = encoded
+    for stage in reservoir.stages:   # each stage returns a new array
         amps = stage.apply(amps)
     return quantum.pauli_expectations(amps, m)
 
@@ -418,8 +505,8 @@ def fit_readout(observations: np.ndarray, targets: np.ndarray,
         raise ValidationError("need at least one training row")
     if not np.all(np.isfinite(obs)) or not np.all(np.isfinite(t)):
         raise ValidationError("observations and targets must be finite")
-    if ridge_lambda < 0:
-        raise ValidationError("ridge_lambda must be >= 0")
+    if not 0 <= ridge_lambda < math.inf:   # also rejects NaN
+        raise ValidationError(f"ridge_lambda must be finite and >= 0, got {ridge_lambda!r}")
     k = obs.shape[1]
     design = np.hstack([obs, np.ones((obs.shape[0], 1))]) if include_intercept else obs
     rhs = t
@@ -563,9 +650,15 @@ def _pipeline_from_dict(doc: dict) -> Pipeline:
     if not (len(norm.mins) == len(norm.maxs) == m
             and np.all(np.isfinite(norm.mins)) and np.all(np.isfinite(norm.maxs))):
         raise ValidationError(f"normalization must hold {m} finite mins and maxs")
-    if pipeline.readout.weights.shape != (3 * m,):
-        raise ValidationError(f"readout needs {3 * m} weights, "
-                              f"got {pipeline.readout.weights.shape}")
+    readout = pipeline.readout
+    if readout.weights.shape != (3 * m,) or not np.all(np.isfinite(readout.weights)):
+        raise ValidationError(f"readout needs {3 * m} finite weights, "
+                              f"got {readout.weights.shape}")
+    finite = [isinstance(v, numbers.Real) and math.isfinite(v)
+              for v in (readout.intercept, readout.ridge_lambda)]
+    if not (all(finite) and readout.ridge_lambda >= 0):
+        raise ValidationError("readout intercept must be a finite number and "
+                              "ridge_lambda a finite number >= 0")
     if pipeline.reservoir.kind == "HAAR":
         u = pipeline.reservoir.stages[0].low
         if u.shape != (1 << m, 1 << m) or not quantum.unitarity_defect(u) < 1e-10:

@@ -13,9 +13,8 @@ Conventions used throughout:
 All gate kernels operate on the last axis of an array, so a batch of states
 with shape (batch, 2^D) goes through the same code path as a single state.
 The compiled circuits of `qelm` call `apply_gate_kernel`,
-`pauli_expectations`, `rotation_matrix`, `haar_unitary`, `ising_unitary` and
-`basis_bits`; the dense Kronecker oracle in the tests is their independent
-reference.
+`pauli_expectations`, `haar_unitary`, `ising_unitary` and `basis_bits`; the
+dense Kronecker oracle in the tests is their independent reference.
 """
 from __future__ import annotations
 
@@ -124,8 +123,9 @@ class IsingParams:
             raise ValidationError("couplings matrix must be symmetric")
         if np.any(np.abs(np.diagonal(self.couplings)) > 1e-12):
             raise ValidationError("couplings diagonal must be zero")
-        if not self.time_step > 0:
-            raise ValidationError("time_step must be positive")
+        if not 0 < self.time_step < np.inf:   # also rejects NaN
+            raise ValidationError(
+                f"time_step must be positive and finite, got {self.time_step!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,14 @@ from .errors import DegenerateInputError, ShapeError, ValidationError
 ALPHA = 0.05
 
 
+def _require_finite(*arrays: np.ndarray) -> None:
+    """Reject NaN and infinity up front: NaN compares unequal to everything,
+    so ranks computed over it come out silently wrong, not NaN."""
+    for values in arrays:
+        if not np.all(np.isfinite(values)):
+            raise ValidationError("values must be finite (no NaN or infinity)")
+
+
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
@@ -31,6 +39,7 @@ def mse(predictions, targets) -> float:
         raise ShapeError("predictions and targets must have equal length")
     if p.size < 1:
         raise ValidationError("need at least one prediction")
+    _require_finite(p, t)
     return float(np.mean((p - t) ** 2))
 
 
@@ -107,6 +116,7 @@ def kruskal_wallis(groups) -> tuple[float, float]:
     if any(len(g) == 0 for g in samples):
         raise ValidationError("groups must be non-empty")
     pooled = np.concatenate(samples)
+    _require_finite(pooled)
     n = len(pooled)
     ranks = _rankdata(pooled)
     h = 0.0
@@ -134,6 +144,7 @@ def mann_whitney_u(a, b) -> tuple[float, float]:
     y = np.asarray(b, dtype=float)
     if len(x) == 0 or len(y) == 0:
         raise ValidationError("samples must be non-empty")
+    _require_finite(x, y)
     n1, n2 = len(x), len(y)
     pooled = np.concatenate([x, y])
     ranks = _rankdata(pooled)
@@ -154,6 +165,7 @@ def vargha_delaney_a12(a, b) -> float:
     y = np.asarray(b, dtype=float)
     if len(x) == 0 or len(y) == 0:
         raise ValidationError("samples must be non-empty")
+    _require_finite(x, y)
     greater = (x[:, None] > y[None, :]).sum()
     equal = (x[:, None] == y[None, :]).sum()
     return float((greater + 0.5 * equal) / (len(x) * len(y)))
@@ -196,6 +208,7 @@ def wilcoxon_one_sample(sample, reference: float) -> tuple[float, float]:
     tie correction and a 0.5 continuity correction.
     """
     x = np.asarray(sample, dtype=float)
+    _require_finite(x, reference)
     d = x - reference
     d = d[d != 0]
     if len(d) == 0:
@@ -215,6 +228,7 @@ def cohens_d_one_sample(sample, reference: float) -> float:
     x = np.asarray(sample, dtype=float)
     if len(x) < 2:
         raise ValidationError("need at least two values")
+    _require_finite(x, reference)
     sd = float(np.std(x, ddof=1))
     if sd == 0:
         raise DegenerateInputError("sample has zero variance")

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qelmkit import cli, elevator, harness, qelm, stats
+from qelmkit import cli, elevator, harness, qelm, quantum, stats
 from qelmkit.errors import ConfigurationError, ValidationError
 from qelmkit.harness import ExperimentConfig
 from qelmkit.stats import RunResults
@@ -229,6 +229,58 @@ def test_no_leakage_into_baseline(toy_days, monkeypatch):
     assert seen == [sizes[1], sizes[0]]
 
 
+def test_shared_encoding_sweep_matches_per_cell_circuits(monkeypatch):
+    days = harness.generate_days({"num_days": 3, "seed": 5, "rate_jitter": 0.1})
+    cfg = toy_config(feature_sets=["FS2", "FS3a"],
+                     combinations=list(harness.ALL_COMBINATIONS))
+    encodings = []
+    original = qelm.encode_batch
+    monkeypatch.setattr(qelm, "encode_batch",
+                        lambda enc, angles: encodings.append(enc) or original(enc, angles))
+    _, results = harness.run_rq1_sweep(cfg, days)
+    monkeypatch.undo()
+    assert len(results) == 2 * 3 * 8
+    distinct = set()
+    for r in results:
+        test_day = next(d for d in days if d.label == r.dataset)
+        train = [elevator.select_features(d, r.feature_set).drop_empty()
+                 for d in days if d is not test_day]
+        test = elevator.select_features(test_day, r.feature_set).drop_empty()
+        features = np.vstack([p.feature_matrix() for p in train])
+        norm = qelm.fit_normalization(features)
+        angles = np.vstack([qelm.apply_normalization(norm, features),
+                            qelm.apply_normalization(norm, test.feature_matrix())])
+        expected = []
+        for rep in range(1 if r.combination == "DHE_CNOT" else cfg.repetitions):
+            parts = (cfg.master_seed, r.dataset, r.combination, r.feature_set, rep)
+            enc = qelm.EncoderSpec(r.encoder, angles.shape[1],
+                                   seed=harness.derive_seed(*parts, "encoder"))
+            res = qelm.build_reservoir(qelm.ReservoirSpec(
+                r.reservoir, angles.shape[1], seed=harness.derive_seed(*parts, "reservoir")))
+            obs = qelm.run_circuit_batch(enc, res, angles)
+            readout = qelm.fit_readout(obs[:len(features)],
+                                       np.concatenate([p.awt_values() for p in train]))
+            expected.append(stats.mse(obs[len(features):] @ readout.weights,
+                                      test.awt_values()))
+            distinct.add((r.dataset, r.feature_set, enc.kind, enc.axis_assignment))
+        if r.combination == "DHE_CNOT":
+            expected *= cfg.repetitions
+        assert r.mse_values.tobytes() == np.array(expected).tobytes()
+    # one encoding per distinct (fold, encoder axes), not one per cell
+    assert len(encodings) == len(distinct)
+
+
+def test_encoded_batch_sharing_rule(toy_days):
+    # shared only while rows * 2^M fits the largest single state allowed
+    fs5 = harness._prepare_fold(toy_days[:1], toy_days[1], "FS5")
+    fs10 = harness._prepare_fold(toy_days[:1], toy_days[1], "FS10")
+    assert harness._shares_encoded_batch(fs5)
+    assert not harness._shares_encoded_batch(fs10)
+    limit = 1 << quantum.MAX_STATE_QUBITS
+    assert harness._shares_encoded_batch(replace(fs5, angles=np.zeros((limit >> 5, 5))))
+    assert not harness._shares_encoded_batch(replace(fs5, angles=np.zeros(((limit >> 5) + 1, 5))))
+
+
 # ---------------------------------------------------------------------------
 # RQ1 ranking
 # ---------------------------------------------------------------------------
@@ -401,6 +453,18 @@ def test_results_csv_roundtrip(tmp_path, toy_days):
     by_key = {key(r): r for r in loaded}
     for r in results:
         np.testing.assert_array_equal(by_key[key(r)].mse_values, r.mse_values)
+
+
+@pytest.mark.parametrize("bad", ["CNOT,1,nan", "CNOT,1,inf", "CNOT,1,-inf", "CNOT,1,oops",
+                                 "CNOT,1", "CNOT,1,0.5,extra"])
+def test_read_results_csv_rejects_bad_rows(tmp_path, bad):
+    # a NaN MSE read as "not significant" in the RQ2/RQ3 rank tests
+    path = tmp_path / "results_raw.csv"
+    path.write_text("dataset,feature_set,encoder,reservoir,repetition,mse\n"
+                    "Day1,FS2,DHE,CNOT,0,1.5\n"
+                    f"Day1,FS2,DHE,{bad}\n")
+    with pytest.raises(ValidationError, match="row 3"):
+        harness.read_results_csv(path)
 
 
 def test_baselines_csv_roundtrip(tmp_path):

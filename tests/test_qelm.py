@@ -11,7 +11,7 @@ from qelmkit import qelm, quantum
 from qelmkit.errors import ConfigurationError, ShapeError, ValidationError
 from qelmkit.qelm import EncoderSpec, ParamRotation, ReservoirSpec
 
-from test_quantum import dense_gate
+from test_quantum import PAULI, dense_gate, embed
 
 
 def identity_reservoir(num_qubits: int) -> qelm.Reservoir:
@@ -64,24 +64,32 @@ def stages_matrix(res: qelm.Reservoir) -> np.ndarray:
 
 def gate_by_gate_observations(enc: EncoderSpec, res: qelm.Reservoir, seed: int,
                               angles: np.ndarray) -> np.ndarray:
-    """One row at a time through quantum.apply_gate and expectation_pauli."""
+    """One row at a time through Kronecker-embedded dense gates and the
+    readout conj(a) @ embed(P, q, M) @ a: no `quantum` gate kernel and no
+    `pauli_expectations`, so it checks the compiled path's own kernels."""
     m = enc.num_features
-    dense = None if res.kind in ("CNOT", "ROTATION") else reservoir_oracle(res, seed)
+    if res.kind in ("CNOT", "ROTATION"):
+        gates = reservoir_gates(res)
+        embedded = {gate: dense_gate(gate, m) for gate in set(gates)}   # rings repeat
+        reservoir = [embedded[gate] for gate in gates]
+    else:
+        reservoir = [reservoir_oracle(res, seed)]
+    # the CZ gates do not depend on the row: embed them once
+    encoder = [op if isinstance(op, ParamRotation) else dense_gate(op, m)
+               for layer in qelm.build_encoder(enc) for op in layer]
+    observables = [embed(PAULI[axis], q, m) for q in range(m) for axis in "XYZ"]
     rows = []
     for row in angles:
-        state = quantum.new_state(m)
-        for layer in qelm.build_encoder(enc):
-            for op in layer:
-                if isinstance(op, ParamRotation):
-                    op = quantum.GateOp("R" + op.axis, op.qubit, angle=row[op.feature])
-                state = quantum.apply_gate(state, op)
-        if dense is None:
-            for gate in reservoir_gates(res):
-                state = quantum.apply_gate(state, gate)
-        else:
-            state = quantum.apply_dense_unitary(state, dense)
-        rows.append([quantum.expectation_pauli(state, q, axis)
-                     for q in range(m) for axis in "XYZ"])
+        amps = np.zeros(1 << m, dtype=complex)
+        amps[0] = 1.0
+        for op in encoder:
+            if isinstance(op, ParamRotation):
+                op = dense_gate(quantum.GateOp("R" + op.axis, op.qubit,
+                                               angle=row[op.feature]), m)
+            amps = op @ amps
+        for u in reservoir:
+            amps = u @ amps
+        rows.append([(amps.conj() @ p @ amps).real for p in observables])
     return np.array(rows)
 
 
@@ -256,6 +264,88 @@ def test_reservoir_spec_field_validation():
         qelm.build_reservoir(ReservoirSpec("HAAR", 3))  # no seed
 
 
+@pytest.mark.parametrize("build,field", [
+    (lambda: ReservoirSpec("CNOT", 3, depth=True), "depth"),   # was a depth-1 CNOT
+    (lambda: ReservoirSpec("ROTATION", 3, depth=1.5, seed=0), "depth"),
+    (lambda: ReservoirSpec("HAAR", 2.5, seed=0), "num_qubits"),
+    (lambda: ReservoirSpec("ROTATION", 2, depth=2,
+                           rotation_layers=((("X", 0.1), ("Y", 0.2)),)), "rotation_layers"),
+    (lambda: ReservoirSpec("ROTATION", 2, depth=1,
+                           rotation_layers=((("X", 0.1), ("W", 0.2)),)), "rotation_layers"),
+    (lambda: EncoderSpec("DHE", 3, depth=1.5), "depth"),   # was a raw TypeError
+    (lambda: EncoderSpec("DHE", 0), "num_features"),
+    (lambda: EncoderSpec("DHE", 2, depth=2, axis_assignment=(("X", "X"),)),
+     "axis_assignment"),
+])
+def test_specs_reject_bad_fields(build, field):
+    with pytest.raises(ConfigurationError, match=field):
+        build()
+
+
+def test_rotation_spec_rejects_non_finite_angle():
+    # a NaN angle made every entry of the compiled stage NaN
+    with pytest.raises(ValidationError, match="rotation_layers"):
+        ReservoirSpec("ROTATION", 2, depth=1,
+                      rotation_layers=((("X", float("nan")), ("Y", 0.2)),))
+
+
+def kron_rotations(layer) -> np.ndarray:
+    """np.kron of quantum.rotation_matrix, the first entry on the least
+    significant qubit."""
+    mat = np.ones((1, 1), dtype=complex)
+    for axis, angle in layer:
+        mat = np.kron(quantum.rotation_matrix(axis, angle), mat)
+    return mat
+
+
+def cnot_ring_matrix(m: int) -> np.ndarray:
+    """Permutation matrix of one CNOT ring from the gates' truth table: each
+    CNOT(c, t) maps basis index i to i ^ (bit c of i) << t."""
+    image = np.arange(1 << m)
+    for gate in qelm.cyclic_ring(m, "CNOT"):
+        image = image ^ (((image >> gate.control) & 1) << gate.target)
+    perm = np.zeros((1 << m, 1 << m))
+    perm[image, np.arange(1 << m)] = 1.0
+    return perm
+
+
+@pytest.mark.parametrize("depth", [1, 2, 10])
+@pytest.mark.parametrize("m", range(1, 11))
+def test_rotation_stages_match_kron_oracle(m, depth):
+    seed = 100 * m + depth
+    split = m - m // 2
+    rng = np.random.default_rng(seed)
+    layers = tuple(tuple((str(rng.choice(list("XYZ"))), float(rng.uniform(0, 2 * np.pi)))
+                         for _ in range(m)) for _ in range(depth))
+    low, high = qelm._rotation_factors(layers, split)
+    assert (high is None) == (m == 1)
+    for k, layer in enumerate(layers):
+        np.testing.assert_allclose(low[k], kron_rotations(layer[:split]), rtol=0, atol=1e-15)
+        if m > 1:
+            np.testing.assert_allclose(high[k], kron_rotations(layer[split:]),
+                                       rtol=0, atol=1e-15)
+    if m == 1:
+        return   # a one-qubit register has no CNOT ring, so no reservoir
+    res = qelm.build_reservoir(ReservoirSpec("ROTATION", m, depth, rotation_layers=layers))
+    dim = 1 << m
+    if dim <= depth * ((1 << split) + (1 << (m - split))):
+        assert len(res.stages) == 1 and res.stages[0].low.shape == (dim, dim)
+        assert res.stages[0].high is None and res.stages[0].perm is None
+    else:
+        assert len(res.stages) == depth
+        assert all(st.high is not None and st.perm is not None for st in res.stages)
+    # compare on up to 64 basis columns, so M = 10 stays cheap
+    cols = np.sort(np.random.default_rng(m).permutation(dim)[:64])
+    expected = np.eye(dim, dtype=complex)[:, cols]
+    ring = cnot_ring_matrix(m)
+    for layer in layers:
+        expected = ring @ (kron_rotations(layer) @ expected)
+    amps = np.eye(dim, dtype=complex)[cols]
+    for stage in res.stages:
+        amps = stage.apply(amps)
+    np.testing.assert_allclose(amps.T, expected, rtol=0, atol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # circuit execution
 # ---------------------------------------------------------------------------
@@ -347,6 +437,29 @@ def test_staged_rotation_matches_gate_by_gate_oracle(m, depth, encoder_kind, enc
     np.testing.assert_allclose(compiled, oracle, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["CNOT", "HAAR", "ISING", "ROTATION"])
+def test_run_circuit_batch_reads_a_shared_encoded_batch(kind):
+    rng = np.random.default_rng(31)
+    enc = EncoderSpec("RHE", 4, seed=3)
+    angles = rng.uniform(0, np.pi, size=(5, 4))
+    encoded = qelm.encode_batch(enc, angles)
+    before = encoded.copy()
+    encoded.flags.writeable = False   # any write into the shared batch raises
+    for res in (qelm.build_reservoir(ReservoirSpec(kind, 4, depth=2, seed=7)),
+                qelm.Reservoir("CNOT", 4, depth=0)):   # no stages at all
+        shared = qelm.run_circuit_batch(enc, res, angles, encoded=encoded)
+        assert shared.tobytes() == qelm.run_circuit_batch(enc, res, angles).tobytes()
+    np.testing.assert_array_equal(encoded, before)
+
+
+@pytest.mark.parametrize("shape", [(4, 16), (5, 8), (16,), (5, 16, 1)])
+def test_run_circuit_batch_rejects_misshapen_encoded_batch(shape):
+    enc = EncoderSpec("DHE", 4)
+    with pytest.raises(ShapeError, match="encoded"):
+        qelm.run_circuit_batch(enc, identity_reservoir(4), np.zeros((5, 4)),
+                               encoded=np.zeros(shape, dtype=complex))
+
+
 def test_run_circuit_batch_width_guard():
     # one qubit past the cap: 2^17 amplitudes would still be cheap to allocate,
     # so a missing guard shows as a test failure, not a memory blow-up
@@ -434,6 +547,10 @@ def test_fit_readout_validation():
         qelm.fit_readout(np.array([[1.0, np.nan]]), [1.0])
     with pytest.raises(ValidationError):
         qelm.fit_readout(np.eye(2), [1.0, 2.0], ridge_lambda=-1.0)
+    # NaN was stored silently; inf died in LAPACK with a raw LinAlgError
+    for lam in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="ridge_lambda"):
+            qelm.fit_readout(np.eye(2), [1.0, 2.0], ridge_lambda=lam)
     with pytest.raises(ShapeError):
         qelm.fit_readout(np.eye(2), [1.0, 2.0, 3.0])
 
@@ -568,6 +685,21 @@ def rename_reservoir_kind(doc):
     doc["reservoir"]["kind"] = "WEIRD"
 
 
+def set_field(*path_and_value):
+    *path, key, value = path_and_value
+
+    def corrupt(doc):
+        for part in path:
+            doc = doc[part]
+        doc[key] = value
+    corrupt.__name__ = f"set_{'_'.join(path + [key])}_{value}"   # the test id
+    return corrupt
+
+
+def nan_rotation_angle(doc):
+    doc["reservoir"]["rotation_layers"][0][1][1] = float("nan")
+
+
 @pytest.mark.parametrize("kind,corrupt,error,fragment", [
     ("CNOT", corrupt_weights, ValidationError, "weights"),
     ("ROTATION", corrupt_normalization, ValidationError, "normalization"),
@@ -578,6 +710,17 @@ def rename_reservoir_kind(doc):
     ("ISING", corrupt_normalization_value, ValidationError, "finite"),
     ("ROTATION", truncate_rotation_layer, ConfigurationError, "every qubit"),
     ("CNOT", rename_reservoir_kind, ValidationError, "WEIRD"),
+    ("CNOT", set_field("reservoir", "depth", True), ConfigurationError, "depth"),
+    ("ROTATION", set_field("reservoir", "depth", 1.5), ConfigurationError, "depth"),
+    ("CNOT", set_field("encoder", "depth", 1.5), ConfigurationError, "depth"),
+    ("CNOT", set_field("encoder", "num_features", 0), ConfigurationError, "num_features"),
+    ("ROTATION", nan_rotation_angle, ValidationError, "rotation_layers"),
+    ("ISING", set_field("reservoir", "ising", "time_step", float("inf")), ValidationError,
+     "time_step"),
+    ("HAAR", set_field("readout", "ridge_lambda", float("nan")), ValidationError,
+     "ridge_lambda"),
+    ("HAAR", set_field("readout", "ridge_lambda", float("inf")), ValidationError,
+     "ridge_lambda"),
 ])
 def test_pipeline_from_json_rejects_inconsistent_documents(kind, corrupt, error, fragment):
     doc = pipeline_doc(kind)

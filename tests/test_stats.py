@@ -28,6 +28,26 @@ def test_mse_examples():
         stats.mse([], [])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("call", [
+    lambda v: stats.mse(v, [1.0, 2.0, 3.0]),
+    lambda v: stats.mse([1.0, 2.0, 3.0], v),
+    lambda v: stats.kruskal_wallis([v, [2.0, 3.0, 4.0]]),
+    lambda v: stats.mann_whitney_u(v, [2.0, 3.0, 4.0]),
+    lambda v: stats.mann_whitney_u([2.0, 3.0, 4.0], v),
+    lambda v: stats.wilcoxon_one_sample(v, 0.5),
+    lambda v: stats.wilcoxon_one_sample([1.0, 2.0, 3.0], v[1]),
+    lambda v: stats.vargha_delaney_a12(v, [2.0, 3.0, 4.0]),
+    lambda v: stats.vargha_delaney_a12([2.0, 3.0, 4.0], v),
+    lambda v: stats.cohens_d_one_sample(v, 0.5),
+    lambda v: stats.cohens_d_one_sample([1.0, 2.0, 3.0], v[1]),
+])
+def test_non_finite_input_is_rejected(call, bad):
+    # NaN compares unequal to everything: ranked, it read as "no difference"
+    with pytest.raises(ValidationError, match="finite"):
+        call([1.0, bad, 3.0])
+
+
 def test_amse_examples():
     assert stats.amse([2.0] * 30) == pytest.approx(2.0)
     assert stats.amse([10.0, 20.0]) == pytest.approx(15.0)
