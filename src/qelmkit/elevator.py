@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import heapq
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -101,21 +100,9 @@ class TrafficSegment:
 class TrafficProfile:
     segments: list[TrafficSegment]
 
-    def to_dict(self) -> dict:
-        return {"segments": [vars(s) for s in self.segments]}
-
     @classmethod
     def from_dict(cls, doc: dict) -> "TrafficProfile":
         return cls([TrafficSegment(**seg) for seg in doc["segments"]])
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-
-    @classmethod
-    def load(cls, path) -> "TrafficProfile":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def office_day_profile() -> TrafficProfile:
@@ -406,30 +393,7 @@ def simulate_day(config: BuildingConfig, profile: TrafficProfile, seed: int,
 # CSV interchange
 # ---------------------------------------------------------------------------
 
-PASSENGER_HEADER = ["arrival_time_s", "origin_floor", "dest_floor", "weight_kg"]
 DATASET_HEADER = (["window_start_s"] + list(FEATURE_NAMES) + ["awt_s", "empty"])
-
-
-def write_passengers_csv(path, passengers: list[Passenger]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PASSENGER_HEADER)
-        for p in passengers:
-            writer.writerow([repr(float(p.arrival_time)), p.origin_floor,
-                             p.dest_floor, repr(float(p.weight_kg))])
-
-
-def read_passengers_csv(path) -> list[Passenger]:
-    passengers = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != PASSENGER_HEADER:
-            raise ValidationError(f"unexpected passenger CSV header: {header}")
-        for row in reader:
-            passengers.append(Passenger(float(row[0]), int(row[1]), int(row[2]),
-                                        float(row[3])))
-    return passengers
 
 
 def write_dataset_csv(path, dataset: Dataset) -> None:

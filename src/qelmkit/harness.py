@@ -8,12 +8,13 @@ set, repetition), so any cell can be reproduced in isolation and two full
 runs emit byte-identical result payloads.
 
 Because each cell is a pure function of its seeds, a fold's cells run in
-the order of their encoder's (kind, axis assignment), and each run of equal
-encoders shares one `qelm.encode_batch` of the fold's angles: DHE is one
-batch per fold, RHE at most 3^(M * depth). A batch is shared only while it
-holds at most 2^`quantum.MAX_STATE_QUBITS` amplitudes (rows * 2^M, the size
-of the largest single state the package allows); larger ones, such as a
-10-qubit fold, are encoded per cell so they never sit on top of a
+the order of their encoder's axis assignment, and each run of equal
+assignments shares one `qelm.encode_batch` of the fold's angles: all-X
+(every DHE cell, and any RHE cell that drew it) is one batch per fold, the
+other RHE draws at most 3^(M * depth) - 1 more. A batch is shared only
+while it holds at most 2^`quantum.MAX_STATE_QUBITS` amplitudes (rows * 2^M,
+the size of the largest single state the package allows); larger ones, such
+as a 10-qubit fold, are encoded per cell so they never sit on top of a
 reservoir build's memory peak. Results are still reported in (feature set,
 fold, combination, repetition) order.
 """
@@ -138,15 +139,37 @@ _CONFIG_FIELDS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "co
 # dataset loading / generation
 # ---------------------------------------------------------------------------
 
+_GENERATE_KEYS = ("num_days", "seed", "building", "profile", "rate_jitter", "awt")
+
+
 def generate_days(spec: dict) -> list[Dataset]:
     """Synthesize one dataset per day from the traffic simulator.
 
-    Spec keys: num_days (default 4), seed, building (BuildingConfig
-    overrides), profile ('office' or a segments dict), rate_jitter,
-    awt ('simulated' or 'nonlinear').
+    Spec keys (any other is a ConfigurationError): num_days (integer >= 1,
+    default 4), seed (integer), building (BuildingConfig overrides), profile
+    ('office' or a segments dict), rate_jitter (number in [0, 1]), awt
+    ('simulated' or 'nonlinear').
     """
+    if not isinstance(spec, dict):
+        raise ConfigurationError("field 'datasets.generate' must be an object")
+    unknown = sorted(set(spec) - set(_GENERATE_KEYS))
+    if unknown:
+        raise ConfigurationError("unknown field(s) "
+                                 + ", ".join(f"'datasets.generate.{k}'" for k in unknown))
     num_days = spec.get("num_days", 4)
     seed = spec.get("seed", 0)
+    for name, value in (("num_days", num_days), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigurationError(
+                f"field 'datasets.generate.{name}' must be an integer, got {value!r}")
+    if num_days < 1:
+        raise ConfigurationError(
+            f"field 'datasets.generate.num_days' must be >= 1, got {num_days}")
+    jitter = spec.get("rate_jitter", 0.15)
+    if (isinstance(jitter, bool) or not isinstance(jitter, numbers.Real)
+            or not 0 <= jitter <= 1):   # also rejects NaN
+        raise ConfigurationError("field 'datasets.generate.rate_jitter' must be a number "
+                                 f"in [0, 1], got {jitter!r}")
     try:
         building = BuildingConfig(**spec.get("building", {}))
     except TypeError as exc:
@@ -159,7 +182,6 @@ def generate_days(spec: dict) -> list[Dataset]:
     else:
         raise ConfigurationError("field 'datasets.generate.profile' must be "
                                  "'office' or a segments object")
-    jitter = spec.get("rate_jitter", 0.15)
     awt_mode = spec.get("awt", "simulated")
     if awt_mode not in ("simulated", "nonlinear"):
         raise ConfigurationError("field 'datasets.generate.awt' must be "
@@ -275,9 +297,10 @@ def _fold_mses(fold: _FoldCache, combinations: list[str], config: ExperimentConf
     """Repetition MSEs of one fold for each combination, in order.
 
     Every cell is a pure function of its derived seeds, so the cells run in
-    the order of their encoder's (kind, axis assignment): each run of equal
-    keys encodes the fold's angles once and shares the batch, which keeps
-    one encoded batch alive at a time."""
+    the order of their encoder's axis assignment, the only encoder field
+    `qelm.encode_batch` reads: each run of equal assignments encodes the
+    fold's angles once and shares the batch, which keeps one encoded batch
+    alive at a time."""
     cells = []     # (combination index, reps covered, encoder, reservoir kind, seed parts)
     for index, combination in enumerate(combinations):
         enc, res = combination.split("_")
@@ -294,9 +317,9 @@ def _fold_mses(fold: _FoldCache, combinations: list[str], config: ExperimentConf
     values = [np.empty(reps) for _ in combinations]
     key = encoded = None
     for index, covered, encoder, res, seed_parts in sorted(
-            cells, key=lambda cell: (cell[2].kind, cell[2].axis_assignment)):
-        if share and key != (encoder.kind, encoder.axis_assignment):
-            key = (encoder.kind, encoder.axis_assignment)
+            cells, key=lambda cell: cell[2].axis_assignment):
+        if share and key != encoder.axis_assignment:
+            key = encoder.axis_assignment
             encoded = qelm.encode_batch(encoder, fold.angles)
         values[index][covered] = _cell_mse(fold, encoder, res, config, seed_parts, encoded)
     return values

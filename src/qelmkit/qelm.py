@@ -110,15 +110,6 @@ def apply_normalization(params: NormalizationParams, features: np.ndarray) -> np
 # encoder
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ParamRotation:
-    """Rotation slot whose angle is bound to one feature at execution time."""
-
-    axis: str
-    qubit: int
-    feature: int
-
-
 @dataclass
 class EncoderSpec:
     """Hardware-efficient encoder: per-qubit rotations then a cyclic CZ ring.
@@ -171,24 +162,6 @@ def cyclic_ring(num_qubits: int, kind: str) -> list[GateOp]:
             for i in range(num_qubits)]
 
 
-def build_encoder(spec: EncoderSpec) -> list[list[ParamRotation | GateOp]]:
-    """Gate layers with rotation angles left symbolic (bound at execution).
-
-    Every layer rebinds the same feature angles (re-uploading).
-    """
-    m = spec.num_features
-    if m < 2:
-        raise ConfigurationError("cyclic entanglement needs at least 2 qubits")
-    layers = []
-    for layer_axes in spec.axis_assignment:
-        layer: list[ParamRotation | GateOp] = [
-            ParamRotation(axis, qubit=k, feature=k) for k, axis in enumerate(layer_axes)
-        ]
-        layer.extend(cyclic_ring(m, "CZ"))
-        layers.append(layer)
-    return layers
-
-
 # ---------------------------------------------------------------------------
 # reservoirs
 # ---------------------------------------------------------------------------
@@ -208,7 +181,8 @@ class ReservoirSpec:
     def __post_init__(self):
         if self.kind not in RESERVOIR_KINDS:
             raise ConfigurationError(f"unknown reservoir kind {self.kind!r}")
-        _require_count("num_qubits", self.num_qubits, 1)
+        ring = self.kind in ("CNOT", "ROTATION")   # layers end in a CNOT ring
+        _require_count("num_qubits", self.num_qubits, 2 if ring else 1)
         if self.num_qubits > quantum.MAX_STATE_QUBITS:
             raise ConfigurationError(
                 f"num_qubits must be in [1, {quantum.MAX_STATE_QUBITS}], got {self.num_qubits}")
@@ -398,7 +372,7 @@ def build_reservoir(spec: ReservoirSpec) -> Reservoir:
 # ---------------------------------------------------------------------------
 
 def _angle_batch(encoder: EncoderSpec, angles) -> np.ndarray:
-    """`angles` as a (P, M) float array, checked against the encoder's width."""
+    """`angles` as a finite (P, M) float array, checked against the encoder's width."""
     m = encoder.num_features
     if m > quantum.MAX_STATE_QUBITS:
         raise ConfigurationError(
@@ -408,6 +382,8 @@ def _angle_batch(encoder: EncoderSpec, angles) -> np.ndarray:
     angles = np.atleast_2d(np.asarray(angles, dtype=float))
     if angles.shape[1] != m:
         raise ShapeError(f"expected {m} angles per row, got {angles.shape[1]}")
+    if not np.all(np.isfinite(angles)):
+        raise ValidationError("angles must be finite (no NaN or infinity)")
     return angles
 
 

@@ -10,11 +10,12 @@ Conventions used throughout:
   RZ(t) = diag(exp(-i t/2), exp(+i t/2)).
 - Global phase is never normalized away; compare expectations or moduli.
 
-All gate kernels operate on the last axis of an array, so a batch of states
-with shape (batch, 2^D) goes through the same code path as a single state.
-The compiled circuits of `qelm` call `apply_gate_kernel`,
-`pauli_expectations`, `haar_unitary`, `ising_unitary` and `basis_bits`; the
-dense Kronecker oracle in the tests is their independent reference.
+States are plain complex amplitude arrays. All gate kernels operate on the
+last axis, so a batch of states with shape (batch, 2^D) goes through the
+same code path as a single state. The compiled circuits of `qelm` call
+`apply_gate_kernel`, `pauli_expectations`, `haar_unitary`, `ising_unitary`
+and `basis_bits`; the dense Kronecker oracle in the tests is their
+independent reference.
 """
 from __future__ import annotations
 
@@ -78,21 +79,6 @@ class GateOp:
             raise ConfigurationError("control and target must differ")
 
 
-@dataclass
-class StateVector:
-    """Pure state of `num_qubits` qubits as 2^D complex amplitudes."""
-
-    num_qubits: int
-    amplitudes: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.num_qubits
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
 def unitarity_defect(entries: np.ndarray) -> float:
     """max |U^dag U - I|, zero (to precision) for a unitary matrix."""
     dim = entries.shape[0]
@@ -129,19 +115,8 @@ class IsingParams:
 
 
 # ---------------------------------------------------------------------------
-# state construction and gate application
+# gate application
 # ---------------------------------------------------------------------------
-
-def new_state(num_qubits: int) -> StateVector:
-    """The all-zeros computational basis state |0...0>."""
-    if not 1 <= num_qubits <= MAX_STATE_QUBITS:
-        raise ConfigurationError(
-            f"num_qubits must be in [1, {MAX_STATE_QUBITS}], got {num_qubits}"
-        )
-    amplitudes = np.zeros(1 << num_qubits, dtype=complex)
-    amplitudes[0] = 1.0
-    return StateVector(num_qubits, amplitudes)
-
 
 def apply_single_qubit(amps: np.ndarray, num_qubits: int, qubit: int,
                        u: np.ndarray) -> np.ndarray:
@@ -184,22 +159,6 @@ def apply_gate_kernel(amps: np.ndarray, num_qubits: int, gate: GateOp) -> np.nda
     return apply_cnot(amps, num_qubits, gate.control, gate.target)
 
 
-def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
-    """Apply one gate, returning a new state."""
-    return StateVector(state.num_qubits,
-                       apply_gate_kernel(state.amplitudes, state.num_qubits, gate))
-
-
-def apply_dense_unitary(state: StateVector, u: np.ndarray) -> StateVector:
-    """Apply an explicit matrix to the full register."""
-    entries = np.asarray(u)
-    if entries.shape != (state.dim, state.dim):
-        raise ShapeError(
-            f"unitary shape {entries.shape} does not match state dim {state.dim}"
-        )
-    return StateVector(state.num_qubits, entries @ state.amplitudes)
-
-
 # ---------------------------------------------------------------------------
 # measurement
 # ---------------------------------------------------------------------------
@@ -222,16 +181,6 @@ def pauli_expectations(amps: np.ndarray, num_qubits: int) -> np.ndarray:
                           amps.reshape(shape)[:, :, 1, :])
         obs[:, 3 * q], obs[:, 3 * q + 1] = 2.0 * cross.real, 2.0 * cross.imag
     return np.clip(obs, -1.0, 1.0, out=obs)
-
-
-def expectation_pauli(state: StateVector, qubit: int, axis: str) -> float:
-    """<psi| P_qubit |psi> for P in {X, Y, Z}; always within [-1, 1]."""
-    if not 0 <= qubit < state.num_qubits:
-        raise IndexError(f"qubit {qubit} out of range")
-    if axis not in PAULI_KINDS:
-        raise ConfigurationError(f"axis must be one of {PAULI_KINDS}, got {axis!r}")
-    obs = pauli_expectations(state.amplitudes[None, :], state.num_qubits)
-    return float(obs[0, 3 * qubit + PAULI_KINDS.index(axis)])
 
 
 # ---------------------------------------------------------------------------

@@ -300,6 +300,8 @@ def fit_regression_tree(features, targets, max_splits: int = 25) -> TreeNode:
         raise ShapeError("features must be a 2-D matrix")
     if len(y) != len(x) or len(y) == 0:
         raise ValidationError("features and targets must be non-empty and aligned")
+    if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
+        raise ValidationError("tree features and targets must be finite (no NaN or infinity)")
     root = TreeNode(value=float(np.mean(y)))
     # leaves as (creation_id, node, row indices, cached best split)
     leaves = [(0, root, np.arange(len(y)), _best_split(x, y) if len(y) > 1 else None)]

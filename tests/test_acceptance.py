@@ -14,7 +14,7 @@ import scipy.stats
 from qelmkit import cli, elevator, harness, qelm, quantum, stats
 from qelmkit.harness import ALL_COMBINATIONS, ExperimentConfig
 
-from test_quantum import dense_gate, random_gate, random_state
+from test_quantum import dense_gate, random_gate, random_state, zero_state
 
 # frozen benchmark instance for the protocol criteria; see the test bodies
 # for how each constant is used
@@ -39,25 +39,29 @@ def test_criterion_1_quantum_kernels():
     start = time.time()
     rng = np.random.default_rng(101)
     worst = 0.0
+    kinds = set()
     for num_qubits in (1, 2, 3):
         for _ in range(60):
             gate = random_gate(num_qubits, rng)
             state = random_state(num_qubits, rng)
-            fast = quantum.apply_gate(state, gate).amplitudes
-            slow = dense_gate(gate, num_qubits) @ state.amplitudes
+            fast = quantum.apply_gate_kernel(state, num_qubits, gate)
+            slow = dense_gate(gate, num_qubits) @ state
             worst = max(worst, float(np.max(np.abs(fast - slow))))
+            kinds.add(gate.kind)
     norm_drift = 0.0
     for _ in range(1000):
         num_qubits = int(rng.integers(1, 7))
-        state = quantum.new_state(num_qubits)
+        state = zero_state(num_qubits)
         for _ in range(30):
-            state = quantum.apply_gate(state, random_gate(num_qubits, rng))
-        norm_drift = max(norm_drift, abs(state.norm() - 1.0))
+            state = quantum.apply_gate_kernel(state, num_qubits,
+                                              random_gate(num_qubits, rng))
+        norm_drift = max(norm_drift, abs(np.linalg.norm(state) - 1.0))
     elapsed = time.time() - start
-    passed = worst < 1e-12 and norm_drift < 1e-9 and elapsed < 10.0
+    passed = (worst < 1e-12 and norm_drift < 1e-9 and elapsed < 10.0
+              and kinds == set(quantum.GATE_KINDS))
     report(1, "quantum kernel correctness", passed,
-           f"(kernel vs dense {worst:.2e}, norm drift {norm_drift:.2e}, "
-           f"{elapsed:.1f}s)")
+           f"(kernel vs dense {worst:.2e} over {len(kinds)} gate kinds, "
+           f"norm drift {norm_drift:.2e}, {elapsed:.1f}s)")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Elevator benchmark tests: traffic generation, dispatch simulation,
-feature windowing and the CSV interchange formats."""
+feature windowing, the dataset CSV format and profile documents."""
+import json
+
 import numpy as np
 import pytest
 
@@ -251,17 +253,6 @@ def test_select_features_errors():
 # CSV interchange
 # ---------------------------------------------------------------------------
 
-def test_passenger_csv_roundtrip(tmp_path):
-    cfg = el.BuildingConfig()
-    passengers = el.generate_traffic(cfg, flat_profile(1.0, start=0, end=7200), seed=4)
-    path = tmp_path / "passengers.csv"
-    el.write_passengers_csv(path, passengers)
-    assert path.read_text().splitlines()[0] == "arrival_time_s,origin_floor,dest_floor,weight_kg"
-    loaded = el.read_passengers_csv(path)
-    assert [(p.arrival_time, p.origin_floor, p.dest_floor, p.weight_kg) for p in loaded] \
-        == [(p.arrival_time, p.origin_floor, p.dest_floor, p.weight_kg) for p in passengers]
-
-
 def test_dataset_csv_roundtrip(tmp_path):
     ds = el.simulate_day(el.BuildingConfig(), el.office_day_profile(), seed=5,
                          label="Day1")
@@ -283,12 +274,15 @@ def test_dataset_csv_rejects_projected(tmp_path):
         el.write_dataset_csv(tmp_path / "x.csv", el.select_features(ds, "FS2"))
 
 
-def test_profile_json_roundtrip(tmp_path):
+def test_profile_json_roundtrip():
+    # the segments object a config's 'datasets.generate.profile' holds
     profile = el.office_day_profile()
-    path = tmp_path / "profile.json"
-    profile.save(path)
-    loaded = el.TrafficProfile.load(path)
+    doc = json.loads(json.dumps({"segments": [vars(s) for s in profile.segments]}))
+    loaded = el.TrafficProfile.from_dict(doc)
     assert [vars(s) for s in loaded.segments] == [vars(s) for s in profile.segments]
+    doc["segments"][0]["rate_per_min"] = -1.0
+    with pytest.raises(ValidationError):
+        el.TrafficProfile.from_dict(doc)
 
 
 def test_vary_profile_scales_rates_only():

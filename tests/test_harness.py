@@ -141,6 +141,30 @@ def test_generate_days_validates_spec():
                                "building": {"num_wheels": 3}})
 
 
+def test_generate_days_rejects_unknown_key():
+    # a misspelt "seed" used to run silently with seed 0
+    with pytest.raises(ConfigurationError, match="datasets.generate.sede"):
+        harness.generate_days({"num_days": 1, "sede": 3})
+
+
+@pytest.mark.parametrize("value", ["2", 2.0, True, 0, -1])
+def test_generate_days_rejects_bad_num_days(value):
+    with pytest.raises(ConfigurationError, match="datasets.generate.num_days"):
+        harness.generate_days({"num_days": value, "seed": 0})
+
+
+@pytest.mark.parametrize("value", ["abc", 1.5, False, None])
+def test_generate_days_rejects_bad_seed(value):
+    with pytest.raises(ConfigurationError, match="datasets.generate.seed"):
+        harness.generate_days({"num_days": 1, "seed": value})
+
+
+@pytest.mark.parametrize("value", [-5, -0.1, 1.5, float("nan"), float("inf"), "0.1", True])
+def test_generate_days_rejects_bad_rate_jitter(value):
+    with pytest.raises(ConfigurationError, match="datasets.generate.rate_jitter"):
+        harness.generate_days({"num_days": 1, "seed": 0, "rate_jitter": value})
+
+
 # ---------------------------------------------------------------------------
 # leave-one-day-out cross-validation
 # ---------------------------------------------------------------------------
@@ -262,11 +286,12 @@ def test_shared_encoding_sweep_matches_per_cell_circuits(monkeypatch):
                                        np.concatenate([p.awt_values() for p in train]))
             expected.append(stats.mse(obs[len(features):] @ readout.weights,
                                       test.awt_values()))
-            distinct.add((r.dataset, r.feature_set, enc.kind, enc.axis_assignment))
+            distinct.add((r.dataset, r.feature_set, enc.axis_assignment))
         if r.combination == "DHE_CNOT":
             expected *= cfg.repetitions
         assert r.mse_values.tobytes() == np.array(expected).tobytes()
-    # one encoding per distinct (fold, encoder axes), not one per cell
+    # one encoding per distinct (fold, axis assignment), not one per cell:
+    # an all-X RHE cell shares its fold's DHE batch
     assert len(encodings) == len(distinct)
 
 
@@ -579,6 +604,13 @@ def test_cli_exit_code_2_on_config_errors(tmp_path, capsys):
     # gen-data on a path-list config cannot generate
     paths = write_cli_config(tmp_path, datasets=["a.csv", "b.csv"])
     assert cli.main(["gen-data", "--config", str(paths)]) == 2
+
+
+@pytest.mark.parametrize("command", ["gen-data", "run-rq1"])
+def test_cli_exit_code_2_on_bad_generate_spec(tmp_path, capsys, command):
+    path = write_cli_config(tmp_path, datasets={"generate": {"num_days": 2, "sede": 3}})
+    assert cli.main([command, "--config", str(path)]) == 2
+    assert "datasets.generate.sede" in capsys.readouterr().err
 
 
 def test_cli_rank_without_results_names_results_option(tmp_path, capsys):

@@ -9,9 +9,9 @@ import scipy.linalg
 
 from qelmkit import qelm, quantum
 from qelmkit.errors import ConfigurationError, ShapeError, ValidationError
-from qelmkit.qelm import EncoderSpec, ParamRotation, ReservoirSpec
+from qelmkit.qelm import EncoderSpec, ReservoirSpec
 
-from test_quantum import PAULI, dense_gate, embed
+from test_quantum import PAULI, dense_gate, embed, zero_state
 
 
 def identity_reservoir(num_qubits: int) -> qelm.Reservoir:
@@ -22,12 +22,36 @@ def identity_reservoir(num_qubits: int) -> qelm.Reservoir:
 
 # ---------------------------------------------------------------------------
 # gate-level oracle for the compiled circuits
+#
+# The circuit layout is written out here, not taken from `qelm`: the
+# entangling ring is (0, 1), (1, 2), ..., (M-1, 0) with the first qubit of
+# each pair as control, each encoder layer rotates qubit k by feature k
+# around its assigned axis before the CZ ring, and each CNOT or ROTATION
+# reservoir layer is its rotations (ROTATION only) then the CNOT ring.
 # ---------------------------------------------------------------------------
+
+def ring_gates(num_qubits: int, kind: str) -> list[quantum.GateOp]:
+    """The cyclic entangling ring of CZ or CNOT gates."""
+    return [quantum.GateOp(kind, target=(i + 1) % num_qubits, control=i)
+            for i in range(num_qubits)]
+
+
+def encoder_gates(enc: EncoderSpec, row: np.ndarray) -> list[quantum.GateOp]:
+    """The encoder with one row's angles bound: per layer of the axis
+    assignment, R_axis(row[k]) on qubit k, then the CZ ring."""
+    m = enc.num_features
+    gates = []
+    for layer_axes in enc.axis_assignment:
+        gates += [quantum.GateOp("R" + axis, target=k, angle=row[k])
+                  for k, axis in enumerate(layer_axes)]
+        gates += ring_gates(m, "CZ")
+    return gates
+
 
 def reservoir_gates(res: qelm.Reservoir) -> list[quantum.GateOp]:
     """The CNOT or ROTATION reservoir as a gate list, rebuilt from its depth
     and sampled rotation layers (rotations, then the CNOT ring, per layer)."""
-    ring = qelm.cyclic_ring(res.num_qubits, "CNOT")
+    ring = ring_gates(res.num_qubits, "CNOT")
     if res.kind == "CNOT":
         return ring * res.depth
     gates = []
@@ -65,8 +89,9 @@ def stages_matrix(res: qelm.Reservoir) -> np.ndarray:
 def gate_by_gate_observations(enc: EncoderSpec, res: qelm.Reservoir, seed: int,
                               angles: np.ndarray) -> np.ndarray:
     """One row at a time through Kronecker-embedded dense gates and the
-    readout conj(a) @ embed(P, q, M) @ a: no `quantum` gate kernel and no
-    `pauli_expectations`, so it checks the compiled path's own kernels."""
+    readout conj(a) @ embed(P, q, M) @ a: no `quantum` gate kernel, no
+    `pauli_expectations` and no circuit layout from `qelm`, so it checks the
+    compiled path's kernels and its ring and layer order."""
     m = enc.num_features
     if res.kind in ("CNOT", "ROTATION"):
         gates = reservoir_gates(res)
@@ -74,19 +99,12 @@ def gate_by_gate_observations(enc: EncoderSpec, res: qelm.Reservoir, seed: int,
         reservoir = [embedded[gate] for gate in gates]
     else:
         reservoir = [reservoir_oracle(res, seed)]
-    # the CZ gates do not depend on the row: embed them once
-    encoder = [op if isinstance(op, ParamRotation) else dense_gate(op, m)
-               for layer in qelm.build_encoder(enc) for op in layer]
     observables = [embed(PAULI[axis], q, m) for q in range(m) for axis in "XYZ"]
     rows = []
     for row in angles:
-        amps = np.zeros(1 << m, dtype=complex)
-        amps[0] = 1.0
-        for op in encoder:
-            if isinstance(op, ParamRotation):
-                op = dense_gate(quantum.GateOp("R" + op.axis, op.qubit,
-                                               angle=row[op.feature]), m)
-            amps = op @ amps
+        amps = zero_state(m)
+        for gate in encoder_gates(enc, row):
+            amps = dense_gate(gate, m) @ amps
         for u in reservoir:
             amps = u @ amps
         rows.append([(amps.conj() @ p @ amps).real for p in observables])
@@ -149,13 +167,18 @@ def test_apply_normalization_shape_error():
 # ---------------------------------------------------------------------------
 
 def test_dhe_encoder_structure():
-    layers = qelm.build_encoder(EncoderSpec("DHE", 3))
-    assert len(layers) == 1
-    layer = layers[0]
-    assert [(g.axis, g.qubit, g.feature) for g in layer[:3]] == [
-        ("X", 0, 0), ("X", 1, 1), ("X", 2, 2)]
-    assert [(g.kind, g.control, g.target) for g in layer[3:]] == [
-        ("CZ", 0, 1), ("CZ", 1, 2), ("CZ", 2, 0)]
+    # one layer: RX(feature k) on qubit k, then CZ(0, 1), CZ(1, 2), CZ(2, 0)
+    enc = EncoderSpec("DHE", 3)
+    assert enc.axis_assignment == (("X", "X", "X"),)
+    row = np.array([0.4, 1.3, 2.9])
+    gates = [quantum.GateOp("RX", k, angle=t) for k, t in enumerate(row)]
+    gates += [quantum.GateOp("CZ", 1, control=0), quantum.GateOp("CZ", 2, control=1),
+              quantum.GateOp("CZ", 0, control=2)]
+    expected = zero_state(3)
+    for gate in gates:
+        expected = dense_gate(gate, 3) @ expected
+    np.testing.assert_allclose(qelm.encode_batch(enc, row)[0], expected,
+                               rtol=0, atol=1e-15)
 
 
 def test_rhe_encoder_axes_seeded():
@@ -169,22 +192,33 @@ def test_rhe_encoder_axes_seeded():
 
 
 def test_dhe_axes_seed_independent():
-    # the literal stability invariant: DHE gate list ignores the seed
+    # the literal stability invariant: the DHE encoding ignores the seed
     specs = [EncoderSpec("DHE", 4, seed=s) for s in (None, 0, 1, 99)]
     assert all(s.axis_assignment == specs[0].axis_assignment for s in specs)
-    gate_lists = [qelm.build_encoder(s) for s in specs]
-    assert all(g == gate_lists[0] for g in gate_lists)
+    angles = np.random.default_rng(4).uniform(0, np.pi, size=(3, 4))
+    batches = [qelm.encode_batch(s, angles).tobytes() for s in specs]
+    assert all(b == batches[0] for b in batches)
 
 
 def test_encoder_depth_repeats_block():
-    layers = qelm.build_encoder(EncoderSpec("DHE", 2, depth=2))
-    assert len(layers) == 2
-    assert layers[0] == layers[1]  # same angles rebound every layer
+    enc = EncoderSpec("DHE", 2, depth=2)
+    assert enc.axis_assignment == (("X", "X"), ("X", "X"))
+    # same angles rebound every layer: the depth-2 encoding is the one-layer
+    # block applied twice
+    row = np.array([0.7, 2.1])
+    block = np.eye(4, dtype=complex)
+    for gate in encoder_gates(EncoderSpec("DHE", 2), row):
+        block = dense_gate(gate, 2) @ block
+    np.testing.assert_allclose(qelm.encode_batch(enc, row)[0],
+                               block @ block @ zero_state(2), rtol=0, atol=1e-15)
 
 
 def test_encoder_rejects_single_qubit():
-    with pytest.raises(ConfigurationError):
-        qelm.build_encoder(EncoderSpec("DHE", 1))
+    enc = EncoderSpec("DHE", 1)
+    with pytest.raises(ConfigurationError, match="2 qubits"):
+        qelm.run_circuit_batch(enc, qelm.Reservoir("CNOT", 1, depth=0), [[0.1]])
+    with pytest.raises(ConfigurationError, match="2 qubits"):
+        qelm.encode_batch(enc, [[0.1]])
 
 
 def test_rhe_requires_seed():
@@ -282,6 +316,15 @@ def test_specs_reject_bad_fields(build, field):
         build()
 
 
+@pytest.mark.parametrize("kind", ["CNOT", "ROTATION"])
+def test_ring_reservoirs_need_two_qubits(kind):
+    # a one-qubit ring used to fail in build_reservoir with GateOp's
+    # "control and target must differ"
+    with pytest.raises(ConfigurationError, match="num_qubits"):
+        ReservoirSpec(kind, 1, depth=1, seed=0)
+    assert qelm.build_reservoir(ReservoirSpec(kind, 2, depth=1, seed=0)).num_qubits == 2
+
+
 def test_rotation_spec_rejects_non_finite_angle():
     # a NaN angle made every entry of the compiled stage NaN
     with pytest.raises(ValidationError, match="rotation_layers"):
@@ -302,7 +345,7 @@ def cnot_ring_matrix(m: int) -> np.ndarray:
     """Permutation matrix of one CNOT ring from the gates' truth table: each
     CNOT(c, t) maps basis index i to i ^ (bit c of i) << t."""
     image = np.arange(1 << m)
-    for gate in qelm.cyclic_ring(m, "CNOT"):
+    for gate in ring_gates(m, "CNOT"):
         image = image ^ (((image >> gate.control) & 1) << gate.target)
     perm = np.zeros((1 << m, 1 << m))
     perm[image, np.arange(1 << m)] = 1.0
@@ -470,6 +513,18 @@ def test_run_circuit_batch_width_guard():
     with pytest.raises(ConfigurationError):
         qelm.qelm_train((np.zeros((4, m)), np.zeros(4)), EncoderSpec("DHE", m),
                         ReservoirSpec("ROTATION", m, seed=0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_angles_fail_loudly(bad):
+    # a NaN angle gave a row of NaN observations with no error
+    enc = EncoderSpec("DHE", 2)
+    res = qelm.build_reservoir(ReservoirSpec("HAAR", 2, seed=1))
+    angles = np.array([[0.3, 0.1], [bad, 0.1]])
+    with pytest.raises(ValidationError, match="finite"):
+        qelm.run_circuit_batch(enc, res, angles)
+    with pytest.raises(ValidationError, match="finite"):
+        qelm.encode_batch(enc, angles)
 
 
 def test_run_circuit_shape_errors():

@@ -1,11 +1,12 @@
-"""Quantum-core tests: gate kernels against a Kronecker-product oracle,
-Pauli expectations, Haar and Ising unitary constructions."""
+"""Quantum-core tests: gate kernels on plain amplitude arrays against a
+Kronecker-product oracle, Pauli expectations, Haar and Ising unitary
+constructions."""
 import numpy as np
 import pytest
 import scipy.linalg
 
 from qelmkit import quantum as q
-from qelmkit.errors import ConfigurationError, ShapeError, ValidationError
+from qelmkit.errors import ConfigurationError, ValidationError
 
 # ---------------------------------------------------------------------------
 # independent dense oracle: embed gates via Kronecker products, rotations via
@@ -34,9 +35,22 @@ def dense_gate(gate: q.GateOp, num_qubits: int) -> np.ndarray:
             + embed(P1, gate.control, num_qubits) @ embed(flip, gate.target, num_qubits))
 
 
-def random_state(num_qubits: int, rng) -> q.StateVector:
+def zero_state(num_qubits: int) -> np.ndarray:
+    """Amplitudes of |0...0>."""
+    amps = np.zeros(1 << num_qubits, dtype=complex)
+    amps[0] = 1.0
+    return amps
+
+
+def random_state(num_qubits: int, rng) -> np.ndarray:
     amps = rng.standard_normal(1 << num_qubits) + 1j * rng.standard_normal(1 << num_qubits)
-    return q.StateVector(num_qubits, amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
+
+
+def expectation(amps: np.ndarray, num_qubits: int, qubit: int, axis: str) -> float:
+    """<P_qubit> of one state, read from the batched readout of a one-row batch."""
+    obs = q.pauli_expectations(amps[None, :], num_qubits)
+    return float(obs[0, 3 * qubit + "XYZ".index(axis)])
 
 
 def random_gate(num_qubits: int, rng) -> q.GateOp:
@@ -53,22 +67,8 @@ def random_gate(num_qubits: int, rng) -> q.GateOp:
 
 
 # ---------------------------------------------------------------------------
-# state construction
+# gate construction
 # ---------------------------------------------------------------------------
-
-def test_new_state_examples():
-    np.testing.assert_array_equal(q.new_state(1).amplitudes, [1, 0])
-    np.testing.assert_array_equal(q.new_state(2).amplitudes, [1, 0, 0, 0])
-    s = q.new_state(3)
-    assert len(s.amplitudes) == 8
-    assert abs(s.norm() - 1.0) < 1e-15
-
-
-@pytest.mark.parametrize("bad", [0, -1, 17])
-def test_new_state_rejects_bad_sizes(bad):
-    with pytest.raises(ConfigurationError):
-        q.new_state(bad)
-
 
 def test_gateop_validation():
     with pytest.raises(ConfigurationError):
@@ -88,35 +88,34 @@ def test_gateop_validation():
 # ---------------------------------------------------------------------------
 
 def test_rx_pi_flips_zero():
-    s = q.apply_gate(q.new_state(1), q.GateOp("RX", 0, angle=np.pi))
-    np.testing.assert_allclose(s.amplitudes, [0, -1j], atol=1e-12)
+    out = q.apply_gate_kernel(zero_state(1), 1, q.GateOp("RX", 0, angle=np.pi))
+    np.testing.assert_allclose(out, [0, -1j], atol=1e-12)
 
 
 def test_rx_zero_is_identity():
     rng = np.random.default_rng(0)
     s = random_state(3, rng)
-    out = q.apply_gate(s, q.GateOp("RX", 1, angle=0.0))
-    np.testing.assert_allclose(out.amplitudes, s.amplitudes, atol=1e-15)
+    out = q.apply_gate_kernel(s, 3, q.GateOp("RX", 1, angle=0.0))
+    np.testing.assert_allclose(out, s, atol=1e-15)
 
 
 def test_cz_flips_sign_of_11():
-    bell = q.StateVector(2, np.array([1, 0, 0, 1]) / np.sqrt(2))
-    out = q.apply_gate(bell, q.GateOp("CZ", 1, control=0))
-    np.testing.assert_allclose(out.amplitudes, np.array([1, 0, 0, -1]) / np.sqrt(2),
-                               atol=1e-15)
+    bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+    out = q.apply_gate_kernel(bell, 2, q.GateOp("CZ", 1, control=0))
+    np.testing.assert_allclose(out, np.array([1, 0, 0, -1]) / np.sqrt(2), atol=1e-15)
 
 
 def test_cnot_on_10():
-    s = q.StateVector(2, np.array([0, 1, 0, 0], dtype=complex))  # qubit 0 = 1
-    out = q.apply_gate(s, q.GateOp("CNOT", 1, control=0))
-    np.testing.assert_allclose(out.amplitudes, [0, 0, 0, 1], atol=1e-15)
+    s = np.array([0, 1, 0, 0], dtype=complex)  # qubit 0 = 1
+    out = q.apply_gate_kernel(s, 2, q.GateOp("CNOT", 1, control=0))
+    np.testing.assert_allclose(out, [0, 0, 0, 1], atol=1e-15)
 
 
 def test_invalid_qubit_index():
     with pytest.raises(IndexError):
-        q.apply_gate(q.new_state(2), q.GateOp("X", 2))
+        q.apply_gate_kernel(zero_state(2), 2, q.GateOp("X", 2))
     with pytest.raises(IndexError):
-        q.apply_gate(q.new_state(2), q.GateOp("CNOT", 0, control=5))
+        q.apply_gate_kernel(zero_state(2), 2, q.GateOp("CNOT", 0, control=5))
 
 
 def test_kernel_matches_kronecker_oracle():
@@ -126,45 +125,18 @@ def test_kernel_matches_kronecker_oracle():
         for _ in range(40):
             gate = random_gate(num_qubits, rng)
             s = random_state(num_qubits, rng)
-            fast = q.apply_gate(s, gate).amplitudes
-            slow = dense_gate(gate, num_qubits) @ s.amplitudes
+            fast = q.apply_gate_kernel(s, num_qubits, gate)
+            slow = dense_gate(gate, num_qubits) @ s
             assert np.max(np.abs(fast - slow)) < 1e-12, gate
 
 
 def test_norm_preserved_over_random_circuits():
     rng = np.random.default_rng(11)
     for num_qubits in (2, 4, 6):
-        s = q.new_state(num_qubits)
+        s = zero_state(num_qubits)
         for _ in range(100):
-            s = q.apply_gate(s, random_gate(num_qubits, rng))
-        assert abs(s.norm() - 1.0) < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# dense unitary application
-# ---------------------------------------------------------------------------
-
-def test_apply_dense_identity():
-    rng = np.random.default_rng(3)
-    s = random_state(2, rng)
-    out = q.apply_dense_unitary(s, np.eye(4, dtype=complex))
-    np.testing.assert_allclose(out.amplitudes, s.amplitudes)
-
-
-def test_apply_dense_x():
-    out = q.apply_dense_unitary(q.new_state(1), q.PAULI_X)
-    np.testing.assert_allclose(out.amplitudes, [0, 1])
-
-
-def test_apply_dense_haar_preserves_norm():
-    u = q.haar_unitary(8, seed=5)
-    out = q.apply_dense_unitary(q.new_state(3), u)
-    assert abs(out.norm() - 1.0) < 1e-10
-
-
-def test_apply_dense_dimension_mismatch():
-    with pytest.raises(ShapeError):
-        q.apply_dense_unitary(q.new_state(2), np.eye(8, dtype=complex))
+            s = q.apply_gate_kernel(s, num_qubits, random_gate(num_qubits, rng))
+        assert abs(np.linalg.norm(s) - 1.0) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -172,18 +144,18 @@ def test_apply_dense_dimension_mismatch():
 # ---------------------------------------------------------------------------
 
 def test_expectation_examples():
-    assert q.expectation_pauli(q.new_state(1), 0, "Z") == pytest.approx(1.0)
-    s = q.apply_gate(q.new_state(1), q.GateOp("RX", 0, angle=np.pi / 2))
-    assert q.expectation_pauli(s, 0, "Z") == pytest.approx(0.0, abs=1e-12)
-    assert q.expectation_pauli(s, 0, "Y") == pytest.approx(-1.0)
+    assert expectation(zero_state(1), 1, 0, "Z") == pytest.approx(1.0)
+    s = q.apply_gate_kernel(zero_state(1), 1, q.GateOp("RX", 0, angle=np.pi / 2))
+    assert expectation(s, 1, 0, "Z") == pytest.approx(0.0, abs=1e-12)
+    assert expectation(s, 1, 0, "Y") == pytest.approx(-1.0)
 
 
 @pytest.mark.parametrize("theta", np.linspace(0, np.pi, 7))
 def test_expectation_closed_form_rx(theta):
-    s = q.apply_gate(q.new_state(1), q.GateOp("RX", 0, angle=theta))
-    assert q.expectation_pauli(s, 0, "Y") == pytest.approx(-np.sin(theta), abs=1e-12)
-    assert q.expectation_pauli(s, 0, "Z") == pytest.approx(np.cos(theta), abs=1e-12)
-    assert q.expectation_pauli(s, 0, "X") == pytest.approx(0.0, abs=1e-12)
+    s = q.apply_gate_kernel(zero_state(1), 1, q.GateOp("RX", 0, angle=theta))
+    assert expectation(s, 1, 0, "Y") == pytest.approx(-np.sin(theta), abs=1e-12)
+    assert expectation(s, 1, 0, "Z") == pytest.approx(np.cos(theta), abs=1e-12)
+    assert expectation(s, 1, 0, "X") == pytest.approx(0.0, abs=1e-12)
 
 
 def test_expectation_matches_dense_operator():
@@ -193,11 +165,11 @@ def test_expectation_matches_dense_operator():
         qubit = int(rng.integers(3))
         axis = "XYZ"[rng.integers(3)]
         dense = embed(PAULI[axis], qubit, 3)
-        expected = np.real(s.amplitudes.conj() @ dense @ s.amplitudes)
-        assert q.expectation_pauli(s, qubit, axis) == pytest.approx(expected, abs=1e-12)
+        expected = np.real(s.conj() @ dense @ s)
+        assert expectation(s, 3, qubit, axis) == pytest.approx(expected, abs=1e-12)
     # the batched all-qubit readout, every column against the dense operator
     for d in range(1, 6):
-        amps = np.array([random_state(d, rng).amplitudes for _ in range(7)])
+        amps = np.array([random_state(d, rng) for _ in range(7)])
         obs = q.pauli_expectations(amps, d)
         assert obs.shape == (7, 3 * d)
         for qubit in range(d):
@@ -213,15 +185,9 @@ def test_expectation_bounds_property():
     for _ in range(50):
         s = random_state(4, rng)
         for _ in range(10):
-            s = q.apply_gate(s, random_gate(4, rng))
-        for qubit in range(4):
-            for axis in "XYZ":
-                assert -1.0 <= q.expectation_pauli(s, qubit, axis) <= 1.0
-
-
-def test_expectation_invalid_qubit():
-    with pytest.raises(IndexError):
-        q.expectation_pauli(q.new_state(2), 2, "Z")
+            s = q.apply_gate_kernel(s, 4, random_gate(4, rng))
+        obs = q.pauli_expectations(s[None, :], 4)
+        assert np.all(obs >= -1.0) and np.all(obs <= 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -367,6 +367,21 @@ def test_tree_validation():
         stats.fit_regression_tree(np.empty((0, 2)), [])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["feature", "target"])
+def test_tree_rejects_non_finite_inputs(bad, where):
+    # one NaN feature used to build a full 25-split tree without complaint
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(40, 3))
+    y = rng.normal(size=40)
+    if where == "feature":
+        x[7, 1] = bad
+    else:
+        y[7] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        stats.fit_regression_tree(x, y)
+
+
 # ---------------------------------------------------------------------------
 # report containers
 # ---------------------------------------------------------------------------
