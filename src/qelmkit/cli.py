@@ -30,7 +30,7 @@ def _load_config(args) -> harness.ExperimentConfig:
     return config
 
 
-def _out_dir(config) -> str:
+def _out_dir(config) -> str:   # called once the config and datasets load
     os.makedirs(config.output_dir, exist_ok=True)
     return config.output_dir
 
@@ -77,8 +77,8 @@ def cmd_gen_data(args) -> int:
     if not isinstance(config.datasets, dict):
         raise ConfigurationError(
             "field 'datasets': gen-data needs a {'generate': ...} spec")
-    out = _out_dir(config)
     days = harness.generate_days(config.datasets["generate"])
+    out = _out_dir(config)
     files = []
     for day in days:
         name = f"{day.label}.csv"
@@ -91,8 +91,9 @@ def cmd_gen_data(args) -> int:
 
 def cmd_run_rq1(args) -> int:
     config = _load_config(args)
+    datasets = harness.load_datasets(config)
     out = _out_dir(config)
-    ranking, results = harness.run_rq1_sweep(config)
+    ranking, results = harness.run_rq1_sweep(config, datasets)
     harness.write_results_csv(os.path.join(out, harness.RESULTS_CSV), results)
     files, text = _rq1_report(out, ranking)
     harness.write_manifest(out, "run-rq1", config, [harness.RESULTS_CSV] + files)
@@ -102,9 +103,9 @@ def cmd_run_rq1(args) -> int:
 
 def cmd_run_rq2(args) -> int:
     config = _load_config(args)
+    datasets = harness.load_datasets(config)
     out = _out_dir(config)
-    files, text = _rq2_report(out, config, args.combination,
-                              harness.load_datasets(config), _stored_results(out))
+    files, text = _rq2_report(out, config, args.combination, datasets, _stored_results(out))
     harness.write_manifest(out, "run-rq2", config, files)
     print(text)
     return 0
@@ -112,8 +113,8 @@ def cmd_run_rq2(args) -> int:
 
 def cmd_run_rq3(args) -> int:
     config = _load_config(args)
-    out = _out_dir(config)
     datasets = harness.load_datasets(config)
+    out = _out_dir(config)
     baselines = harness.baseline_tree_mse(datasets)
     files, text = _rq3_report(out, config, args.combination, datasets,
                               _stored_results(out), baselines)
@@ -125,11 +126,11 @@ def cmd_run_rq3(args) -> int:
 
 def cmd_rank(args) -> int:
     config = _load_config(args)
-    out = _out_dir(config)
-    path = args.results or os.path.join(out, harness.RESULTS_CSV)
+    path = args.results or os.path.join(config.output_dir, harness.RESULTS_CSV)
     if not os.path.exists(path):
         raise ConfigurationError(f"option '--results': no results CSV at {path}; "
                                  "run run-rq1 first or pass --results")
+    out = _out_dir(config)
     _, text = _rq1_report(out, harness.build_ranking(harness.read_results_csv(path)))
     print(text)
     return 0
@@ -137,7 +138,7 @@ def cmd_rank(args) -> int:
 
 def cmd_report(args) -> int:
     config = _load_config(args)
-    out = _out_dir(config)
+    out = config.output_dir   # it holds results_raw.csv, so it exists
     results = _stored_results(out)
     if results is None:
         raise ConfigurationError(f"no {harness.RESULTS_CSV} in {out}; run run-rq1 first")

@@ -20,7 +20,8 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+import numbers
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -50,12 +51,15 @@ class BuildingConfig:
     floor_height: float = 3.0        # meters, for distance features
 
     def __post_init__(self):
+        for f in fields(self):   # f.type is "int" or "float"
+            value = getattr(self, f.name)
+            kind = numbers.Integral if f.type == "int" else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind) \
+                    or not 0 < value < math.inf:   # also rejects NaN
+                raise ConfigurationError(f"field '{f.name}' must be a positive finite "
+                                         f"{f.type}, got {value!r}")
         if self.num_floors < 3:
-            raise ConfigurationError("need at least 3 floors for origin tiers")
-        for name in ("num_elevators", "floor_travel_time", "door_cycle_time",
-                     "capacity", "floor_height"):
-            if getattr(self, name) <= 0:
-                raise ConfigurationError(f"{name} must be positive")
+            raise ConfigurationError("field 'num_floors' must be >= 3 for origin tiers")
 
 
 @dataclass
@@ -86,6 +90,11 @@ class TrafficSegment:
     interfloor_fraction: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not math.isfinite(value):
+                raise ValidationError(f"segment field '{name}' must be a finite number, "
+                                      f"got {value!r}")
         if self.rate_per_min < 0:
             raise ValidationError("rate_per_min must be non-negative")
         if not 0 <= self.start_s < self.end_s <= DAY_SECONDS:

@@ -88,6 +88,9 @@ class ExperimentConfig:
         elif not (isinstance(self.datasets, dict) and "generate" in self.datasets):
             raise ConfigurationError(
                 "field 'datasets' must be a list of CSV paths or a {'generate': ...} spec")
+        elif len(self.datasets) > 1:
+            raise ConfigurationError("unknown field(s) " + ", ".join(
+                f"'datasets.{k}'" for k in sorted(self.datasets) if k != "generate"))
         for name in ("repetitions", "fs10_repetitions", "encoder_depth",
                      "reservoir_depth", "master_seed"):
             value = getattr(self, name)
@@ -172,13 +175,20 @@ def generate_days(spec: dict) -> list[Dataset]:
                                  f"in [0, 1], got {jitter!r}")
     try:
         building = BuildingConfig(**spec.get("building", {}))
-    except TypeError as exc:
-        raise ConfigurationError(f"field 'datasets.generate.building': {exc}")
+    except TypeError as exc:   # an unknown key, or not an object
+        raise ConfigurationError(f"field 'datasets.generate.building': {exc}") from None
+    except ConfigurationError as exc:   # "field 'capacity' ..." names a building field
+        raise ConfigurationError(str(exc).replace(
+            "field '", "field 'datasets.generate.building.", 1)) from None
     profile_spec = spec.get("profile", "office")
     if profile_spec == "office":
         base = elevator.office_day_profile()
     elif isinstance(profile_spec, dict):
-        base = TrafficProfile.from_dict(profile_spec)
+        try:
+            base = TrafficProfile.from_dict(profile_spec)
+        except (KeyError, TypeError, ValidationError) as exc:   # KeyError: no 'segments'
+            raise ConfigurationError(f"field 'datasets.generate.profile' is invalid: "
+                                     f"{type(exc).__name__} {exc}") from None
     else:
         raise ConfigurationError("field 'datasets.generate.profile' must be "
                                  "'office' or a segments object")
@@ -570,37 +580,47 @@ def run_rq3_baseline(config: ExperimentConfig, combination: str,
 # result files
 # ---------------------------------------------------------------------------
 
+_RESULTS_HEADER = ["dataset", "feature_set", "encoder", "reservoir", "repetition", "mse"]
+_BASELINES_HEADER = ["dataset", "baseline_mse"]
+
+
 def write_results_csv(path, results: list[RunResults]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["dataset", "feature_set", "encoder", "reservoir",
-                         "repetition", "mse"])
+        writer.writerow(_RESULTS_HEADER)
         for r in results:
             for rep, value in enumerate(r.mse_values):
                 writer.writerow([r.dataset, r.feature_set, r.encoder,
                                  r.reservoir, rep, repr(float(value))])
 
 
-def read_results_csv(path) -> list[RunResults]:
-    rows: dict[tuple[str, str, str, str], list[float]] = {}
+def _read_csv(path, header: list[str]):
+    """(fields, value) per data row of a CSV whose first row must be `header`,
+    whose rows must be as wide, and whose last field must be a finite number
+    (`value`); any violation names the file and the row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["dataset", "feature_set", "encoder", "reservoir",
-                      "repetition", "mse"]:
-            raise ValidationError(f"unexpected results CSV header: {header}")
+        found = next(reader, None)
+        if found != header:
+            raise ValidationError(f"{path}: unexpected CSV header {found}, expected {header}")
         for line, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ValidationError(f"{path}: row {line} has {len(row)} fields, "
                                       f"expected {len(header)}")
             try:
-                value = float(row[5])
+                value = float(row[-1])
             except ValueError:
                 value = math.nan
             if not math.isfinite(value):
-                raise ValidationError(f"{path}: row {line} has mse {row[5]!r}; "
-                                      "MSEs must be finite numbers")
-            rows.setdefault((row[0], row[1], row[2], row[3]), []).append(value)
+                raise ValidationError(f"{path}: row {line} has {header[-1]} {row[-1]!r}; "
+                                      "it must be a finite number")
+            yield row, value
+
+
+def read_results_csv(path) -> list[RunResults]:
+    rows: dict[tuple[str, str, str, str], list[float]] = {}
+    for row, value in _read_csv(path, _RESULTS_HEADER):
+        rows.setdefault(tuple(row[:4]), []).append(value)
     return [RunResults(day, fs, enc, res, np.array(values))
             for (day, fs, enc, res), values in rows.items()]
 
@@ -608,19 +628,13 @@ def read_results_csv(path) -> list[RunResults]:
 def write_baselines_csv(path, baselines: dict[str, float]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["dataset", "baseline_mse"])
+        writer.writerow(_BASELINES_HEADER)
         for day in baselines:
             writer.writerow([day, repr(float(baselines[day]))])
 
 
 def read_baselines_csv(path) -> dict[str, float]:
-    out = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            out[row[0]] = float(row[1])
-    return out
+    return {row[0]: value for row, value in _read_csv(path, _BASELINES_HEADER)}
 
 
 def write_manifest(out_dir, command: str, config: ExperimentConfig,

@@ -13,7 +13,7 @@ one at a time.
 - Encoder: `encode_batch`. The first rotation layer acts on |0...0>, so it
   is built as a product state by M outer products; the CZ ring is one +-1
   sign vector. Re-uploading layers (depth > 1) rotate each qubit with its
-  row's angle. The batch depends only on the angles and the encoder's axis
+  row's matrix. The batch depends only on the angles and the encoder's axis
   assignment, so `run_circuit_batch` accepts a precomputed one (`encoded`)
   and only reads it: the sweep encodes each fold's angles once per distinct
   assignment and shares the batch among that assignment's cells, while the
@@ -28,11 +28,11 @@ one at a time.
   layers, the whole stack folded into one dense stage.
 - Readout: `quantum.pauli_expectations`, one GEMM for every qubit's <Z>.
 
-The compiled forms call `quantum`'s kernels: `apply_gate_kernel` for the
-Pauli of each re-uploaded rotation and for composing the CNOT rings,
-`pauli_expectations` for the readout, `haar_unitary` and `ising_unitary`
-for the reservoir matrices. The dense Kronecker oracle in the tests is
-their independent reference.
+The compiled forms call `quantum`'s kernels: `rotation_matrix` for every
+rotation and `apply_single_qubit` for re-uploaded ones, `apply_gate_kernel`
+for composing the CNOT rings, `pauli_expectations` for the readout,
+`haar_unitary` and `ising_unitary` for the reservoir matrices. The dense
+Kronecker oracle in the tests is their independent reference.
 """
 from __future__ import annotations
 
@@ -49,7 +49,6 @@ from .quantum import GateOp, IsingParams
 
 ENCODER_KINDS = ("DHE", "RHE")
 RESERVOIR_KINDS = ("CNOT", "HAAR", "ISING", "ROTATION")
-AXES = ("X", "Y", "Z")
 
 
 def _require_count(name: str, value, minimum: int) -> None:
@@ -138,7 +137,8 @@ class EncoderSpec:
                     raise ConfigurationError("RHE encoder requires a seed")
                 rng = np.random.default_rng(self.seed)
                 axes = tuple(
-                    tuple(AXES[i] for i in rng.integers(0, 3, size=self.num_features))
+                    tuple(quantum.PAULI_KINDS[i]
+                          for i in rng.integers(0, 3, size=self.num_features))
                     for _ in range(self.depth)
                 )
             self.axis_assignment = axes
@@ -149,7 +149,7 @@ class EncoderSpec:
         for layer in self.axis_assignment:
             if len(layer) != self.num_features:
                 raise ConfigurationError("axis assignment must cover every qubit")
-            if any(a not in AXES for a in layer):
+            if any(a not in quantum.PAULI_KINDS for a in layer):
                 raise ConfigurationError("axes must be X, Y or Z")
         if self.kind == "DHE" and any(a != "X" for layer in self.axis_assignment
                                       for a in layer):
@@ -204,7 +204,7 @@ class ReservoirSpec:
             if len(layer) != self.num_qubits:
                 raise ConfigurationError("each rotation layer must cover every qubit")
             for axis, angle in layer:
-                if axis not in AXES:
+                if axis not in quantum.PAULI_KINDS:
                     raise ConfigurationError(
                         f"field 'rotation_layers' has axis {axis!r}; axes must be X, Y or Z")
                 if isinstance(angle, bool) or not isinstance(angle, numbers.Real):
@@ -259,7 +259,7 @@ def _sample_rotation_layers(num_qubits: int, depth: int,
     rng = np.random.default_rng(seed)
     layers = []
     for _ in range(depth):
-        axes = [AXES[i] for i in rng.integers(0, 3, size=num_qubits)]
+        axes = [quantum.PAULI_KINDS[i] for i in rng.integers(0, 3, size=num_qubits)]
         angles = rng.uniform(0.0, 2.0 * np.pi, size=num_qubits)
         layers.append(tuple((a, float(t)) for a, t in zip(axes, angles)))
     return tuple(layers)
@@ -286,21 +286,12 @@ def _rotation_factors(layers: tuple[tuple[tuple[str, float], ...], ...],
     when no qubit is left), the first qubit of each factor on its least
     significant index bit.
 
-    One cos/sin over the (L, M) angles gives the entries of R_X, R_Y and R_Z
-    for every slot, each slot's axis code selects its 2x2 matrix, and each
-    factor grows one qubit at a time as u (x) mat by a broadcast outer
+    One `quantum.rotation_matrix` call gives every slot's 2x2 matrix, and
+    each factor grows one qubit at a time as u (x) mat by a broadcast outer
     product over all L layers at once."""
-    codes = np.array([[AXES.index(axis) for axis, _ in layer] for layer in layers])
-    half = np.array([[angle for _, angle in layer] for layer in layers]) / 2.0
-    c, s = np.cos(half), np.sin(half)
-    zero = np.zeros_like(c)
-    table = np.array([[[c, -1j * s], [-1j * s, c]],                  # R_X
-                      [[c, -s], [s, c]],                             # R_Y
-                      [[c - 1j * s, zero], [zero, c + 1j * s]]],     # R_Z
-                     dtype=complex)                                  # (axis, 2, 2, L, M)
-    num_layers, num_qubits = codes.shape
-    rot = np.moveaxis(table, (1, 2), (3, 4))[
-        codes, np.arange(num_layers)[:, None], np.arange(num_qubits)]   # (L, M, 2, 2)
+    rot = quantum.rotation_matrix([[axis for axis, _ in layer] for layer in layers],
+                                  [[angle for _, angle in layer] for layer in layers])
+    num_layers = len(rot)   # rot is (L, M, 2, 2)
 
     def kron(qubits: np.ndarray) -> np.ndarray | None:
         if qubits.shape[1] == 0:
@@ -390,34 +381,28 @@ def _angle_batch(encoder: EncoderSpec, angles) -> np.ndarray:
 def encode_batch(encoder: EncoderSpec, angles: np.ndarray) -> np.ndarray:
     """Encoded (P, 2^M) batch for a batch of angle vectors (P, M).
 
-    With R_axis(t) = cos(t/2) I - i sin(t/2) P_axis: the first layer is a
-    product state of the qubits' R_axis(t)|0>, the CZ ring one +-1 sign
-    vector, and re-uploaded rotations take P_axis a from the Pauli gate
-    kernel. The batch depends only on the angles and the encoder's axis
-    assignment, so cells that share both may share one batch (see
-    `run_circuit_batch`)."""
+    One `quantum.rotation_matrix` call per layer gives every row's and
+    qubit's rotation. The first layer acts on |0...0>, so it is built in
+    place as the product of each qubit's R|0> (column 0); re-uploaded layers
+    go through `quantum.apply_single_qubit` with one matrix per row. The CZ
+    ring on the pairs (k, k + 1 mod M) is one +-1 sign vector. The batch
+    depends only on the angles and the axis assignment (see `harness`)."""
     angles = _angle_batch(encoder, angles)
     m = encoder.num_features
     bits = quantum.basis_bits(m)
-    parity = sum(bits[:, g.control] & bits[:, g.target] for g in cyclic_ring(m, "CZ"))
-    ring_signs = 1.0 - 2.0 * (parity & 1)
-    c, s = np.cos(angles / 2.0), np.sin(angles / 2.0)
-    pauli_on_zero = np.array([quantum.PAULI[a][:, 0] for a in encoder.axis_assignment[0]])
-    zero = c - 1j * s * pauli_on_zero[:, 0]
-    one = -1j * s * pauli_on_zero[:, 1]
+    ring_signs = 1.0 - 2.0 * ((bits & np.roll(bits, -1, axis=1)).sum(axis=1) & 1)
+    layers = [quantum.rotation_matrix(axes, angles) for axes in encoder.axis_assignment]
+    on_zero = layers[0][..., 0]   # (P, M, 2): each qubit's R|0>
     amps = np.empty((len(angles), 1 << m), dtype=complex)
-    amps[:, 0], amps[:, 1] = zero[:, 0], one[:, 0]
+    amps[:, 0], amps[:, 1] = on_zero[:, 0, 0], on_zero[:, 0, 1]
     for q in range(1, m):
         half = 1 << q
-        np.multiply(one[:, q, None], amps[:, :half], out=amps[:, half:2 * half])
-        amps[:, :half] *= zero[:, q, None]
+        np.multiply(on_zero[:, q, 1, None], amps[:, :half], out=amps[:, half:2 * half])
+        amps[:, :half] *= on_zero[:, q, 0, None]
     amps *= ring_signs
-    for layer_axes in encoder.axis_assignment[1:]:
-        for k, axis in enumerate(layer_axes):
-            flipped = quantum.apply_gate_kernel(amps, m, GateOp(axis, target=k))
-            flipped *= -1j * s[:, k, None]
-            amps *= c[:, k, None]
-            amps += flipped
+    for rot in layers[1:]:
+        for k in range(m):
+            amps = quantum.apply_single_qubit(amps, m, k, rot[:, k])
         amps *= ring_signs
     return amps
 

@@ -4,24 +4,21 @@ Conventions used throughout:
 
 - Qubit 0 is the least-significant bit of the amplitude index, so the basis
   state |q_{D-1} ... q_1 q_0> lives at index sum_b q_b * 2^b.
-- Rotation gates use the half-angle convention,
-  RX(t) = [[cos(t/2), -i sin(t/2)], [-i sin(t/2), cos(t/2)]],
-  RY(t) = [[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]],
-  RZ(t) = diag(exp(-i t/2), exp(+i t/2)).
+- Rotations use the half-angle convention R_axis(t) = cos(t/2) I -
+  i sin(t/2) P_axis; `rotation_matrix` builds every one in the package.
 - Global phase is never normalized away; compare expectations or moduli.
 
 States are plain complex amplitude arrays. All gate kernels operate on the
 last axis, so a batch of states with shape (batch, 2^D) goes through the
 same code path as a single state. The compiled circuits of `qelm` call
-`apply_gate_kernel`, `pauli_expectations`, `haar_unitary`, `ising_unitary`
-and `basis_bits`; the dense Kronecker oracle in the tests is their
-independent reference.
+`rotation_matrix`, `apply_single_qubit`, `apply_gate_kernel`,
+`pauli_expectations`, `haar_unitary`, `ising_unitary` and `basis_bits`;
+the dense Kronecker oracle in the tests is their independent reference.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import cos, sin
 
 import numpy as np
 
@@ -41,16 +38,18 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
-def rotation_matrix(axis: str, angle: float) -> np.ndarray:
-    """2x2 unitary for a rotation of `angle` radians around a Pauli axis."""
-    c, s = cos(angle / 2.0), sin(angle / 2.0)
-    if axis == "X":
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    if axis == "Y":
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if axis == "Z":
-        return np.array([[c - 1j * s, 0], [0, c + 1j * s]], dtype=complex)
-    raise ConfigurationError(f"unknown rotation axis {axis!r}")
+def rotation_matrix(axis, angle) -> np.ndarray:
+    """cos(t/2) I - i sin(t/2) P_axis for t = `angle` radians; `axis` ("X",
+    "Y" or "Z") and `angle` may be arrays, broadcast into a (..., 2, 2) stack."""
+    names = np.ravel(axis).tolist()
+    unknown = [name for name in names if name not in PAULI]
+    if unknown:
+        raise ConfigurationError(f"unknown rotation axis {unknown[0]!r}")
+    paulis = np.array([PAULI[name] for name in names]).reshape(*np.shape(axis), 2, 2)
+    half = np.asarray(angle, dtype=float) / 2.0
+    rot = -1j * np.sin(half)[..., None, None] * paulis
+    rot[..., (0, 1), (0, 1)] += np.cos(half)[..., None]
+    return rot
 
 
 @dataclass(frozen=True)
@@ -120,28 +119,13 @@ class IsingParams:
 
 def apply_single_qubit(amps: np.ndarray, num_qubits: int, qubit: int,
                        u: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 matrix to one qubit of a (..., 2^D) amplitude array."""
+    """Apply a 2x2 matrix to one qubit of a (..., 2^D) amplitude array: one
+    (2, 2) matrix for every state, or a (..., 2, 2) stack of one per state."""
     dim = 1 << num_qubits
     lead = amps.shape[:-1]
-    arr = amps.reshape(-1, dim >> (qubit + 1), 2, 1 << qubit)
-    out = np.einsum("ab,ihbl->ihal", u, arr)
+    arr = amps.reshape(*lead, dim >> (qubit + 1), 2, 1 << qubit)
+    out = np.einsum("...ab,...hbl->...hal", u, arr)
     return out.reshape(*lead, dim)
-
-
-def apply_cz(amps: np.ndarray, num_qubits: int, q_a: int, q_b: int) -> np.ndarray:
-    """Sign flip on amplitudes where both qubits are 1 (symmetric in q_a, q_b)."""
-    idx = np.arange(1 << num_qubits)
-    mask = ((idx >> q_a) & (idx >> q_b) & 1).astype(bool)
-    out = amps.copy()
-    out[..., mask] *= -1.0
-    return out
-
-
-def apply_cnot(amps: np.ndarray, num_qubits: int, control: int, target: int) -> np.ndarray:
-    """Swap target-bit amplitude pairs wherever the control bit is 1."""
-    idx = np.arange(1 << num_qubits)
-    src = np.where((idx >> control) & 1 == 1, idx ^ (1 << target), idx)
-    return amps[..., src]
 
 
 def apply_gate_kernel(amps: np.ndarray, num_qubits: int, gate: GateOp) -> np.ndarray:
@@ -154,9 +138,11 @@ def apply_gate_kernel(amps: np.ndarray, num_qubits: int, gate: GateOp) -> np.nda
                                   rotation_matrix(gate.kind[1], gate.angle))
     if gate.kind in PAULI_KINDS:
         return apply_single_qubit(amps, num_qubits, gate.target, PAULI[gate.kind])
-    if gate.kind == "CZ":
-        return apply_cz(amps, num_qubits, gate.control, gate.target)
-    return apply_cnot(amps, num_qubits, gate.control, gate.target)
+    idx = np.arange(1 << num_qubits)
+    if gate.kind == "CZ":   # sign flip where both qubits are 1
+        return np.where((idx >> gate.control) & (idx >> gate.target) & 1, -amps, amps)
+    # CNOT: swap the target-bit amplitude pairs wherever the control bit is 1
+    return amps[..., np.where((idx >> gate.control) & 1, idx ^ (1 << gate.target), idx)]
 
 
 # ---------------------------------------------------------------------------

@@ -329,17 +329,21 @@ def fit_regression_tree(features, targets, max_splits: int = 25) -> TreeNode:
 
 
 def predict_tree(model: TreeNode, x) -> float:
-    """Follow splits (x[f] <= threshold goes left) to a leaf mean."""
-    row = np.asarray(x, dtype=float)
-    node = model
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node.value
+    """`predict_tree_batch` for one feature vector."""
+    return float(predict_tree_batch(model, [x])[0])
 
 
 def predict_tree_batch(model: TreeNode, features) -> np.ndarray:
+    """Follow each row's splits (x[f] <= threshold goes left) to a leaf mean."""
     x = np.asarray(features, dtype=float)
-    return np.array([predict_tree(model, row) for row in x])
+    _require_finite(x)   # a NaN compares false, so it would go right at every split
+    values = []
+    for row in x:
+        node = model
+        while not node.is_leaf:
+            node = node.left if row[node.feature] <= node.threshold else node.right
+        values.append(node.value)
+    return np.array(values)
 
 
 def count_splits(model: TreeNode) -> int:

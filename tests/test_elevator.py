@@ -26,6 +26,17 @@ def test_building_config_validation():
         el.BuildingConfig(floor_travel_time=-1.0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("num_floors", 4.5), ("num_elevators", 2.5), ("num_elevators", True),
+    ("capacity", float("nan")), ("capacity", "10"), ("capacity", 0),
+    ("floor_travel_time", float("nan")), ("door_cycle_time", float("inf")),
+    ("floor_height", 0.0), ("floor_height", True)])
+def test_building_config_rejects_bad_field(field, value):
+    # a NaN capacity used to pass the "<= 0" check and hang the simulation
+    with pytest.raises(ConfigurationError, match=f"'{field}'"):
+        el.BuildingConfig(**{field: value})
+
+
 def test_passenger_validation():
     with pytest.raises(ValidationError):
         el.Passenger(10.0, 3, 3, 70.0)
@@ -40,6 +51,16 @@ def test_segment_validation():
         el.TrafficSegment(0, 100, 1.0, 0.5, 0.5, 0.5)
     with pytest.raises(ValidationError):
         el.TrafficSegment(100, 100, 1.0, 0.3, 0.3, 0.4)
+
+
+@pytest.mark.parametrize("index", range(6))
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "1.0", True])
+def test_segment_rejects_non_numeric_fields(index, value):
+    # a NaN rate_per_min used to pass and fail later inside rng.poisson
+    row = [0, 100, 1.0, 0.3, 0.3, 0.4]
+    row[index] = value
+    with pytest.raises(ValidationError, match="finite number"):
+        el.TrafficSegment(*row)
 
 
 # ---------------------------------------------------------------------------

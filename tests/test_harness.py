@@ -165,6 +165,34 @@ def test_generate_days_rejects_bad_rate_jitter(value):
         harness.generate_days({"num_days": 1, "seed": 0, "rate_jitter": value})
 
 
+@pytest.mark.parametrize("building,field", [
+    ({"capacity": float("nan")}, "capacity"),
+    ({"num_elevators": 2.5}, "num_elevators"),
+    ({"num_floors": 4.5}, "num_floors"),
+    ({"floor_height": float("inf")}, "floor_height")])
+def test_generate_days_rejects_bad_building(building, field):
+    # NaN capacity used to hang the simulation; fractional counts raised a raw TypeError
+    with pytest.raises(ConfigurationError, match=f"datasets.generate.building.{field}"):
+        harness.generate_days({"num_days": 1, "seed": 0, "building": building})
+
+
+@pytest.mark.parametrize("profile", [
+    {"segmnts": []},
+    {"segments": [{"start_s": 0, "end_s": 100, "rate_per_min": float("nan"),
+                   "up_fraction": 0.3, "down_fraction": 0.3, "interfloor_fraction": 0.4}]},
+    {"segments": [{"start_s": 0, "end_s": 100}]},
+    {"segments": 3}])
+def test_generate_days_rejects_bad_profile(profile):
+    with pytest.raises(ConfigurationError, match="datasets.generate.profile"):
+        harness.generate_days({"num_days": 1, "seed": 0, "profile": profile})
+
+
+def test_config_rejects_unknown_datasets_key():
+    # keys beside "generate" used to be dropped silently
+    with pytest.raises(ConfigurationError, match="datasets.genrate_extra"):
+        toy_config(datasets={"generate": TOY_GEN["generate"], "genrate_extra": 5})
+
+
 # ---------------------------------------------------------------------------
 # leave-one-day-out cross-validation
 # ---------------------------------------------------------------------------
@@ -499,6 +527,23 @@ def test_baselines_csv_roundtrip(tmp_path):
     assert loaded == {"Day1": 1.23456789012345, "Day2": 7.0}
 
 
+@pytest.mark.parametrize("text,fragment", [
+    ("wrong,header\nDay1,1.0\n", "header"),
+    ("dataset,baseline_mse\nDay1,1.0\nDay2,nan\n", "row 3"),
+    ("dataset,baseline_mse\nDay1,inf\n", "row 2"),
+    ("dataset,baseline_mse\nDay1,oops\n", "row 2"),
+    ("dataset,baseline_mse\nDay1,1.0,7\n", "row 2"),
+    ("dataset,baseline_mse\nDay1\n", "row 2"),
+    ("", "header")])
+def test_read_baselines_csv_rejects_bad_input(tmp_path, text, fragment):
+    # "wrong,header / Day1,nan,7 / Day2,inf" used to read as {Day1: nan, Day2: inf}
+    path = tmp_path / "baselines.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=fragment) as exc:
+        harness.read_baselines_csv(path)
+    assert "baselines.csv" in str(exc.value)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -611,6 +656,17 @@ def test_cli_exit_code_2_on_bad_generate_spec(tmp_path, capsys, command):
     path = write_cli_config(tmp_path, datasets={"generate": {"num_days": 2, "sede": 3}})
     assert cli.main([command, "--config", str(path)]) == 2
     assert "datasets.generate.sede" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()   # no empty output directory is left
+
+
+def test_cli_exit_code_2_on_nan_building_capacity(tmp_path, capsys):
+    # json accepts NaN; the capacity passed "<= 0" and gen-data never returned
+    spec = {"num_days": 1, "seed": 0, "building": {"capacity": float("nan")}}
+    path = write_cli_config(tmp_path, datasets={"generate": spec})
+    assert "NaN" in path.read_text()
+    assert cli.main(["gen-data", "--config", str(path)]) == 2
+    assert "datasets.generate.building.capacity" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_rank_without_results_names_results_option(tmp_path, capsys):

@@ -2,6 +2,7 @@
 execution, least-squares readout against a normal-equation oracle, and
 pipeline serialization."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -332,12 +333,21 @@ def test_rotation_spec_rejects_non_finite_angle():
                       rotation_layers=((("X", float("nan")), ("Y", 0.2)),))
 
 
+def rotation_oracle(axis: str, angle: float) -> np.ndarray:
+    """R_axis(t) = cos(t/2) I - i sin(t/2) P_axis written out entry by entry
+    from math.cos and math.sin, independent of quantum.rotation_matrix."""
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    return {"X": np.array([[c, -1j * s], [-1j * s, c]]),
+            "Y": np.array([[c, -s], [s, c]], dtype=complex),
+            "Z": np.array([[c - 1j * s, 0], [0, c + 1j * s]])}[axis]
+
+
 def kron_rotations(layer) -> np.ndarray:
-    """np.kron of quantum.rotation_matrix, the first entry on the least
+    """np.kron of the layer's rotations, the first entry on the least
     significant qubit."""
     mat = np.ones((1, 1), dtype=complex)
     for axis, angle in layer:
-        mat = np.kron(quantum.rotation_matrix(axis, angle), mat)
+        mat = np.kron(rotation_oracle(axis, angle), mat)
     return mat
 
 

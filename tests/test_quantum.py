@@ -130,6 +130,44 @@ def test_kernel_matches_kronecker_oracle():
             assert np.max(np.abs(fast - slow)) < 1e-12, gate
 
 
+def test_rotation_matrix_stack_matches_expm():
+    """rotation_matrix broadcasts: one axis or an (L, M) grid of axes over an
+    (L, M) grid of angles, and a per-qubit axis row over (P, M) angles, each
+    slot equal to expm(-i t P / 2)."""
+    rng = np.random.default_rng(12)
+    angles = rng.uniform(0, 2 * np.pi, size=(4, 5))
+    mixed = rng.choice(list("XYZ"), size=(4, 5))
+    for axes in ("X", "Y", "Z", mixed):
+        stack = q.rotation_matrix(axes, angles)
+        assert stack.shape == (4, 5, 2, 2)
+        for (l, k), t in np.ndenumerate(angles):
+            axis = np.broadcast_to(axes, angles.shape)[l, k]
+            np.testing.assert_allclose(stack[l, k], scipy.linalg.expm(-0.5j * t * PAULI[axis]),
+                                       rtol=0, atol=1e-14)
+    row, batch = mixed[0], rng.uniform(0, np.pi, size=(3, 5))
+    per_row = q.rotation_matrix(row, batch)
+    assert per_row.shape == (3, 5, 2, 2)
+    for (p, k), t in np.ndenumerate(batch):
+        np.testing.assert_allclose(per_row[p, k], scipy.linalg.expm(-0.5j * t * PAULI[row[k]]),
+                                   rtol=0, atol=1e-14)
+
+
+def test_rotation_matrix_rejects_unknown_axis_in_array():
+    with pytest.raises(ConfigurationError, match="'W'"):
+        q.rotation_matrix([["X", "Y"], ["W", "Z"]], np.zeros((2, 2)))
+    with pytest.raises(ConfigurationError, match="'RX'"):
+        q.rotation_matrix("RX", 0.5)
+
+
+def test_apply_single_qubit_takes_one_matrix_per_state():
+    rng = np.random.default_rng(13)
+    states = np.array([random_state(3, rng) for _ in range(4)])
+    mats = q.rotation_matrix(["X", "Y", "Z", "Y"], rng.uniform(0, np.pi, size=4))
+    out = q.apply_single_qubit(states, 3, 1, mats)
+    for state, mat, got in zip(states, mats, out):
+        np.testing.assert_allclose(got, embed(mat, 1, 3) @ state, rtol=0, atol=1e-15)
+
+
 def test_norm_preserved_over_random_circuits():
     rng = np.random.default_rng(11)
     for num_qubits in (2, 4, 6):

@@ -362,6 +362,18 @@ def test_tree_deterministic():
                                   stats.predict_tree_batch(b, probe))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_tree_prediction_rejects_non_finite_rows(bad):
+    # a NaN compares false at every split, so it used to go right silently
+    rng = np.random.default_rng(14)
+    x = rng.uniform(0, 10, size=(40, 3))
+    tree = stats.fit_regression_tree(x, 3.0 * x[:, 0] + rng.normal(size=40))
+    with pytest.raises(ValidationError, match="finite"):
+        stats.predict_tree(tree, [bad, 0.0, 0.0])
+    with pytest.raises(ValidationError, match="finite"):
+        stats.predict_tree_batch(tree, [[1.0, 2.0, 3.0], [0.0, bad, 0.0]])
+
+
 def test_tree_validation():
     with pytest.raises(ValidationError):
         stats.fit_regression_tree(np.empty((0, 2)), [])
