@@ -107,10 +107,24 @@ class TrafficSegment:
 
 @dataclass
 class TrafficProfile:
+    """Arrival segments of one day; they may come in any order but must not
+    overlap, since an overlap would silently get the sum of both rates."""
+
     segments: list[TrafficSegment]
+
+    def __post_init__(self):
+        spans = sorted((seg.start_s, seg.end_s) for seg in self.segments)
+        for (start, end), (next_start, next_end) in zip(spans, spans[1:]):
+            if next_start < end:
+                raise ValidationError(f"segments [{start}, {end}) and "
+                                      f"[{next_start}, {next_end}) overlap")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrafficProfile":
+        unknown = sorted(set(doc) - {"segments"})
+        if unknown:
+            raise ValidationError(f"unknown profile key(s) {unknown}; "
+                                  "a profile holds only 'segments'")
         return cls([TrafficSegment(**seg) for seg in doc["segments"]])
 
 

@@ -12,8 +12,9 @@ States are plain complex amplitude arrays. All gate kernels operate on the
 last axis, so a batch of states with shape (batch, 2^D) goes through the
 same code path as a single state. The compiled circuits of `qelm` call
 `rotation_matrix`, `apply_single_qubit`, `apply_gate_kernel`,
-`pauli_expectations`, `haar_unitary`, `ising_unitary` and `basis_bits`;
-the dense Kronecker oracle in the tests is their independent reference.
+`pauli_expectations`, `haar_unitary`, `ising_parity_blocks` (wide
+registers) or `ising_unitary` (narrow ones) and `basis_bits`; the dense
+Kronecker oracle in the tests is their independent reference.
 """
 from __future__ import annotations
 
@@ -47,8 +48,14 @@ def rotation_matrix(axis, angle) -> np.ndarray:
         raise ConfigurationError(f"unknown rotation axis {unknown[0]!r}")
     paulis = np.array([PAULI[name] for name in names]).reshape(*np.shape(axis), 2, 2)
     half = np.asarray(angle, dtype=float) / 2.0
-    rot = -1j * np.sin(half)[..., None, None] * paulis
-    rot[..., (0, 1), (0, 1)] += np.cos(half)[..., None]
+    minus_i_sin = -1j * np.sin(half)
+    rot = np.empty(np.broadcast_shapes(half.shape, np.shape(axis)) + (2, 2), dtype=complex)
+    for r in (0, 1):
+        for c in (0, 1):
+            np.multiply(minus_i_sin, paulis[..., r, c], out=rot[..., r, c])
+    cos = np.cos(half)
+    rot[..., 0, 0] += cos
+    rot[..., 1, 1] += cos
     return rot
 
 
@@ -185,11 +192,14 @@ def haar_unitary(dim: int, seed: int) -> np.ndarray:
     if dim > (1 << MAX_DENSE_QUBITS):
         raise ConfigurationError(f"dim {dim} exceeds dense cap 2^{MAX_DENSE_QUBITS}")
     rng = np.random.default_rng(seed)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
+    z = np.empty((dim, dim), dtype=complex)   # filled in place: no complex temporaries
+    z.real = rng.standard_normal((dim, dim))
+    z.imag = rng.standard_normal((dim, dim))
+    z /= np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)
-    phases = diag / np.abs(diag)
-    return q * phases[None, :]
+    q *= diag / np.abs(diag)
+    return q
 
 
 @lru_cache(maxsize=None)
@@ -232,9 +242,9 @@ def _real_symmetric_exponential(h: np.ndarray, time_step: float) -> np.ndarray:
     return entries
 
 
-def ising_unitary(params: IsingParams) -> np.ndarray:
-    """exp(-i H dt), exact (no Trotter error), from H's two spin-flip parity
-    blocks.
+def ising_parity_blocks(params: IsingParams) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-i H dt) on H's two spin-flip parity blocks: U+ and U-, each
+    2^(D-1) x 2^(D-1), exact (no Trotter error).
 
     H commutes with the global flip X^D, which maps |i> to |~i> with
     ~i = 2^D - 1 - i, i.e. reverses the basis: H[::-1, ::-1] == H. With
@@ -242,24 +252,29 @@ def ising_unitary(params: IsingParams) -> np.ndarray:
     makes H = [[A, B], [R B R, R A R]]. The states (|i> +- |~i>)/sqrt(2) for
     i < n split the space into the flip's +1 and -1 eigenspaces, on which H
     acts as the real symmetric n x n blocks A + B R and A - B R. Each block
-    is exponentiated through its own real `eigh`, giving U+ and U-, and
-    mapping back with a = (U+ + U-)/2 and b = (U+ - U-)/2 gives
-    U = [[a, b R], [R b, R a R]]: two half-size eigendecompositions and
-    GEMMs in place of one of the full size.
+    is exponentiated through its own real `eigh`: two half-size
+    eigendecompositions and GEMMs in place of one of the full size.
     """
     if not 1 <= params.num_qubits <= MAX_DENSE_QUBITS:
         raise ConfigurationError(
             f"dense exponential needs 1 to {MAX_DENSE_QUBITS} qubits"
         )
     h = ising_hamiltonian(params)
-    if not np.allclose(h, h.T, atol=1e-12):
+    if not np.array_equal(h, h.T):   # symmetric by construction, so exactly
         raise ValidationError("Hamiltonian is not symmetric")
     n = h.shape[0] // 2
     a_block, b_reversed = h[:n, :n], h[:n, ::-1][:, :n]
-    plus = _real_symmetric_exponential(a_block + b_reversed, params.time_step)
-    minus = _real_symmetric_exponential(a_block - b_reversed, params.time_step)
+    return (_real_symmetric_exponential(a_block + b_reversed, params.time_step),
+            _real_symmetric_exponential(a_block - b_reversed, params.time_step))
+
+
+def ising_unitary(params: IsingParams) -> np.ndarray:
+    """Dense exp(-i H dt) assembled from `ising_parity_blocks`: with
+    a = (U+ + U-)/2 and b = (U+ - U-)/2, U = [[a, b R], [R b, R a R]]."""
+    plus, minus = ising_parity_blocks(params)
+    n = len(plus)
     a, b = (plus + minus) / 2.0, (plus - minus) / 2.0
-    entries = np.empty(h.shape, dtype=complex)
+    entries = np.empty((2 * n, 2 * n), dtype=complex)
     entries[:n, :n], entries[:n, n:] = a, b[:, ::-1]
     entries[n:, :n], entries[n:, n:] = b[::-1], a[::-1, ::-1]
     return entries

@@ -306,6 +306,17 @@ def test_profile_json_roundtrip():
         el.TrafficProfile.from_dict(doc)
 
 
+def test_profile_rejects_overlaps_and_unknown_keys():
+    # an overlap used to get the sum of both rates, an extra key was dropped
+    first = el.TrafficSegment(0, 100, 1.0, 0.3, 0.3, 0.4)
+    with pytest.raises(ValidationError, match="overlap"):
+        el.TrafficProfile([el.TrafficSegment(50, 200, 2.0, 0.3, 0.3, 0.4), first])
+    touching = el.TrafficProfile([el.TrafficSegment(100, 200, 2.0, 0.3, 0.3, 0.4), first])
+    assert len(touching.segments) == 2   # [0, 100) and [100, 200) only touch
+    with pytest.raises(ValidationError, match="segmnts_extra"):
+        el.TrafficProfile.from_dict({"segments": [vars(first)], "segmnts_extra": 1})
+
+
 def test_vary_profile_scales_rates_only():
     base = el.office_day_profile()
     varied = el.vary_profile(base, seed=9, jitter=0.2)

@@ -181,7 +181,12 @@ def test_generate_days_rejects_bad_building(building, field):
     {"segments": [{"start_s": 0, "end_s": 100, "rate_per_min": float("nan"),
                    "up_fraction": 0.3, "down_fraction": 0.3, "interfloor_fraction": 0.4}]},
     {"segments": [{"start_s": 0, "end_s": 100}]},
-    {"segments": 3}])
+    {"segments": 3},
+    {"segments": [], "segmnts_extra": 1},   # used to be dropped silently
+    {"segments": [{"start_s": 0, "end_s": 100, "rate_per_min": 1.0, "up_fraction": 0.3,
+                   "down_fraction": 0.3, "interfloor_fraction": 0.4},
+                  {"start_s": 50, "end_s": 200, "rate_per_min": 2.0, "up_fraction": 0.3,
+                   "down_fraction": 0.3, "interfloor_fraction": 0.4}]}])   # overlap
 def test_generate_days_rejects_bad_profile(profile):
     with pytest.raises(ConfigurationError, match="datasets.generate.profile"):
         harness.generate_days({"num_days": 1, "seed": 0, "profile": profile})

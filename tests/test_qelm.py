@@ -273,10 +273,22 @@ def test_haar_reservoir_unitary():
     np.testing.assert_allclose(u, reservoir_oracle(res, 4), atol=1e-12)
 
 
-@pytest.mark.parametrize("m", [2, 3, 5])
+@pytest.mark.parametrize("m", [2, 3, 5, 7, 8])
 def test_ising_reservoir_stage_matches_expm(m):
     res = qelm.build_reservoir(ReservoirSpec("ISING", m, seed=m))
     np.testing.assert_allclose(stages_matrix(res), reservoir_oracle(res, m), atol=1e-10)
+
+
+def test_ising_reservoir_width_rule():
+    # one dense stage below ISING_PARITY_QUBITS, the two parity blocks from there
+    narrow = qelm.build_reservoir(ReservoirSpec("ISING", 6, seed=1))
+    assert len(narrow.stages) == 1 and narrow.stages[0].parity is None
+    assert narrow.stages[0].low.shape == (64, 64)
+    assert narrow.stages[0].high is None and narrow.stages[0].perm is None
+    wide = qelm.build_reservoir(ReservoirSpec("ISING", 7, seed=1))
+    assert len(wide.stages) == 1 and wide.stages[0].low is None
+    assert wide.stages[0].high is None and wide.stages[0].perm is None
+    assert [u.shape for u in wide.stages[0].parity] == [(64, 64), (64, 64)]
 
 
 def test_identity_ising_reservoir_equals_encoder_only():
@@ -457,10 +469,14 @@ def test_run_circuit_batch_matches_single_state_path():
     np.testing.assert_allclose(fast, slow, atol=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["CNOT", "HAAR", "ISING", "ROTATION"])
-@pytest.mark.parametrize("encoder_kind", ["DHE", "RHE"])
-@pytest.mark.parametrize("m", [2, 3, 5])
-@pytest.mark.parametrize("encoder_depth", [1, 2])
+ORACLE_CASES = ([(depth, m, enc, kind) for depth in (1, 2) for m in (2, 3, 5)
+                 for enc in ("DHE", "RHE") for kind in qelm.RESERVOIR_KINDS]
+                # 7 qubits: ISING runs as its two parity blocks
+                + [(depth, 7, enc, "ISING") for depth in (1, 2) for enc in ("DHE", "RHE")])
+
+
+@pytest.mark.parametrize("encoder_depth,m,encoder_kind,kind", ORACLE_CASES,
+                         ids=["-".join(map(str, case)) for case in ORACLE_CASES])
 def test_compiled_circuit_matches_gate_by_gate_oracle(kind, encoder_kind, m,
                                                       encoder_depth):
     seed = 10 * m + encoder_depth
@@ -490,16 +506,18 @@ def test_staged_rotation_matches_gate_by_gate_oracle(m, depth, encoder_kind, enc
     np.testing.assert_allclose(compiled, oracle, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["CNOT", "HAAR", "ISING", "ROTATION"])
-def test_run_circuit_batch_reads_a_shared_encoded_batch(kind):
+@pytest.mark.parametrize("kind,m", [("CNOT", 4), ("HAAR", 4), ("ISING", 4), ("ROTATION", 4),
+                                    ("ISING", 7)],   # the parity-block stage
+                         ids=["CNOT", "HAAR", "ISING", "ROTATION", "ISING-7"])
+def test_run_circuit_batch_reads_a_shared_encoded_batch(kind, m):
     rng = np.random.default_rng(31)
-    enc = EncoderSpec("RHE", 4, seed=3)
-    angles = rng.uniform(0, np.pi, size=(5, 4))
+    enc = EncoderSpec("RHE", m, seed=3)
+    angles = rng.uniform(0, np.pi, size=(5, m))
     encoded = qelm.encode_batch(enc, angles)
     before = encoded.copy()
     encoded.flags.writeable = False   # any write into the shared batch raises
-    for res in (qelm.build_reservoir(ReservoirSpec(kind, 4, depth=2, seed=7)),
-                qelm.Reservoir("CNOT", 4, depth=0)):   # no stages at all
+    for res in (qelm.build_reservoir(ReservoirSpec(kind, m, depth=2, seed=7)),
+                qelm.Reservoir("CNOT", m, depth=0)):   # no stages at all
         shared = qelm.run_circuit_batch(enc, res, angles, encoded=encoded)
         assert shared.tobytes() == qelm.run_circuit_batch(enc, res, angles).tobytes()
     np.testing.assert_array_equal(encoded, before)
@@ -676,15 +694,17 @@ def test_qelm_train_shape_guard():
                         ReservoirSpec("CNOT", 4))
 
 
-@pytest.mark.parametrize("kind", ["CNOT", "HAAR", "ISING", "ROTATION"])
-def test_pipeline_roundtrip_bit_identical(tmp_path, kind):
-    features, targets = make_training_data(seed=kind_seed(kind))
-    pipe = qelm.qelm_train((features, targets), EncoderSpec("RHE", 3, seed=4),
-                           ReservoirSpec(kind, 3, seed=5))
+@pytest.mark.parametrize("kind,m", [("CNOT", 3), ("HAAR", 3), ("ISING", 3), ("ROTATION", 3),
+                                    ("ISING", 7)],   # the parity-block stage
+                         ids=["CNOT", "HAAR", "ISING", "ROTATION", "ISING-7"])
+def test_pipeline_roundtrip_bit_identical(tmp_path, kind, m):
+    features, targets = make_training_data(m=m, seed=kind_seed(kind))
+    pipe = qelm.qelm_train((features, targets), EncoderSpec("RHE", m, seed=4),
+                           ReservoirSpec(kind, m, seed=5))
     path = tmp_path / f"pipeline_{kind}.json"
     pipe.save(path)
     loaded = qelm.Pipeline.load(path)
-    probe = np.array([[0.0, 5.0, 20.0], [3.3, 1.1, 7.7], [19.0, 0.2, 14.0]])
+    probe = np.resize([0.0, 5.0, 20.0, 3.3, 1.1, 7.7, 19.0, 0.2, 14.0], (3, m))
     original = pipe.predict_batch(probe)
     restored = loaded.predict_batch(probe)
     assert original.tobytes() == restored.tobytes()
