@@ -30,7 +30,7 @@ def _load_config(args) -> harness.ExperimentConfig:
     return config
 
 
-def _out_dir(config) -> str:   # called once the config and datasets load
+def _out_dir(config) -> str:   # called once the results to write are computed
     os.makedirs(config.output_dir, exist_ok=True)
     return config.output_dir
 
@@ -55,21 +55,20 @@ def _rq1_report(out, ranking) -> tuple[list[str], str]:
     return _write_report(out, "rq1_ranking", ranking.to_dict(), text), text
 
 
-def _rq2_report(out, config, combination, datasets, results) -> tuple[list[str], str]:
+def _rq2_report(config, combination, datasets, results) -> tuple[list[str], str]:
     reports = harness.run_rq2_comparison(config, combination, datasets, results=results)
     payload = {"combination": combination,
                "datasets": {day: report.to_dict() for day, report in reports.items()}}
     text = "\n\n".join(f"== {day} ==\n{report.to_text()}"
                        for day, report in reports.items())
-    return _write_report(out, "rq2_report", payload, text), text
+    return _write_report(_out_dir(config), "rq2_report", payload, text), text
 
 
-def _rq3_report(out, config, combination, datasets, results,
-                baselines) -> tuple[list[str], str]:
+def _rq3_report(config, combination, datasets, results, baselines) -> tuple[list[str], str]:
     report = harness.run_rq3_baseline(config, combination, datasets, results=results,
                                       baselines=baselines)
     text = report.to_text()
-    return _write_report(out, "rq3_report", report.to_dict(), text), text
+    return _write_report(_out_dir(config), "rq3_report", report.to_dict(), text), text
 
 
 def cmd_gen_data(args) -> int:
@@ -91,9 +90,8 @@ def cmd_gen_data(args) -> int:
 
 def cmd_run_rq1(args) -> int:
     config = _load_config(args)
-    datasets = harness.load_datasets(config)
+    ranking, results = harness.run_rq1_sweep(config, harness.load_datasets(config))
     out = _out_dir(config)
-    ranking, results = harness.run_rq1_sweep(config, datasets)
     harness.write_results_csv(os.path.join(out, harness.RESULTS_CSV), results)
     files, text = _rq1_report(out, ranking)
     harness.write_manifest(out, "run-rq1", config, [harness.RESULTS_CSV] + files)
@@ -103,10 +101,9 @@ def cmd_run_rq1(args) -> int:
 
 def cmd_run_rq2(args) -> int:
     config = _load_config(args)
-    datasets = harness.load_datasets(config)
-    out = _out_dir(config)
-    files, text = _rq2_report(out, config, args.combination, datasets, _stored_results(out))
-    harness.write_manifest(out, "run-rq2", config, files)
+    files, text = _rq2_report(config, args.combination, harness.load_datasets(config),
+                              _stored_results(config.output_dir))
+    harness.write_manifest(config.output_dir, "run-rq2", config, files)
     print(text)
     return 0
 
@@ -114,10 +111,10 @@ def cmd_run_rq2(args) -> int:
 def cmd_run_rq3(args) -> int:
     config = _load_config(args)
     datasets = harness.load_datasets(config)
-    out = _out_dir(config)
     baselines = harness.baseline_tree_mse(datasets)
-    files, text = _rq3_report(out, config, args.combination, datasets,
-                              _stored_results(out), baselines)
+    out = config.output_dir
+    files, text = _rq3_report(config, args.combination, datasets, _stored_results(out),
+                              baselines)
     harness.write_baselines_csv(os.path.join(out, harness.BASELINES_CSV), baselines)
     harness.write_manifest(out, "run-rq3", config, [harness.BASELINES_CSV] + files)
     print(text)
@@ -146,10 +143,10 @@ def cmd_report(args) -> int:
     datasets = harness.load_datasets(config)
     covered = {r.combination for r in results}
     if args.combination in covered and len(config.feature_sets) >= 2:
-        written += _rq2_report(out, config, args.combination, datasets, results)[0]
+        written += _rq2_report(config, args.combination, datasets, results)[0]
         baseline_path = os.path.join(out, harness.BASELINES_CSV)
         if os.path.exists(baseline_path):
-            written += _rq3_report(out, config, args.combination, datasets, results,
+            written += _rq3_report(config, args.combination, datasets, results,
                                    harness.read_baselines_csv(baseline_path))[0]
     harness.write_manifest(out, "report", config, written)
     print(f"regenerated: {', '.join(written)}")

@@ -20,12 +20,11 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-import numbers
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError
+from .errors import ConfigurationError, ValidationError, check_number
 
 DAY_SECONDS = 86400
 WINDOW_SECONDS = 300
@@ -53,11 +52,8 @@ class BuildingConfig:
     def __post_init__(self):
         for f in fields(self):   # f.type is "int" or "float"
             value = getattr(self, f.name)
-            kind = numbers.Integral if f.type == "int" else numbers.Real
-            if isinstance(value, bool) or not isinstance(value, kind) \
-                    or not 0 < value < math.inf:   # also rejects NaN
-                raise ConfigurationError(f"field '{f.name}' must be a positive finite "
-                                         f"{f.type}, got {value!r}")
+            if check_number(f.name, value, integer=f.type == "int") <= 0:
+                raise ConfigurationError(f"field '{f.name}' must be > 0, got {value!r}")
         if self.num_floors < 3:
             raise ConfigurationError("field 'num_floors' must be >= 3 for origin tiers")
 
@@ -91,10 +87,7 @@ class TrafficSegment:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not math.isfinite(value):
-                raise ValidationError(f"segment field '{name}' must be a finite number, "
-                                      f"got {value!r}")
+            check_number(name, value, error=ValidationError)
         if self.rate_per_min < 0:
             raise ValidationError("rate_per_min must be non-negative")
         if not 0 <= self.start_s < self.end_s <= DAY_SECONDS:
@@ -431,18 +424,40 @@ def write_dataset_csv(path, dataset: Dataset) -> None:
                             + [repr(float(w.awt)), int(w.empty)])
 
 
-def read_dataset_csv(path, label: str | None = None) -> Dataset:
-    windows = []
+def read_csv_rows(path, header: list[str], numeric: int):
+    """(fields, values) per data row of the CSV at `path`: its first row must
+    be `header`, every row as wide, and its last `numeric` fields finite
+    numbers (`values`). A violation names the file and the row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != DATASET_HEADER:
-            raise ValidationError(f"unexpected dataset CSV header: {header}")
-        for row in reader:
-            windows.append(FeatureWindow(
-                float(row[0]), float(WINDOW_SECONDS),
-                np.array([float(v) for v in row[1:13]]),
-                float(row[13]), bool(int(row[14]))))
+        found = next(reader, None)
+        if found != header:
+            raise ValidationError(f"{path}: unexpected CSV header {found}, expected {header}")
+        for line, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ValidationError(f"{path}: row {line} has {len(row)} fields, "
+                                      f"expected {len(header)}")
+            values = []
+            for name, text in zip(header[-numeric:], row[-numeric:]):
+                try:
+                    values.append(float(text))
+                except ValueError:
+                    values.append(math.nan)
+                if not math.isfinite(values[-1]):
+                    raise ValidationError(f"{path}: row {line} has {name} {text!r}; "
+                                          "it must be a finite number")
+            yield row, values
+
+
+def read_dataset_csv(path, label: str | None = None) -> Dataset:
+    windows = []
+    rows = read_csv_rows(path, DATASET_HEADER, len(DATASET_HEADER))
+    for line, (row, values) in enumerate(rows, start=2):
+        if row[14] not in ("0", "1"):
+            raise ValidationError(f"{path}: row {line} has empty {row[14]!r}; "
+                                  "it must be 0 or 1")
+        windows.append(FeatureWindow(values[0], float(WINDOW_SECONDS),
+                                     np.array(values[1:13]), values[13], row[14] == "1"))
     if label is None:
         label = str(path).rsplit("/", 1)[-1].removesuffix(".csv")
     return Dataset(label, windows)

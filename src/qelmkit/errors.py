@@ -1,9 +1,18 @@
-"""Shared exception types.
+"""Shared exception types and the two checks every input field goes through.
 
 All inherit from ValueError so callers can catch broadly; the subclasses
 exist to distinguish configuration mistakes (bad specs, bad CLI input)
 from data problems detected at runtime.
+
+`check_number` accepts one scalar field (a finite real number, optionally
+an integer, never a bool) and `require_finite` one or more arrays with no
+NaN or infinity. Both raise the error type the caller names and build
+their message only when the check fails.
 """
+import math
+import numbers
+
+import numpy as np
 
 
 class ConfigurationError(ValueError):
@@ -20,3 +29,26 @@ class ShapeError(ValueError):
 
 class DegenerateInputError(ValueError):
     """Input is valid but statistically degenerate (e.g. zero variance)."""
+
+
+def check_number(name: str, value, *, integer: bool = False, error=ConfigurationError):
+    """`value` when it is a finite real number that is not a bool, and an
+    integer when `integer` is set; otherwise raise `error` naming field
+    `name`. Integers never reach `math.isfinite`, which overflows on ones
+    beyond the float range."""
+    if not isinstance(value, bool):
+        if isinstance(value, numbers.Integral):
+            return value
+        if not integer and isinstance(value, numbers.Real) and math.isfinite(value):
+            return value
+    kind = "integer" if integer else "number"
+    raise error(f"field '{name}' must be a finite {kind}, got {value!r}")
+
+
+def require_finite(name: str, *arrays, error=ValidationError) -> None:
+    """Raise `error` naming field `name` unless every array is finite: NaN
+    compares unequal to everything, so ranks, splits and fits computed over
+    it come out silently wrong rather than NaN."""
+    for values in arrays:
+        if not np.all(np.isfinite(values)):
+            raise error(f"field '{name}' must be finite (no NaN or infinity)")

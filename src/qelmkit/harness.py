@@ -23,8 +23,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
-import numbers
 import os
 from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
@@ -34,7 +32,7 @@ import numpy as np
 
 from . import elevator, qelm, quantum, stats
 from .elevator import BuildingConfig, Dataset, TrafficProfile
-from .errors import ConfigurationError, DegenerateInputError, ValidationError
+from .errors import ConfigurationError, DegenerateInputError, ValidationError, check_number
 from .stats import ComparisonReport, PairwiseResult, RunResults
 
 ENCODERS = ("DHE", "RHE")
@@ -70,21 +68,25 @@ class ExperimentConfig:
     config_dir: str = "."                 # anchor for relative dataset paths
 
     def __post_init__(self):
-        if not self.feature_sets:
-            raise ConfigurationError("field 'feature_sets' must list at least one set")
-        for fs in self.feature_sets:
-            if fs not in elevator.FEATURE_SETS:
-                raise ConfigurationError(f"field 'feature_sets' has unknown entry {fs!r}")
-        if not self.combinations:
-            raise ConfigurationError("field 'combinations' must list at least one pair")
-        for combo in self.combinations:
-            if combo not in ALL_COMBINATIONS:
-                raise ConfigurationError(
-                    f"field 'combinations' has unknown entry {combo!r} "
-                    f"(expected one of {', '.join(ALL_COMBINATIONS)})")
+        for name, known in (("feature_sets", tuple(elevator.FEATURE_SETS)),
+                            ("combinations", ALL_COMBINATIONS)):
+            entries = getattr(self, name)
+            if not entries:
+                raise ConfigurationError(f"field '{name}' must list at least one entry")
+            for i, entry in enumerate(entries):
+                if entry not in known:
+                    raise ConfigurationError(f"field '{name}' has unknown entry {entry!r} "
+                                             f"(expected one of {', '.join(known)})")
+                if entry in entries[:i]:
+                    raise ConfigurationError(f"field '{name}' lists {entry!r} twice")
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise ConfigurationError(
+                f"field 'output_dir' must be a path string, got {self.output_dir!r}")
         if isinstance(self.datasets, list):
-            if not self.datasets:
-                raise ConfigurationError("field 'datasets' must not be empty")
+            if not self.datasets or not all(isinstance(p, (str, os.PathLike))
+                                            for p in self.datasets):
+                raise ConfigurationError("field 'datasets' must list CSV path strings, "
+                                         f"got {self.datasets!r}")
         elif not (isinstance(self.datasets, dict) and "generate" in self.datasets):
             raise ConfigurationError(
                 "field 'datasets' must be a list of CSV paths or a {'generate': ...} spec")
@@ -96,14 +98,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is None and name == "fs10_repetitions":
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigurationError(f"field '{name}' must be an integer, got {value!r}")
-            if name != "master_seed" and value < 1:
+            if check_number(name, value, integer=True) < 1 and name != "master_seed":
                 raise ConfigurationError(f"field '{name}' must be >= 1")
-        lam = self.ridge_lambda
-        if isinstance(lam, bool) or not isinstance(lam, numbers.Real):
-            raise ConfigurationError(f"field 'ridge_lambda' must be a number, got {lam!r}")
-        if not lam >= 0:   # also rejects NaN
+        if check_number("ridge_lambda", self.ridge_lambda) < 0:
             raise ConfigurationError("field 'ridge_lambda' must be >= 0")
 
     def repetitions_for(self, feature_set: str) -> int:
@@ -161,18 +158,14 @@ def generate_days(spec: dict) -> list[Dataset]:
                                  + ", ".join(f"'datasets.generate.{k}'" for k in unknown))
     num_days = spec.get("num_days", 4)
     seed = spec.get("seed", 0)
-    for name, value in (("num_days", num_days), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ConfigurationError(
-                f"field 'datasets.generate.{name}' must be an integer, got {value!r}")
-    if num_days < 1:
+    check_number("datasets.generate.seed", seed, integer=True)
+    if check_number("datasets.generate.num_days", num_days, integer=True) < 1:
         raise ConfigurationError(
             f"field 'datasets.generate.num_days' must be >= 1, got {num_days}")
     jitter = spec.get("rate_jitter", 0.15)
-    if (isinstance(jitter, bool) or not isinstance(jitter, numbers.Real)
-            or not 0 <= jitter <= 1):   # also rejects NaN
-        raise ConfigurationError("field 'datasets.generate.rate_jitter' must be a number "
-                                 f"in [0, 1], got {jitter!r}")
+    if not 0 <= check_number("datasets.generate.rate_jitter", jitter) <= 1:
+        raise ConfigurationError(
+            f"field 'datasets.generate.rate_jitter' must be in [0, 1], got {jitter!r}")
     try:
         building = BuildingConfig(**spec.get("building", {}))
     except TypeError as exc:   # an unknown key, or not an object
@@ -336,9 +329,15 @@ def _fold_mses(fold: _FoldCache, combinations: list[str], config: ExperimentConf
 
 
 def _leave_one_day_out(datasets: list[Dataset]) -> list[tuple[list[Dataset], Dataset]]:
-    """(training days, held-out day) per fold, holding out each day in order."""
+    """(training days, held-out day) per fold, holding out each day in order.
+    Results are keyed by the held-out day's label, so labels must differ."""
     if len(datasets) < 2:
         raise ConfigurationError("leave-one-day-out needs at least 2 datasets")
+    labels = [d.label for d in datasets]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ConfigurationError(f"field 'datasets' holds two days labelled {label!r}; "
+                                     "each fold needs its own label")
     return [([d for j, d in enumerate(datasets) if j != i], test_day)
             for i, test_day in enumerate(datasets)]
 
@@ -594,32 +593,9 @@ def write_results_csv(path, results: list[RunResults]) -> None:
                                  r.reservoir, rep, repr(float(value))])
 
 
-def _read_csv(path, header: list[str]):
-    """(fields, value) per data row of a CSV whose first row must be `header`,
-    whose rows must be as wide, and whose last field must be a finite number
-    (`value`); any violation names the file and the row."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        found = next(reader, None)
-        if found != header:
-            raise ValidationError(f"{path}: unexpected CSV header {found}, expected {header}")
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValidationError(f"{path}: row {line} has {len(row)} fields, "
-                                      f"expected {len(header)}")
-            try:
-                value = float(row[-1])
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
-                raise ValidationError(f"{path}: row {line} has {header[-1]} {row[-1]!r}; "
-                                      "it must be a finite number")
-            yield row, value
-
-
 def read_results_csv(path) -> list[RunResults]:
     rows: dict[tuple[str, str, str, str], list[float]] = {}
-    for row, value in _read_csv(path, _RESULTS_HEADER):
+    for row, (value,) in elevator.read_csv_rows(path, _RESULTS_HEADER, 1):
         rows.setdefault(tuple(row[:4]), []).append(value)
     return [RunResults(day, fs, enc, res, np.array(values))
             for (day, fs, enc, res), values in rows.items()]
@@ -634,7 +610,8 @@ def write_baselines_csv(path, baselines: dict[str, float]) -> None:
 
 
 def read_baselines_csv(path) -> dict[str, float]:
-    return {row[0]: value for row, value in _read_csv(path, _BASELINES_HEADER)}
+    rows = elevator.read_csv_rows(path, _BASELINES_HEADER, 1)
+    return {row[0]: value for row, (value,) in rows}
 
 
 def write_manifest(out_dir, command: str, config: ExperimentConfig,

@@ -41,14 +41,13 @@ reference.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import quantum
-from .errors import ConfigurationError, ShapeError, ValidationError
+from .errors import (ConfigurationError, ShapeError, ValidationError, check_number,
+                     require_finite)
 from .quantum import GateOp, IsingParams
 
 ENCODER_KINDS = ("DHE", "RHE")
@@ -58,14 +57,6 @@ RESERVOIR_KINDS = ("CNOT", "HAAR", "ISING", "ROTATION")
 # 1 thread): 6 qubits 1.5 vs 1.9 ms, 7 qubits 4.8 vs 4.9 ms (even), 8 qubits
 # 18.8 vs 15.2 ms, 10 qubits 295 vs 220 ms.
 ISING_PARITY_QUBITS = 7
-
-
-def _require_count(name: str, value, minimum: int) -> None:
-    """Reject a spec field that is not an integer (bools included) >= minimum."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigurationError(f"field '{name}' must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigurationError(f"field '{name}' must be >= {minimum}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +82,7 @@ def fit_normalization(training_features: np.ndarray) -> NormalizationParams:
         raise ShapeError("training features must be a 2-D (windows x features) matrix")
     if feats.shape[0] < 1:
         raise ValidationError("training features must contain at least one row")
-    if not np.all(np.isfinite(feats)):
-        raise ValidationError("training features must be finite (no NaN or infinity)")
+    require_finite("training_features", feats)
     return NormalizationParams(feats.min(axis=0), feats.max(axis=0))
 
 
@@ -105,8 +95,7 @@ def apply_normalization(params: NormalizationParams, features: np.ndarray) -> np
         raise ShapeError(
             f"expected {params.num_features} features, got {feats.shape[-1]}"
         )
-    if not np.all(np.isfinite(feats)):
-        raise ValidationError("features must be finite (no NaN or infinity)")
+    require_finite("features", feats)
     span = params.maxs - params.mins
     safe_span = np.where(span > 0, span, 1.0)
     angles = (feats - params.mins) / safe_span * np.pi
@@ -135,8 +124,9 @@ class EncoderSpec:
     def __post_init__(self):
         if self.kind not in ENCODER_KINDS:
             raise ConfigurationError(f"unknown encoder kind {self.kind!r}")
-        _require_count("num_features", self.num_features, 1)
-        _require_count("depth", self.depth, 1)
+        for name in ("num_features", "depth"):
+            if check_number(name, getattr(self, name), integer=True) < 1:
+                raise ConfigurationError(f"field '{name}' must be >= 1")
         if self.axis_assignment is None:
             if self.kind == "DHE":
                 axes = tuple(tuple("X" for _ in range(self.num_features))
@@ -190,13 +180,14 @@ class ReservoirSpec:
     def __post_init__(self):
         if self.kind not in RESERVOIR_KINDS:
             raise ConfigurationError(f"unknown reservoir kind {self.kind!r}")
-        ring = self.kind in ("CNOT", "ROTATION")   # layers end in a CNOT ring
-        _require_count("num_qubits", self.num_qubits, 2 if ring else 1)
-        if self.num_qubits > quantum.MAX_STATE_QUBITS:
-            raise ConfigurationError(
-                f"num_qubits must be in [1, {quantum.MAX_STATE_QUBITS}], got {self.num_qubits}")
-        # only CNOT and ROTATION stack layers, but every kind records its depth
-        _require_count("depth", self.depth, 1 if self.kind in ("CNOT", "ROTATION") else 0)
+        ring = int(self.kind in ("CNOT", "ROTATION"))   # layers end in a CNOT ring
+        width = check_number("num_qubits", self.num_qubits, integer=True)
+        if not 1 + ring <= width <= quantum.MAX_STATE_QUBITS:
+            raise ConfigurationError(f"field 'num_qubits' must be in [{1 + ring}, "
+                                     f"{quantum.MAX_STATE_QUBITS}], got {width}")
+        # only the ring kinds stack layers, but every kind records its depth
+        if check_number("depth", self.depth, integer=True) < ring:
+            raise ConfigurationError(f"field 'depth' must be >= {ring}, got {self.depth}")
         if self.ising is not None and self.kind != "ISING":
             raise ConfigurationError("ising parameters only apply to the ISING kind")
         if self.rotation_layers is not None:
@@ -216,12 +207,7 @@ class ReservoirSpec:
                 if axis not in quantum.PAULI_KINDS:
                     raise ConfigurationError(
                         f"field 'rotation_layers' has axis {axis!r}; axes must be X, Y or Z")
-                if isinstance(angle, bool) or not isinstance(angle, numbers.Real):
-                    raise ConfigurationError(
-                        f"field 'rotation_layers' has angle {angle!r}; angles must be numbers")
-                if not math.isfinite(angle):
-                    raise ValidationError(
-                        f"field 'rotation_layers' has angle {angle!r}; angles must be finite")
+                check_number("rotation_layers", angle, error=ValidationError)
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,7 +355,8 @@ def build_reservoir(spec: ReservoirSpec) -> Reservoir:
     if spec.kind == "HAAR":
         if spec.seed is None:
             raise ConfigurationError("HAAR reservoir requires a seed")
-        return Reservoir("HAAR", d, stages=(Stage(quantum.haar_unitary(1 << d, spec.seed)),))
+        return Reservoir("HAAR", d, spec.depth,
+                         stages=(Stage(quantum.haar_unitary(1 << d, spec.seed)),))
     if spec.kind == "ISING":
         params = spec.ising
         if params is None:
@@ -382,7 +369,7 @@ def build_reservoir(spec: ReservoirSpec) -> Reservoir:
             stage = Stage(quantum.ising_unitary(params))
         else:
             stage = Stage(parity=tuple(u / 2.0 for u in quantum.ising_parity_blocks(params)))
-        return Reservoir("ISING", d, stages=(stage,), ising=params)
+        return Reservoir("ISING", d, spec.depth, stages=(stage,), ising=params)
     layers = spec.rotation_layers
     if layers is None:
         if spec.seed is None:
@@ -407,8 +394,7 @@ def _angle_batch(encoder: EncoderSpec, angles) -> np.ndarray:
     angles = np.atleast_2d(np.asarray(angles, dtype=float))
     if angles.shape[1] != m:
         raise ShapeError(f"expected {m} angles per row, got {angles.shape[1]}")
-    if not np.all(np.isfinite(angles)):
-        raise ValidationError("angles must be finite (no NaN or infinity)")
+    require_finite("angles", angles)
     return angles
 
 
@@ -498,10 +484,9 @@ def fit_readout(observations: np.ndarray, targets: np.ndarray,
         raise ShapeError("targets length does not match observation rows")
     if obs.shape[0] < 1:
         raise ValidationError("need at least one training row")
-    if not np.all(np.isfinite(obs)) or not np.all(np.isfinite(t)):
-        raise ValidationError("observations and targets must be finite")
-    if not 0 <= ridge_lambda < math.inf:   # also rejects NaN
-        raise ValidationError(f"ridge_lambda must be finite and >= 0, got {ridge_lambda!r}")
+    require_finite("observations/targets", obs, t)
+    if check_number("ridge_lambda", ridge_lambda, error=ValidationError) < 0:
+        raise ValidationError(f"field 'ridge_lambda' must be >= 0, got {ridge_lambda!r}")
     k = obs.shape[1]
     design = np.hstack([obs, np.ones((obs.shape[0], 1))]) if include_intercept else obs
     rhs = t
@@ -642,18 +627,21 @@ def _pipeline_from_dict(doc: dict) -> Pipeline:
         raise ValidationError(f"reservoir width {pipeline.reservoir.num_qubits} "
                               f"does not match encoder width {m}")
     norm = pipeline.normalization
-    if not (len(norm.mins) == len(norm.maxs) == m
-            and np.all(np.isfinite(norm.mins)) and np.all(np.isfinite(norm.maxs))):
-        raise ValidationError(f"normalization must hold {m} finite mins and maxs")
+    if not len(norm.mins) == len(norm.maxs) == m:
+        raise ValidationError(f"normalization must hold {m} mins and maxs")
+    require_finite("normalization", norm.mins, norm.maxs)
+    if np.any(norm.mins > norm.maxs):
+        raise ValidationError("field 'normalization' has a min above its max")
     readout = pipeline.readout
-    if readout.weights.shape != (3 * m,) or not np.all(np.isfinite(readout.weights)):
-        raise ValidationError(f"readout needs {3 * m} finite weights, "
-                              f"got {readout.weights.shape}")
-    finite = [isinstance(v, numbers.Real) and math.isfinite(v)
-              for v in (readout.intercept, readout.ridge_lambda)]
-    if not (all(finite) and readout.ridge_lambda >= 0):
-        raise ValidationError("readout intercept must be a finite number and "
-                              "ridge_lambda a finite number >= 0")
+    if readout.weights.shape != (3 * m,):
+        raise ValidationError(f"readout needs {3 * m} weights, got {readout.weights.shape}")
+    require_finite("weights", readout.weights)
+    if type(readout.include_intercept) is not bool:
+        raise ValidationError("field 'include_intercept' must be true or false, "
+                              f"got {readout.include_intercept!r}")
+    check_number("intercept", readout.intercept, error=ValidationError)
+    if check_number("ridge_lambda", readout.ridge_lambda, error=ValidationError) < 0:
+        raise ValidationError("field 'ridge_lambda' must be >= 0")
     if pipeline.reservoir.kind == "HAAR":
         u = pipeline.reservoir.stages[0].low
         if u.shape != (1 << m, 1 << m) or not quantum.unitarity_defect(u) < 1e-10:
@@ -674,15 +662,16 @@ def _pipeline_fields(doc: dict) -> Pipeline:
         params = IsingParams(d, np.array(res["ising"]["couplings"]),
                              np.array(res["ising"]["fields"]),
                              res["ising"]["time_step"])
-        reservoir = build_reservoir(ReservoirSpec("ISING", d, ising=params))
+        reservoir = build_reservoir(ReservoirSpec("ISING", d, depth, ising=params))
     elif kind == "ROTATION":
         layers = tuple(tuple((axis, angle) for axis, angle in layer)
                        for layer in res["rotation_layers"])
         reservoir = build_reservoir(ReservoirSpec("ROTATION", d, depth,
                                                   rotation_layers=layers))
     elif kind == "HAAR":
+        ReservoirSpec("HAAR", d, depth)   # checks the width and depth fields
         entries = np.array(res["unitary_re"]) + 1j * np.array(res["unitary_im"])
-        reservoir = Reservoir("HAAR", d, stages=(Stage(entries),))
+        reservoir = Reservoir("HAAR", d, depth, stages=(Stage(entries),))
     else:
         raise ValidationError(f"unknown reservoir kind {kind!r}")
     norm = NormalizationParams(np.array(doc["normalization"]["mins"], dtype=float),

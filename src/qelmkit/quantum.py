@@ -23,7 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError, ValidationError
+from .errors import (ConfigurationError, ShapeError, ValidationError, check_number,
+                     require_finite)
 
 MAX_STATE_QUBITS = 16    # 2^16 amplitudes ~ 1 MB
 MAX_DENSE_QUBITS = 12    # 2^12-dim dense matrix ~ 256 MB is the ceiling
@@ -109,15 +110,13 @@ class IsingParams:
             raise ShapeError(f"couplings must be {d}x{d}")
         if self.fields.shape != (d,):
             raise ShapeError(f"fields must have length {d}")
-        if not np.all(np.isfinite(self.couplings)) or not np.all(np.isfinite(self.fields)):
-            raise ValidationError("Ising parameters must be finite")
+        require_finite("couplings/fields", self.couplings, self.fields)
         if not np.allclose(self.couplings, self.couplings.T, atol=1e-12):
             raise ValidationError("couplings matrix must be symmetric")
         if np.any(np.abs(np.diagonal(self.couplings)) > 1e-12):
             raise ValidationError("couplings diagonal must be zero")
-        if not 0 < self.time_step < np.inf:   # also rejects NaN
-            raise ValidationError(
-                f"time_step must be positive and finite, got {self.time_step!r}")
+        if check_number("time_step", self.time_step, error=ValidationError) <= 0:
+            raise ValidationError(f"field 'time_step' must be > 0, got {self.time_step!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,17 +14,9 @@ from itertools import groupby
 
 import numpy as np
 
-from .errors import DegenerateInputError, ShapeError, ValidationError
+from .errors import DegenerateInputError, ShapeError, ValidationError, require_finite
 
 ALPHA = 0.05
-
-
-def _require_finite(*arrays: np.ndarray) -> None:
-    """Reject NaN and infinity up front: NaN compares unequal to everything,
-    so ranks computed over it come out silently wrong, not NaN."""
-    for values in arrays:
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("values must be finite (no NaN or infinity)")
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +31,7 @@ def mse(predictions, targets) -> float:
         raise ShapeError("predictions and targets must have equal length")
     if p.size < 1:
         raise ValidationError("need at least one prediction")
-    _require_finite(p, t)
+    require_finite("predictions/targets", p, t)
     return float(np.mean((p - t) ** 2))
 
 
@@ -116,7 +108,7 @@ def kruskal_wallis(groups) -> tuple[float, float]:
     if any(len(g) == 0 for g in samples):
         raise ValidationError("groups must be non-empty")
     pooled = np.concatenate(samples)
-    _require_finite(pooled)
+    require_finite("groups", pooled)
     n = len(pooled)
     ranks = _rankdata(pooled)
     h = 0.0
@@ -144,7 +136,7 @@ def mann_whitney_u(a, b) -> tuple[float, float]:
     y = np.asarray(b, dtype=float)
     if len(x) == 0 or len(y) == 0:
         raise ValidationError("samples must be non-empty")
-    _require_finite(x, y)
+    require_finite("a/b", x, y)
     n1, n2 = len(x), len(y)
     pooled = np.concatenate([x, y])
     ranks = _rankdata(pooled)
@@ -165,7 +157,7 @@ def vargha_delaney_a12(a, b) -> float:
     y = np.asarray(b, dtype=float)
     if len(x) == 0 or len(y) == 0:
         raise ValidationError("samples must be non-empty")
-    _require_finite(x, y)
+    require_finite("a/b", x, y)
     greater = (x[:, None] > y[None, :]).sum()
     equal = (x[:, None] == y[None, :]).sum()
     return float((greater + 0.5 * equal) / (len(x) * len(y)))
@@ -208,7 +200,7 @@ def wilcoxon_one_sample(sample, reference: float) -> tuple[float, float]:
     tie correction and a 0.5 continuity correction.
     """
     x = np.asarray(sample, dtype=float)
-    _require_finite(x, reference)
+    require_finite("sample/reference", x, reference)
     d = x - reference
     d = d[d != 0]
     if len(d) == 0:
@@ -228,7 +220,7 @@ def cohens_d_one_sample(sample, reference: float) -> float:
     x = np.asarray(sample, dtype=float)
     if len(x) < 2:
         raise ValidationError("need at least two values")
-    _require_finite(x, reference)
+    require_finite("sample/reference", x, reference)
     sd = float(np.std(x, ddof=1))
     if sd == 0:
         raise DegenerateInputError("sample has zero variance")
@@ -300,8 +292,7 @@ def fit_regression_tree(features, targets, max_splits: int = 25) -> TreeNode:
         raise ShapeError("features must be a 2-D matrix")
     if len(y) != len(x) or len(y) == 0:
         raise ValidationError("features and targets must be non-empty and aligned")
-    if not np.all(np.isfinite(x)) or not np.all(np.isfinite(y)):
-        raise ValidationError("tree features and targets must be finite (no NaN or infinity)")
+    require_finite("features/targets", x, y)
     root = TreeNode(value=float(np.mean(y)))
     # leaves as (creation_id, node, row indices, cached best split)
     leaves = [(0, root, np.arange(len(y)), _best_split(x, y) if len(y) > 1 else None)]
@@ -336,7 +327,7 @@ def predict_tree(model: TreeNode, x) -> float:
 def predict_tree_batch(model: TreeNode, features) -> np.ndarray:
     """Follow each row's splits (x[f] <= threshold goes left) to a leaf mean."""
     x = np.asarray(features, dtype=float)
-    _require_finite(x)   # a NaN compares false, so it would go right at every split
+    require_finite("features", x)   # a NaN compares false, so it would go right at every split
     values = []
     for row in x:
         node = model

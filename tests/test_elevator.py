@@ -289,6 +289,25 @@ def test_dataset_csv_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.empty_mask(), ds.empty_mask())
 
 
+@pytest.mark.parametrize("bad", [
+    "0.0,1,0,0,0,0,0,3.0,0,0,0,1,nan,12.5,0",    # a column FS2 reads
+    "0.0,1,0,nan,0,0,0,3.0,0,0,0,1,0,12.5,0",    # f3, which FS2 does not read
+    "inf,1,0,0,0,0,0,3.0,0,0,0,1,0,12.5,0",
+    "0.0,1,0,0,0,0,0,3.0,0,0,0,1,0,-inf,0",
+    "0.0,1,0,0,0,0,0,3.0,oops,0,0,1,0,12.5,0",
+    "0.0,1,0,0,0,0,0,3.0,0,0,0,1,0,12.5",        # short: was a raw IndexError
+    "0.0,1,0,0,0,0,0,3.0,0,0,0,1,0,12.5,x",      # was a raw ValueError
+    "0.0,1,0,0,0,0,0,3.0,0,0,0,1,0,12.5,2"])     # read silently as empty
+def test_read_dataset_csv_rejects_bad_rows(tmp_path, bad):
+    path = tmp_path / "Day1.csv"
+    path.write_text(",".join(el.DATASET_HEADER) + "\n"
+                    "0.0,1,0,0,0,0,0,3.0,0,0,0,1,0,12.5,0\n"
+                    f"{bad}\n")
+    with pytest.raises(ValidationError, match="row 3") as exc:
+        el.read_dataset_csv(path)
+    assert "Day1.csv" in str(exc.value)
+
+
 def test_dataset_csv_rejects_projected(tmp_path):
     ds = el.simulate_day(el.BuildingConfig(), el.office_day_profile(), seed=5)
     with pytest.raises(ValidationError):

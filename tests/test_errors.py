@@ -1,0 +1,59 @@
+"""The field checks every input goes through, and a scan that keeps them the
+only copies in the package."""
+import pathlib
+import re
+
+import numpy as np
+import pytest
+
+import qelmkit
+from qelmkit.errors import ConfigurationError, ValidationError, check_number, require_finite
+
+
+@pytest.mark.parametrize("value,integer", [
+    (3, True), (3, False), (-2.5, False), (0, True),
+    (np.int64(7), True), (np.int32(7), False), (np.float64(0.5), False),
+    (np.float32(-1.5), False),
+    (10 ** 400, True), (10 ** 400, False),   # math.isfinite overflows on it
+])
+def test_check_number_accepts(value, integer):
+    assert check_number("f", value, integer=integer) is value
+
+
+@pytest.mark.parametrize("value,integer", [
+    (True, False), (False, True), (np.bool_(True), False),
+    ("1", False), ("1", True), (None, False), ([1.0], False), (1 + 0j, False),
+    (float("nan"), False), (float("inf"), False), (float("-inf"), False),
+    (np.float64("nan"), False), (np.float32("inf"), False),
+    (2.0, True), (np.float64(2.0), True), (float("nan"), True),
+])
+def test_check_number_rejects(value, integer):
+    kind = "integer" if integer else "number"
+    with pytest.raises(ConfigurationError, match=f"field 'f' must be a finite {kind}"):
+        check_number("f", value, integer=integer)
+
+
+def test_check_number_raises_the_given_error():
+    with pytest.raises(ValidationError, match="'time_step'"):
+        check_number("time_step", float("nan"), error=ValidationError)
+
+
+def test_require_finite_checks_every_array():
+    require_finite("x", np.zeros(3), [1.0, -2.0], 5.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="field 'x/y' must be finite"):
+            require_finite("x/y", np.zeros(3), np.array([[1.0], [bad]]))
+    with pytest.raises(ConfigurationError, match="'x'"):
+        require_finite("x", [np.nan], error=ConfigurationError)
+
+
+def test_field_checks_live_only_in_errors_module():
+    # every other module calls check_number / require_finite, so a new field
+    # cannot grow its own, subtly different copy of the check
+    pattern = re.compile(r"numbers\.|isinstance\([^)]*bool\)|np\.isfinite")
+    package = pathlib.Path(qelmkit.__file__).parent
+    found = [f"{path.name}:{number}: {line.strip()}"
+             for path in sorted(package.glob("*.py")) if path.name != "errors.py"
+             for number, line in enumerate(path.read_text().splitlines(), start=1)
+             if pattern.search(line)]
+    assert found == []

@@ -62,6 +62,10 @@ def test_config_defaults_and_file_loading(tmp_path):
     ({"master_seed": 1.5}, "master_seed"),
     ({"ridge_lambda": "0"}, "ridge_lambda"),
     ({"ridge_lambda": True}, "ridge_lambda"),
+    ({"feature_sets": ["FS2", "FS3a", "FS2"]}, "feature_sets"),   # was two equal folds
+    ({"combinations": ["DHE_ISING", "DHE_ISING"]}, "combinations"),
+    ({"output_dir": 7}, "output_dir"),   # was "expected str, bytes or os.PathLike"
+    ({"datasets": ["a.csv", 3]}, "datasets"),
 ])
 def test_config_diagnostics_name_field(tmp_path, patch, fragment):
     doc = {"datasets": ["a.csv"], "feature_sets": ["FS2"],
@@ -228,6 +232,14 @@ def test_cross_validate_needs_two_datasets(toy_days):
                                    "DHE_ISING", toy_days[:1])
     with pytest.raises(ConfigurationError, match="at least 2 datasets"):
         harness.baseline_tree_mse(toy_days[:1])
+
+
+def test_cross_validate_rejects_duplicate_labels(toy_days):
+    # the two folds of one label used to merge into one ranked setting
+    with pytest.raises(ConfigurationError, match="'datasets'.*'Day1'"):
+        sweep_one([toy_days[0], toy_days[1], toy_days[0]], toy_config(), "DHE_CNOT")
+    with pytest.raises(ConfigurationError, match="'datasets'"):
+        harness.baseline_tree_mse([toy_days[1], toy_days[1]])
 
 
 def test_cross_validate_deterministic(toy_days):
@@ -662,6 +674,21 @@ def test_cli_exit_code_2_on_bad_generate_spec(tmp_path, capsys, command):
     assert cli.main([command, "--config", str(path)]) == 2
     assert "datasets.generate.sede" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()   # no empty output directory is left
+
+
+@pytest.mark.parametrize("command", ["run-rq1", "run-rq2", "run-rq3"])
+@pytest.mark.parametrize("paths", [["a/Day1.csv", "b/Day1.csv"],   # one stem, two dirs
+                                   ["a/Day1.csv", "a/Day1.csv"]])
+def test_cli_exit_code_2_on_duplicate_dataset_labels(tmp_path, capsys, toy_days,
+                                                     command, paths):
+    # run-rq1 used to exit 0 with both days' folds ranked as one "Day1" setting
+    for folder, day in zip("ab", toy_days):
+        (tmp_path / folder).mkdir()
+        elevator.write_dataset_csv(tmp_path / folder / "Day1.csv", day)
+    path = write_cli_config(tmp_path, datasets=paths, feature_sets=["FS2", "FS3b"])
+    assert cli.main([command, "--config", str(path)]) == 2
+    assert "'datasets'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_exit_code_2_on_nan_building_capacity(tmp_path, capsys):

@@ -631,7 +631,8 @@ def test_fit_readout_validation():
     with pytest.raises(ValidationError):
         qelm.fit_readout(np.eye(2), [1.0, 2.0], ridge_lambda=-1.0)
     # NaN was stored silently; inf died in LAPACK with a raw LinAlgError
-    for lam in (np.nan, np.inf):
+    # True was stored as 1.0 and "1" died in np.sqrt with a raw TypeError
+    for lam in (np.nan, np.inf, True, "1"):
         with pytest.raises(ValidationError, match="ridge_lambda"):
             qelm.fit_readout(np.eye(2), [1.0, 2.0], ridge_lambda=lam)
     with pytest.raises(ShapeError):
@@ -781,6 +782,12 @@ def set_field(*path_and_value):
     return corrupt
 
 
+def invert_normalization(doc):
+    # used to load, and that feature's angle was then 0 for every row
+    norm = doc["normalization"]
+    norm["mins"][0], norm["maxs"][0] = norm["maxs"][0] + 1.0, norm["mins"][0]
+
+
 def nan_rotation_angle(doc):
     doc["reservoir"]["rotation_layers"][0][1][1] = float("nan")
 
@@ -806,6 +813,18 @@ def nan_rotation_angle(doc):
      "ridge_lambda"),
     ("HAAR", set_field("readout", "ridge_lambda", float("inf")), ValidationError,
      "ridge_lambda"),
+    ("ROTATION", invert_normalization, ValidationError, "normalization"),
+    ("CNOT", set_field("readout", "include_intercept", "yes"), ValidationError,
+     "include_intercept"),
+    ("CNOT", set_field("readout", "intercept", True), ValidationError, "intercept"),
+    # "x" was a raw TypeError and true read as 1.0
+    ("ISING", set_field("reservoir", "ising", "time_step", "x"), ValidationError,
+     "time_step"),
+    ("ISING", set_field("reservoir", "ising", "time_step", True), ValidationError,
+     "time_step"),
+    # both loaded as depth 10: the depth of these kinds was never read
+    ("ISING", set_field("reservoir", "depth", -3), ConfigurationError, "depth"),
+    ("HAAR", set_field("reservoir", "depth", -3), ConfigurationError, "depth"),
 ])
 def test_pipeline_from_json_rejects_inconsistent_documents(kind, corrupt, error, fragment):
     doc = pipeline_doc(kind)

@@ -330,7 +330,8 @@ def test_ising_rejects_bad_couplings():
         q.IsingParams(2, np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros(2))
     with pytest.raises(ValidationError):
         q.IsingParams(2, np.zeros((2, 2)), np.zeros(2), time_step=0.0)
-    for step in (np.inf, np.nan):   # inf would make ising_unitary all NaN
+    # inf would make ising_unitary all NaN, True read as 1.0, "x" was a raw TypeError
+    for step in (np.inf, np.nan, True, "x"):
         with pytest.raises(ValidationError, match="time_step"):
             q.IsingParams(2, np.zeros((2, 2)), np.zeros(2), time_step=step)
 
