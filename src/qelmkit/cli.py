@@ -127,8 +127,8 @@ def cmd_rank(args) -> int:
     if not os.path.exists(path):
         raise ConfigurationError(f"option '--results': no results CSV at {path}; "
                                  "run run-rq1 first or pass --results")
-    out = _out_dir(config)
-    _, text = _rq1_report(out, harness.build_ranking(harness.read_results_csv(path)))
+    ranking = harness.build_ranking(harness.read_results_csv(path))
+    _, text = _rq1_report(_out_dir(config), ranking)
     print(text)
     return 0
 

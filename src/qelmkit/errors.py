@@ -1,16 +1,18 @@
-"""Shared exception types and the two checks every input field goes through.
+"""Shared exception types and the checks every input field goes through.
 
 All inherit from ValueError so callers can catch broadly; the subclasses
 exist to distinguish configuration mistakes (bad specs, bad CLI input)
 from data problems detected at runtime.
 
 `check_number` accepts one scalar field (a finite real number, optionally
-an integer, never a bool) and `require_finite` one or more arrays with no
-NaN or infinity. Both raise the error type the caller names and build
-their message only when the check fails.
+an integer, never a bool), `number_array` one array field of finite real
+numbers, and `require_finite` one or more arrays with no NaN or infinity.
+Each raises the error type the caller names and builds its message only
+when the check fails.
 """
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -34,15 +36,33 @@ class DegenerateInputError(ValueError):
 def check_number(name: str, value, *, integer: bool = False, error=ConfigurationError):
     """`value` when it is a finite real number that is not a bool, and an
     integer when `integer` is set; otherwise raise `error` naming field
-    `name`. Integers never reach `math.isfinite`, which overflows on ones
-    beyond the float range."""
+    `name`. Integer fields take integers of any size; number fields only
+    those a float can hold, and those never reach `math.isfinite`, which
+    overflows on larger ones."""
     if not isinstance(value, bool):
         if isinstance(value, numbers.Integral):
-            return value
-        if not integer and isinstance(value, numbers.Real) and math.isfinite(value):
+            if integer or abs(value) <= sys.float_info.max:
+                return value
+        elif not integer and isinstance(value, numbers.Real) and math.isfinite(value):
             return value
     kind = "integer" if integer else "number"
     raise error(f"field '{name}' must be a finite {kind}, got {value!r}")
+
+
+def number_array(name: str, value, *, error=ValidationError) -> np.ndarray:
+    """`value` (a nested list or an array) as a float array when it holds
+    finite real numbers only; otherwise raise `error` naming field `name`.
+    Arrays of strings, bools, complex numbers or other objects, and ragged
+    nesting, are refused rather than converted."""
+    try:
+        values = np.asarray(value)
+    except ValueError:   # ragged nesting
+        values = None
+    if values is None or values.dtype.kind not in "iuf":
+        raise error(f"field '{name}' must hold real numbers only")
+    values = values.astype(float, copy=False)
+    require_finite(name, values, error=error)
+    return values
 
 
 def require_finite(name: str, *arrays, error=ValidationError) -> None:

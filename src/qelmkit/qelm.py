@@ -6,9 +6,11 @@ through a fixed randomly-parameterized reservoir, and measured as the
 3M-vector of per-qubit X/Y/Z expectations. Only the linear readout on top
 of those expectations is trained, by plain (optionally ridge) least squares.
 
-Execution is batched and compiled: a whole dataset of angle vectors runs
-through the circuit as one (P, 2^M) amplitude array, and no gate is applied
-one at a time.
+Execution is batched and compiled: a dataset of angle vectors runs through
+the circuit as (rows, 2^M) amplitude arrays of at most BLOCK_AMPLITUDES
+amplitudes each (one block for FS2-FS5 batches, 128 rows at 10 qubits),
+each block through the whole circuit before the next, and no gate is
+applied one at a time.
 
 - Encoder: `encode_batch`. The first rotation layer acts on |0...0>, so it
   is built as a product state by M outer products; the CZ ring is one +-1
@@ -19,8 +21,11 @@ one at a time.
   assignment and shares the batch among that assignment's cells, while the
   batch holds at most 2^MAX_STATE_QUBITS amplitudes (see `harness`).
 - Reservoir: `build_reservoir` compiles the reservoir into `Stage`s, each an
-  optional pair of spin-flip parity blocks, low-qubit matrix, high-qubit
-  matrix and index permutation. HAAR is one dense stage. ISING is one dense
+  optional pair of spin-flip parity blocks, set of Householder reflectors,
+  low-qubit matrix, high-qubit matrix and index permutation. HAAR is one
+  dense stage below HAAR_REFLECTOR_QUBITS qubits and, from there, one stage
+  of the Householder reflectors of the same draw (`quantum.haar_reflectors`)
+  in compact-WY blocks, so Q is never formed. ISING is one dense
   stage below ISING_PARITY_QUBITS qubits and, from there, one stage of its
   two half-size parity blocks (`quantum.ising_parity_blocks`), so the dense
   2^M matrix is never assembled or applied. CNOT is its whole ring stack
@@ -34,9 +39,16 @@ one at a time.
 The compiled forms call `quantum`'s kernels: `rotation_matrix` for every
 rotation and `apply_single_qubit` for re-uploaded ones, `apply_gate_kernel`
 for composing the CNOT rings, `pauli_expectations` for the readout,
-`haar_unitary`, `ising_unitary` and `ising_parity_blocks` for the reservoir
-matrices. The dense Kronecker oracle in the tests is their independent
-reference.
+`haar_unitary`, `haar_reflectors`, `ising_unitary` and `ising_parity_blocks`
+for the reservoir matrices. The dense Kronecker oracle in the tests is their
+independent reference.
+
+A saved pipeline carries each reservoir's sampled parameters: the Ising
+couplings, fields and time step, the rotation layers, or for HAAR the dense
+unitary (`unitary_re`/`unitary_im`) below HAAR_REFLECTOR_QUBITS qubits and
+the raw QR and tau (`reflectors_re`/`reflectors_im`, `tau_re`/`tau_im`)
+from there. The loader rebuilds the reflector stage through the same
+function as the build, so predictions round-trip bit-identically.
 """
 from __future__ import annotations
 
@@ -47,7 +59,7 @@ import numpy as np
 
 from . import quantum
 from .errors import (ConfigurationError, ShapeError, ValidationError, check_number,
-                     require_finite)
+                     number_array, require_finite)
 from .quantum import GateOp, IsingParams
 
 ENCODER_KINDS = ("DHE", "RHE")
@@ -57,6 +69,21 @@ RESERVOIR_KINDS = ("CNOT", "HAAR", "ISING", "ROTATION")
 # 1 thread): 6 qubits 1.5 vs 1.9 ms, 7 qubits 4.8 vs 4.9 ms (even), 8 qubits
 # 18.8 vs 15.2 ms, 10 qubits 295 vs 220 ms.
 ISING_PARITY_QUBITS = 7
+# From this width HAAR runs as its Householder reflectors, WY_BLOCK at a time
+# in compact-WY form, rather than one dense matrix, so Q is never formed.
+# Build + run of 1,064 rows, dense vs reflectors (x86-64, OpenBLAS at 1
+# thread): 8 qubits 39 vs 48 ms, 9 qubits 158 vs 149 ms, 10 qubits 758 vs
+# 618 ms. At 10 qubits a WY block of 32/64/128/256 reflectors takes 30/35/57/91
+# ms to build and 363/322/307/305 ms to run.
+HAAR_REFLECTOR_QUBITS = 9
+WY_BLOCK = 64
+# `run_circuit_batch` runs the whole circuit on at most this many amplitudes
+# (rows * 2^M) at a time, so each block's intermediates stay in cache.
+# Encode + reservoir + readout of 1,064 rows at 10 qubits, whole batch vs
+# 2^16/2^17/2^18-amplitude blocks (x86-64, OpenBLAS at 1 thread): ROTATION
+# 382 vs 242/252/238 ms, ISING 175 vs 168/154/154 ms, CNOT 79 vs 45/44/44 ms,
+# HAAR reflectors 354 vs 356/329/315 ms.
+BLOCK_AMPLITUDES = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +244,23 @@ class Stage:
     Applied in this order, each part optional: `parity` is (U+/2, U-/2), the
     halved spin-flip parity blocks of a matrix U = [[a, b R], [R b, R a R]]
     with a = (U+ + U-)/2, b = (U+ - U-)/2 and R the 2^(M-1) reversal (see
-    `quantum.ising_parity_blocks`); `low` acts on the low qubits (the last
-    axis of the amplitudes reshaped to (..., len(low))), `high` on the
-    remaining high qubits, and `perm` gathers amplitude i from index perm[i].
-    A dense stage is a `low` matrix over all M qubits.
+    `quantum.ising_parity_blocks`); `reflectors` is (phases, blocks), the
+    unitary H_0 ... H_{n-1} D of `quantum.haar_reflectors` with D =
+    diag(phases), each block (start, W, V^T) the compact-WY form I - V T V^H
+    of WY_BLOCK consecutive reflectors from `start` on, restricted to the
+    columns from `start` (V's rows before it are zero) and W = conj(V) T^T
+    (see `_reflector_stage`); `low` acts on the low qubits (the last axis of
+    the amplitudes reshaped to (..., len(low))), `high` on the remaining
+    high qubits, and `perm` gathers amplitude i from index perm[i]. A dense
+    stage is a `low` matrix over all M qubits.
     """
 
     low: np.ndarray | None = None
     high: np.ndarray | None = None
     perm: np.ndarray | None = None
     parity: tuple[np.ndarray, np.ndarray] | None = None
+    # (phases, ((start, W, V^T), ...))
+    reflectors: tuple[np.ndarray, tuple[tuple, ...]] | None = None
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         rows, dim = amps.shape
@@ -248,6 +282,14 @@ class Stage:
             np.subtract(p, m, out=work)
             p += m
             m[...] = work[:, ::-1]
+        if self.reflectors is not None:
+            # a row x becomes x D Q^T, and Q^T is the blocks' I - conj(V) T^T
+            # V^T in reverse order; each touches only the columns from its start
+            phases, blocks = self.reflectors
+            amps = amps * phases   # fresh: never the caller's array
+            for start, w, vt in reversed(blocks):
+                tail = amps[:, start:]
+                tail -= (tail @ w) @ vt
         if self.low is not None:
             amps = (amps.reshape(-1, len(self.low)) @ self.low.T).reshape(rows, dim)
         if self.high is not None:
@@ -260,8 +302,9 @@ class Stage:
 @dataclass
 class Reservoir:
     """Built reservoir: its compiled stages, plus the sampled parameters
-    retained so it serializes without the seed (a HAAR reservoir's
-    parameter is its single dense stage)."""
+    retained so it serializes without the seed (a narrow HAAR reservoir's
+    parameter is its single dense stage, a wide one's the (qr, tau) of
+    `quantum.haar_reflectors` in `reflectors`)."""
 
     kind: str
     num_qubits: int
@@ -269,6 +312,7 @@ class Reservoir:
     stages: tuple[Stage, ...] = ()
     ising: IsingParams | None = None
     rotation_layers: tuple[tuple[tuple[str, float], ...], ...] | None = None
+    reflectors: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _sample_rotation_layers(num_qubits: int, depth: int,
@@ -346,6 +390,30 @@ def _rotation_stages(num_qubits: int,
     return (Stage(amps.T),)   # row j of amps is column j of the stack's matrix
 
 
+def _reflector_stage(qr: np.ndarray, tau: np.ndarray) -> Stage:
+    """The `reflectors` stage of `quantum.haar_reflectors`' (qr, tau), used
+    by both the build and the loader so a saved reservoir runs bit-identically.
+
+    Per block of WY_BLOCK reflectors from `start`, V^T holds their vectors
+    over the columns from `start` (unit diagonal, zeros before it) and the
+    upper-triangular T follows LAPACK's `larft`: T[i, i] = tau_i and
+    T[:i, i] = -tau_i T[:i, :i] (V^H v_i)[:i]."""
+    qr = np.ascontiguousarray(qr)   # one layout, whichever path made it
+    diag = np.diagonal(qr)
+    blocks = []
+    for start in range(0, len(tau), WY_BLOCK):
+        stop = min(start + WY_BLOCK, len(tau))
+        vt = np.triu(qr[start:stop, start:], 1)
+        np.fill_diagonal(vt, 1.0)
+        gram = vt.conj() @ vt.T
+        t = np.zeros((stop - start, stop - start), dtype=complex)
+        for i, tau_i in enumerate(tau[start:stop]):
+            t[i, i] = tau_i
+            t[:i, i] = -tau_i * (t[:i, :i] @ gram[:i, i])
+        blocks.append((start, vt.T.conj() @ t.T, vt))
+    return Stage(reflectors=(diag / np.abs(diag), tuple(blocks)))
+
+
 def build_reservoir(spec: ReservoirSpec) -> Reservoir:
     """Materialize and compile a reservoir; deterministic for a fixed spec and seed."""
     d = spec.num_qubits
@@ -355,8 +423,12 @@ def build_reservoir(spec: ReservoirSpec) -> Reservoir:
     if spec.kind == "HAAR":
         if spec.seed is None:
             raise ConfigurationError("HAAR reservoir requires a seed")
-        return Reservoir("HAAR", d, spec.depth,
-                         stages=(Stage(quantum.haar_unitary(1 << d, spec.seed)),))
+        if d < HAAR_REFLECTOR_QUBITS:
+            return Reservoir("HAAR", d, spec.depth,
+                             stages=(Stage(quantum.haar_unitary(1 << d, spec.seed)),))
+        qr, tau = quantum.haar_reflectors(1 << d, spec.seed)
+        return Reservoir("HAAR", d, spec.depth, stages=(_reflector_stage(qr, tau),),
+                         reflectors=(qr, tau))
     if spec.kind == "ISING":
         params = spec.ising
         if params is None:
@@ -436,21 +508,27 @@ def run_circuit_batch(encoder: EncoderSpec, reservoir: Reservoir,
     [<X^1>, <Y^1>, <Z^1>, ..., <X^M>, <Y^M>, <Z^M>]. `encoded`, when given,
     is `encode_batch(encoder, angles)` computed earlier; it must be (P, 2^M)
     and is only read, so one batch can serve many reservoirs.
+
+    The rows go through the whole circuit in blocks of at most
+    BLOCK_AMPLITUDES amplitudes, each written into one preallocated
+    observation matrix; a batch within the budget is a single block.
     """
     angles = _angle_batch(encoder, angles)
     m = encoder.num_features
     if reservoir.num_qubits != m:
         raise ShapeError("reservoir size does not match encoder width")
-    if encoded is None:
-        amps = encode_batch(encoder, angles)
-    elif np.shape(encoded) != (len(angles), 1 << m):
+    if encoded is not None and np.shape(encoded) != (len(angles), 1 << m):
         raise ShapeError(f"encoded batch must be {(len(angles), 1 << m)}, "
                          f"got {np.shape(encoded)}")
-    else:
-        amps = encoded
-    for stage in reservoir.stages:   # each stage returns a new array
-        amps = stage.apply(amps)
-    return quantum.pauli_expectations(amps, m)
+    obs = np.empty((len(angles), 3 * m))
+    step = max(1, BLOCK_AMPLITUDES >> m)
+    for start in range(0, len(angles), step):
+        rows = slice(start, start + step)
+        amps = encode_batch(encoder, angles[rows]) if encoded is None else encoded[rows]
+        for stage in reservoir.stages:   # each stage returns a new array
+            amps = stage.apply(amps)
+        obs[rows] = quantum.pauli_expectations(amps, m)
+    return obs
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +670,10 @@ def _pipeline_to_dict(p: Pipeline) -> dict:
         reservoir["rotation_layers"] = [
             [[axis, angle] for axis, angle in layer] for layer in p.reservoir.rotation_layers
         ]
+    elif p.reservoir.reflectors is not None:
+        qr, tau = p.reservoir.reflectors
+        reservoir.update(reflectors_re=qr.real.tolist(), reflectors_im=qr.imag.tolist(),
+                         tau_re=tau.real.tolist(), tau_im=tau.imag.tolist())
     elif p.reservoir.kind == "HAAR":
         entries = p.reservoir.stages[0].low
         reservoir["unitary_re"] = entries.real.tolist()
@@ -627,26 +709,53 @@ def _pipeline_from_dict(doc: dict) -> Pipeline:
         raise ValidationError(f"reservoir width {pipeline.reservoir.num_qubits} "
                               f"does not match encoder width {m}")
     norm = pipeline.normalization
-    if not len(norm.mins) == len(norm.maxs) == m:
+    if not norm.mins.shape == norm.maxs.shape == (m,):
         raise ValidationError(f"normalization must hold {m} mins and maxs")
-    require_finite("normalization", norm.mins, norm.maxs)
     if np.any(norm.mins > norm.maxs):
         raise ValidationError("field 'normalization' has a min above its max")
     readout = pipeline.readout
     if readout.weights.shape != (3 * m,):
         raise ValidationError(f"readout needs {3 * m} weights, got {readout.weights.shape}")
-    require_finite("weights", readout.weights)
     if type(readout.include_intercept) is not bool:
         raise ValidationError("field 'include_intercept' must be true or false, "
                               f"got {readout.include_intercept!r}")
     check_number("intercept", readout.intercept, error=ValidationError)
     if check_number("ridge_lambda", readout.ridge_lambda, error=ValidationError) < 0:
         raise ValidationError("field 'ridge_lambda' must be >= 0")
-    if pipeline.reservoir.kind == "HAAR":
+    if pipeline.reservoir.kind == "HAAR" and pipeline.reservoir.reflectors is None:
         u = pipeline.reservoir.stages[0].low
         if u.shape != (1 << m, 1 << m) or not quantum.unitarity_defect(u) < 1e-10:
             raise ValidationError(f"HAAR matrix must be a {1 << m}x{1 << m} unitary")
     return pipeline
+
+
+def _complex_field(res: dict, name: str) -> np.ndarray:
+    """The complex array stored as `name`_re and `name`_im."""
+    real = number_array(f"{name}_re", res[f"{name}_re"])
+    imag = number_array(f"{name}_im", res[f"{name}_im"])
+    if real.shape != imag.shape:
+        raise ValidationError(f"fields '{name}_re' and '{name}_im' differ in shape")
+    values = np.empty(real.shape, dtype=complex)
+    values.real, values.imag = real, imag
+    return values
+
+
+def _loaded_reflectors(res: dict, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """A wide HAAR document's (qr, tau), checked in O(dim^2): H_i = I - tau_i
+    v_i v_i^H is unitary exactly when 2 Re tau_i = |tau_i|^2 |v_i|^2, and
+    every phase R_ii / |R_ii| needs R_ii != 0."""
+    qr, tau = _complex_field(res, "reflectors"), _complex_field(res, "tau")
+    if qr.shape != (dim, dim) or tau.shape != (dim,):
+        raise ValidationError(f"fields 'reflectors' and 'tau' must be {dim}x{dim} "
+                              f"and {dim} long, got {qr.shape} and {tau.shape}")
+    norms = 1.0 + np.sum(np.abs(np.triu(qr, 1)) ** 2, axis=1)
+    bad = np.flatnonzero(np.abs(2.0 * tau.real - np.abs(tau) ** 2 * norms) > 1e-10)
+    if len(bad):
+        raise ValidationError(f"fields 'reflectors' and 'tau' make reflector {bad[0]} "
+                              "non-unitary")
+    if np.any(np.diagonal(qr) == 0):
+        raise ValidationError("field 'reflectors' has a zero on R's diagonal")
+    return qr, tau
 
 
 def _pipeline_fields(doc: dict) -> Pipeline:
@@ -659,8 +768,7 @@ def _pipeline_fields(doc: dict) -> Pipeline:
     if kind == "CNOT":
         reservoir = build_reservoir(ReservoirSpec("CNOT", d, depth))
     elif kind == "ISING":
-        params = IsingParams(d, np.array(res["ising"]["couplings"]),
-                             np.array(res["ising"]["fields"]),
+        params = IsingParams(d, res["ising"]["couplings"], res["ising"]["fields"],
                              res["ising"]["time_step"])
         reservoir = build_reservoir(ReservoirSpec("ISING", d, depth, ising=params))
     elif kind == "ROTATION":
@@ -670,14 +778,20 @@ def _pipeline_fields(doc: dict) -> Pipeline:
                                                   rotation_layers=layers))
     elif kind == "HAAR":
         ReservoirSpec("HAAR", d, depth)   # checks the width and depth fields
-        entries = np.array(res["unitary_re"]) + 1j * np.array(res["unitary_im"])
-        reservoir = Reservoir("HAAR", d, depth, stages=(Stage(entries),))
+        if "reflectors_re" in res:
+            qr, tau = _loaded_reflectors(res, 1 << d)
+            reservoir = Reservoir("HAAR", d, depth, stages=(_reflector_stage(qr, tau),),
+                                  reflectors=(qr, tau))
+        else:
+            reservoir = Reservoir("HAAR", d, depth,
+                                  stages=(Stage(_complex_field(res, "unitary")),))
     else:
         raise ValidationError(f"unknown reservoir kind {kind!r}")
-    norm = NormalizationParams(np.array(doc["normalization"]["mins"], dtype=float),
-                               np.array(doc["normalization"]["maxs"], dtype=float))
+    bounds = doc["normalization"]
+    norm = NormalizationParams(*(number_array(f"normalization.{key}", bounds[key])
+                                 for key in ("mins", "maxs")))
     ro = doc["readout"]
-    readout = ReadoutModel(np.array(ro["weights"], dtype=float),
+    readout = ReadoutModel(number_array("readout.weights", ro["weights"]),
                            ro["include_intercept"], ro["intercept"],
                            ro["ridge_lambda"])
     return Pipeline(norm, encoder, reservoir, readout,

@@ -12,9 +12,10 @@ States are plain complex amplitude arrays. All gate kernels operate on the
 last axis, so a batch of states with shape (batch, 2^D) goes through the
 same code path as a single state. The compiled circuits of `qelm` call
 `rotation_matrix`, `apply_single_qubit`, `apply_gate_kernel`,
-`pauli_expectations`, `haar_unitary`, `ising_parity_blocks` (wide
-registers) or `ising_unitary` (narrow ones) and `basis_bits`; the dense
-Kronecker oracle in the tests is their independent reference.
+`pauli_expectations`, `haar_reflectors` or `ising_parity_blocks` (wide
+registers), `haar_unitary` or `ising_unitary` (narrow ones) and
+`basis_bits`; the dense Kronecker oracle in the tests is their independent
+reference.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (ConfigurationError, ShapeError, ValidationError, check_number,
-                     require_finite)
+                     number_array)
 
 MAX_STATE_QUBITS = 16    # 2^16 amplitudes ~ 1 MB
 MAX_DENSE_QUBITS = 12    # 2^12-dim dense matrix ~ 256 MB is the ceiling
@@ -104,13 +105,12 @@ class IsingParams:
 
     def __post_init__(self):
         d = self.num_qubits
-        self.couplings = np.asarray(self.couplings, dtype=float)
-        self.fields = np.asarray(self.fields, dtype=float)
+        self.couplings = number_array("couplings", self.couplings)
+        self.fields = number_array("fields", self.fields)
         if self.couplings.shape != (d, d):
             raise ShapeError(f"couplings must be {d}x{d}")
         if self.fields.shape != (d,):
             raise ShapeError(f"fields must have length {d}")
-        require_finite("couplings/fields", self.couplings, self.fields)
         if not np.allclose(self.couplings, self.couplings.T, atol=1e-12):
             raise ValidationError("couplings matrix must be symmetric")
         if np.any(np.abs(np.diagonal(self.couplings)) > 1e-12):
@@ -179,13 +179,8 @@ def pauli_expectations(amps: np.ndarray, num_qubits: int) -> np.ndarray:
 # random unitary construction
 # ---------------------------------------------------------------------------
 
-def haar_unitary(dim: int, seed: int) -> np.ndarray:
-    """Haar-distributed random unitary via QR of a complex Ginibre matrix.
-
-    The QR phases are fixed by rescaling Q's columns with R_ii / |R_ii|,
-    which makes the distribution exactly Haar rather than QR-convention
-    dependent. Deterministic for a fixed seed.
-    """
+def _ginibre(dim: int, seed: int) -> np.ndarray:
+    """The seeded complex Ginibre matrix that both Haar constructions factor."""
     if dim < 1 or (dim & (dim - 1)) != 0:
         raise ConfigurationError(f"dim must be a power of two, got {dim}")
     if dim > (1 << MAX_DENSE_QUBITS):
@@ -195,10 +190,33 @@ def haar_unitary(dim: int, seed: int) -> np.ndarray:
     z.real = rng.standard_normal((dim, dim))
     z.imag = rng.standard_normal((dim, dim))
     z /= np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
+    return z
+
+
+def haar_unitary(dim: int, seed: int) -> np.ndarray:
+    """Haar-distributed random unitary via QR of a complex Ginibre matrix.
+
+    The QR phases are fixed by rescaling Q's columns with R_ii / |R_ii|,
+    which makes the distribution exactly Haar rather than QR-convention
+    dependent (Mezzadri 2007). Deterministic for a fixed seed.
+    """
+    q, r = np.linalg.qr(_ginibre(dim, seed))
     diag = np.diagonal(r)
     q *= diag / np.abs(diag)
     return q
+
+
+def haar_reflectors(dim: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unitary `haar_unitary` draws for the same seed, as the raw QR of
+    the same Ginibre matrix, without forming Q: (qr, tau).
+
+    Row i of `qr` holds Householder vector v_i beyond its unit entry i
+    (qr[i, i + 1:]; v_i is zero before i), and qr's diagonal is R's. With
+    H_i = I - tau_i v_i v_i^H and D = diag(R_ii / |R_ii|), the unitary is
+    H_0 H_1 ... H_{dim-1} D. Skipping Q saves LAPACK's `ungqr`, about half
+    the factorization's time.
+    """
+    return np.linalg.qr(_ginibre(dim, seed), mode="raw")
 
 
 @lru_cache(maxsize=None)

@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 
 import qelmkit
-from qelmkit.errors import ConfigurationError, ValidationError, check_number, require_finite
+from qelmkit import qelm
+from qelmkit.errors import (ConfigurationError, ValidationError, check_number, number_array,
+                            require_finite)
 
 
 @pytest.mark.parametrize("value,integer", [
     (3, True), (3, False), (-2.5, False), (0, True),
     (np.int64(7), True), (np.int32(7), False), (np.float64(0.5), False),
     (np.float32(-1.5), False),
-    (10 ** 400, True), (10 ** 400, False),   # math.isfinite overflows on it
+    (10 ** 400, True), (-10 ** 400, True),   # integer fields take any size
+    (10 ** 308, False), (-10 ** 308, False),   # within the float range
 ])
 def test_check_number_accepts(value, integer):
     assert check_number("f", value, integer=integer) is value
@@ -26,6 +29,8 @@ def test_check_number_accepts(value, integer):
     (float("nan"), False), (float("inf"), False), (float("-inf"), False),
     (np.float64("nan"), False), (np.float32("inf"), False),
     (2.0, True), (np.float64(2.0), True), (float("nan"), True),
+    # beyond the float range: math.isfinite would overflow, np.sqrt raise TypeError
+    (10 ** 400, False), (-10 ** 400, False), (2 ** 1024, False),
 ])
 def test_check_number_rejects(value, integer):
     kind = "integer" if integer else "number"
@@ -36,6 +41,38 @@ def test_check_number_rejects(value, integer):
 def test_check_number_raises_the_given_error():
     with pytest.raises(ValidationError, match="'time_step'"):
         check_number("time_step", float("nan"), error=ValidationError)
+
+
+def test_float_fields_reject_integers_beyond_the_float_range():
+    # used to reach np.sqrt and raise a raw TypeError
+    with pytest.raises(ValidationError, match="field 'ridge_lambda'"):
+        qelm.fit_readout(np.eye(2), [1.0, 2.0], ridge_lambda=10 ** 400)
+    with pytest.raises(ValidationError, match="field 'time_step'"):
+        qelm.IsingParams(2, np.zeros((2, 2)), np.zeros(2), time_step=10 ** 400)
+    # integer fields still take any size
+    assert qelm.EncoderSpec("RHE", 2, seed=10 ** 400).axis_assignment
+
+
+@pytest.mark.parametrize("value,expected", [
+    ([1, 2.5], [1.0, 2.5]), ([[0, -1], [2, 3]], [[0.0, -1.0], [2.0, 3.0]]),
+    (np.arange(3), [0.0, 1.0, 2.0]), (np.float32([0.5]), [0.5]), ([], []),
+])
+def test_number_array_accepts(value, expected):
+    values = number_array("f", value)
+    assert values.dtype == float
+    np.testing.assert_array_equal(values, expected)
+
+
+@pytest.mark.parametrize("value,message", [
+    (["a", 1.0], "real numbers"), (["1.5"], "real numbers"), ([True, False], "real numbers"),
+    ([1j], "real numbers"), ([[1.0], [1.0, 2.0]], "real numbers"), ([None], "real numbers"),
+    ([[1.0, {}]], "real numbers"), ([1.0, float("nan")], "finite"), ([float("-inf")], "finite"),
+])
+def test_number_array_rejects(value, message):
+    with pytest.raises(ValidationError, match=f"field 'f' must .*{message}"):
+        number_array("f", value)
+    with pytest.raises(ConfigurationError, match="'f'"):
+        number_array("f", value, error=ConfigurationError)
 
 
 def test_require_finite_checks_every_array():

@@ -676,6 +676,17 @@ def test_cli_exit_code_2_on_bad_generate_spec(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()   # no empty output directory is left
 
 
+def test_cli_rank_reads_the_results_before_creating_the_output(tmp_path, capsys):
+    # a NaN MSE exited 1 and left an empty output directory behind
+    results = tmp_path / "results_raw.csv"
+    results.write_text("dataset,feature_set,encoder,reservoir,repetition,mse\n"
+                       "Day1,FS2,DHE,CNOT,0,nan\n")
+    path = write_cli_config(tmp_path)
+    assert cli.main(["rank", "--config", str(path), "--results", str(results)]) == 1
+    assert "row 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["run-rq1", "run-rq2", "run-rq3"])
 @pytest.mark.parametrize("paths", [["a/Day1.csv", "b/Day1.csv"],   # one stem, two dirs
                                    ["a/Day1.csv", "a/Day1.csv"]])

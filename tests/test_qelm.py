@@ -94,22 +94,27 @@ def gate_by_gate_observations(enc: EncoderSpec, res: qelm.Reservoir, seed: int,
     `pauli_expectations` and no circuit layout from `qelm`, so it checks the
     compiled path's kernels and its ring and layer order."""
     m = enc.num_features
+    # the rings repeat across layers and rows: embed each of their gates once
+    embedded = {gate: dense_gate(gate, m) for gate in ring_gates(m, "CZ")}
     if res.kind in ("CNOT", "ROTATION"):
         gates = reservoir_gates(res)
-        embedded = {gate: dense_gate(gate, m) for gate in set(gates)}   # rings repeat
+        embedded.update((gate, dense_gate(gate, m)) for gate in set(gates))
         reservoir = [embedded[gate] for gate in gates]
     else:
         reservoir = [reservoir_oracle(res, seed)]
-    observables = [embed(PAULI[axis], q, m) for q in range(m) for axis in "XYZ"]
-    rows = []
+    states = []
     for row in angles:
         amps = zero_state(m)
         for gate in encoder_gates(enc, row):
-            amps = dense_gate(gate, m) @ amps
+            amps = (embedded[gate] if gate in embedded else dense_gate(gate, m)) @ amps
         for u in reservoir:
             amps = u @ amps
-        rows.append([(amps.conj() @ p @ amps).real for p in observables])
-    return np.array(rows)
+        states.append(amps)
+    states = np.array(states)
+    # one dense observable at a time: at 10 qubits each takes 16 MB
+    return np.column_stack([np.sum(states.conj() * (states @ embed(PAULI[axis], q, m).T),
+                                   axis=1).real
+                            for q in range(m) for axis in "XYZ"])
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +294,24 @@ def test_ising_reservoir_width_rule():
     assert len(wide.stages) == 1 and wide.stages[0].low is None
     assert wide.stages[0].high is None and wide.stages[0].perm is None
     assert [u.shape for u in wide.stages[0].parity] == [(64, 64), (64, 64)]
+
+
+def test_haar_reservoir_width_rule():
+    # one dense stage below HAAR_REFLECTOR_QUBITS, the Householder reflectors from there
+    narrow = qelm.build_reservoir(ReservoirSpec("HAAR", 8, seed=1))
+    assert len(narrow.stages) == 1 and narrow.stages[0].reflectors is None
+    assert narrow.stages[0].low.shape == (256, 256) and narrow.reflectors is None
+    wide = qelm.build_reservoir(ReservoirSpec("HAAR", 9, seed=1))
+    assert len(wide.stages) == 1
+    stage = wide.stages[0]
+    assert stage.low is None and stage.high is None and stage.perm is None
+    assert stage.parity is None
+    phases, blocks = stage.reflectors
+    assert phases.shape == (512,)
+    assert [start for start, _, _ in blocks] == list(range(0, 512, qelm.WY_BLOCK))
+    assert [u.shape for u in wide.reflectors] == [(512, 512), (512,)]
+    np.testing.assert_allclose(stages_matrix(wide), quantum.haar_unitary(512, 1),
+                               rtol=0, atol=1e-12)
 
 
 def test_identity_ising_reservoir_equals_encoder_only():
@@ -472,7 +495,9 @@ def test_run_circuit_batch_matches_single_state_path():
 ORACLE_CASES = ([(depth, m, enc, kind) for depth in (1, 2) for m in (2, 3, 5)
                  for enc in ("DHE", "RHE") for kind in qelm.RESERVOIR_KINDS]
                 # 7 qubits: ISING runs as its two parity blocks
-                + [(depth, 7, enc, "ISING") for depth in (1, 2) for enc in ("DHE", "RHE")])
+                + [(depth, 7, enc, "ISING") for depth in (1, 2) for enc in ("DHE", "RHE")]
+                # 9 and 10 qubits: HAAR runs as its Householder reflectors
+                + [(1, m, enc, "HAAR") for m in (9, 10) for enc in ("DHE", "RHE")])
 
 
 @pytest.mark.parametrize("encoder_depth,m,encoder_kind,kind", ORACLE_CASES,
@@ -521,6 +546,28 @@ def test_run_circuit_batch_reads_a_shared_encoded_batch(kind, m):
         shared = qelm.run_circuit_batch(enc, res, angles, encoded=encoded)
         assert shared.tobytes() == qelm.run_circuit_batch(enc, res, angles).tobytes()
     np.testing.assert_array_equal(encoded, before)
+
+
+@pytest.mark.parametrize("kind", qelm.RESERVOIR_KINDS)
+def test_run_circuit_batch_row_blocks_match_one_block(monkeypatch, kind):
+    # 9 qubits, two full row blocks and a remainder; HAAR runs as reflectors
+    m = 9
+    rows = 2 * (qelm.BLOCK_AMPLITUDES >> m) + 37
+    rng = np.random.default_rng(41)
+    enc = EncoderSpec("RHE", m, seed=2)
+    res = qelm.build_reservoir(ReservoirSpec(kind, m, depth=2, seed=6))
+    angles = rng.uniform(0, np.pi, size=(rows, m))
+    encoded = qelm.encode_batch(enc, angles)
+    assert encoded.size > qelm.BLOCK_AMPLITUDES
+    before = encoded.copy()
+    encoded.flags.writeable = False   # any write into the shared batch raises
+    blocked = qelm.run_circuit_batch(enc, res, angles)
+    shared = qelm.run_circuit_batch(enc, res, angles, encoded=encoded)
+    assert encoded.tobytes() == before.tobytes()
+    assert shared.tobytes() == blocked.tobytes()
+    monkeypatch.setattr(qelm, "BLOCK_AMPLITUDES", encoded.size)
+    whole = qelm.run_circuit_batch(enc, res, angles)
+    np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("shape", [(4, 16), (5, 8), (16,), (5, 16, 1)])
@@ -696,8 +743,9 @@ def test_qelm_train_shape_guard():
 
 
 @pytest.mark.parametrize("kind,m", [("CNOT", 3), ("HAAR", 3), ("ISING", 3), ("ROTATION", 3),
-                                    ("ISING", 7)],   # the parity-block stage
-                         ids=["CNOT", "HAAR", "ISING", "ROTATION", "ISING-7"])
+                                    ("ISING", 7),   # the parity-block stage
+                                    ("HAAR", 9)],   # the reflector stage
+                         ids=["CNOT", "HAAR", "ISING", "ROTATION", "ISING-7", "HAAR-9"])
 def test_pipeline_roundtrip_bit_identical(tmp_path, kind, m):
     features, targets = make_training_data(m=m, seed=kind_seed(kind))
     pipe = qelm.qelm_train((features, targets), EncoderSpec("RHE", m, seed=4),
@@ -792,6 +840,18 @@ def nan_rotation_angle(doc):
     doc["reservoir"]["rotation_layers"][0][1][1] = float("nan")
 
 
+def string_entry(*path):
+    """Replace the first number of the (possibly nested) list at `path` by "a"."""
+    def corrupt(doc):
+        for part in path:
+            doc = doc[part]
+        while isinstance(doc[0], list):
+            doc = doc[0]
+        doc[0] = "a"
+    corrupt.__name__ = f"string_in_{'_'.join(path)}"   # the test id
+    return corrupt
+
+
 @pytest.mark.parametrize("kind,corrupt,error,fragment", [
     ("CNOT", corrupt_weights, ValidationError, "weights"),
     ("ROTATION", corrupt_normalization, ValidationError, "normalization"),
@@ -825,6 +885,16 @@ def nan_rotation_angle(doc):
     # both loaded as depth 10: the depth of these kinds was never read
     ("ISING", set_field("reservoir", "depth", -3), ConfigurationError, "depth"),
     ("HAAR", set_field("reservoir", "depth", -3), ConfigurationError, "depth"),
+    # each was numpy's raw ValueError "could not convert string to float: 'a'"
+    ("CNOT", string_entry("normalization", "mins"), ValidationError, "'normalization.mins'"),
+    ("CNOT", string_entry("normalization", "maxs"), ValidationError, "'normalization.maxs'"),
+    ("ROTATION", string_entry("readout", "weights"), ValidationError, "'readout.weights'"),
+    ("ISING", string_entry("reservoir", "ising", "couplings"), ValidationError, "'couplings'"),
+    ("ISING", string_entry("reservoir", "ising", "fields"), ValidationError, "'fields'"),
+    ("HAAR", string_entry("reservoir", "unitary_im"), ValidationError, "'unitary_im'"),
+    ("CNOT", set_field("readout", "weights", [[0.5]] * 9), ValidationError, "weights"),
+    ("CNOT", set_field("normalization", "maxs", [1.0, [2.0], 3.0]), ValidationError,
+     "'normalization.maxs'"),
 ])
 def test_pipeline_from_json_rejects_inconsistent_documents(kind, corrupt, error, fragment):
     doc = pipeline_doc(kind)
@@ -832,6 +902,81 @@ def test_pipeline_from_json_rejects_inconsistent_documents(kind, corrupt, error,
     corrupt(doc)
     with pytest.raises(error, match=fragment):
         qelm.Pipeline.from_json(json.dumps(doc))
+
+
+def reflector_doc(monkeypatch) -> dict:
+    """A 3-qubit HAAR pipeline document in the reflector form that wide
+    reservoirs are saved in."""
+    monkeypatch.setattr(qelm, "HAAR_REFLECTOR_QUBITS", 3)
+    doc = pipeline_doc("HAAR")
+    assert "reflectors_re" in doc["reservoir"] and "unitary_re" not in doc["reservoir"]
+    return doc
+
+
+def drop_reflector_row(doc):
+    for part in ("re", "im"):
+        doc["reservoir"][f"reflectors_{part}"].pop()
+
+
+def truncate_tau(doc):
+    for part in ("re", "im"):
+        doc["reservoir"][f"tau_{part}"].pop()
+
+
+def stretch_reflector(doc):
+    doc["reservoir"]["reflectors_re"][1][5] += 0.5   # v_1 changes, tau_1 does not
+
+
+def zero_diagonal(doc):
+    for part in ("re", "im"):
+        doc["reservoir"][f"reflectors_{part}"][2][2] = 0.0
+
+
+@pytest.mark.parametrize("corrupt,fragment", [
+    (drop_reflector_row, "'reflectors'"),
+    (truncate_tau, "'tau'"),
+    (set_field("reservoir", "tau_im", [[0.0]] * 8), "'tau_re' and 'tau_im'"),
+    (set_field("reservoir", "tau_re", [0.5] + [1.0] * 7), "make reflector 0 non-unitary"),
+    (stretch_reflector, "reflector 1 non-unitary"),
+    (zero_diagonal, "'reflectors' has a zero"),
+    (string_entry("reservoir", "reflectors_im"), "'reflectors_im'"),
+    (string_entry("reservoir", "tau_re"), "'tau_re'"),
+    (set_field("reservoir", "tau_im", [float("nan")] * 8), "'tau_im' must be finite"),
+])
+def test_pipeline_from_json_rejects_bad_reflectors(monkeypatch, corrupt, fragment):
+    doc = reflector_doc(monkeypatch)
+    qelm.Pipeline.from_json(json.dumps(doc))   # the untouched document loads
+    corrupt(doc)
+    with pytest.raises(ValidationError, match=fragment):
+        qelm.Pipeline.from_json(json.dumps(doc))
+
+
+def test_pipeline_from_json_needs_every_reflector_field(monkeypatch):
+    for key in ("reflectors_im", "tau_re", "tau_im"):
+        doc = reflector_doc(monkeypatch)
+        del doc["reservoir"][key]
+        with pytest.raises(ValidationError, match=f"missing key '{key}'"):
+            qelm.Pipeline.from_json(json.dumps(doc))
+
+
+def test_wide_dense_haar_documents_still_load():
+    # a wide HAAR pipeline saved as one dense unitary loads as a dense stage
+    # and predicts what the reflector form does
+    m = 9
+    features, targets = make_training_data(m=m, seed=3)
+    pipe = qelm.qelm_train((features, targets), EncoderSpec("DHE", m),
+                           ReservoirSpec("HAAR", m, seed=5))
+    doc = json.loads(pipe.to_json())
+    for part in ("re", "im"):
+        del doc["reservoir"][f"reflectors_{part}"], doc["reservoir"][f"tau_{part}"]
+    unitary = quantum.haar_unitary(1 << m, 5)
+    doc["reservoir"].update(unitary_re=unitary.real.tolist(), unitary_im=unitary.imag.tolist())
+    dense = qelm.Pipeline.from_json(json.dumps(doc))
+    assert dense.reservoir.reflectors is None
+    assert dense.reservoir.stages[0].low.shape == (512, 512)
+    np.testing.assert_allclose(dense.predict_batch(features), pipe.predict_batch(features),
+                               rtol=1e-12)
+    assert json.loads(dense.to_json())["reservoir"].keys() == doc["reservoir"].keys()
 
 
 def test_dhe_family_mse_spread_finite():

@@ -247,11 +247,27 @@ def test_haar_dim_one_is_phase():
     assert abs(abs(u[0, 0]) - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("dim", [1, 2, 8, 64])
+def test_haar_reflectors_multiply_out_to_haar_unitary(dim):
+    # H_0 H_1 ... H_{dim-1} D, one explicit reflector at a time
+    qr, tau = q.haar_reflectors(dim, seed=dim + 3)
+    u = np.eye(dim, dtype=complex)
+    for i in range(dim):
+        v = np.zeros(dim, dtype=complex)
+        v[i] = 1.0
+        v[i + 1:] = qr[i, i + 1:]
+        u = u @ (np.eye(dim) - tau[i] * np.outer(v, v.conj()))
+    diag = np.diagonal(qr)
+    np.testing.assert_allclose(u * (diag / np.abs(diag)), q.haar_unitary(dim, seed=dim + 3),
+                               rtol=0, atol=1e-13)
+
+
 def test_haar_rejects_non_power_of_two():
-    with pytest.raises(ConfigurationError):
-        q.haar_unitary(3, seed=0)
-    with pytest.raises(ConfigurationError):
-        q.haar_unitary(1 << 13, seed=0)
+    for build in (q.haar_unitary, q.haar_reflectors):
+        with pytest.raises(ConfigurationError):
+            build(3, seed=0)
+        with pytest.raises(ConfigurationError):
+            build(1 << 13, seed=0)
 
 
 def test_haar_first_entry_moment():
