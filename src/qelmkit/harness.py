@@ -12,11 +12,12 @@ the order of their encoder's axis assignment, and each run of equal
 assignments shares one `qelm.encode_batch` of the fold's angles: all-X
 (every DHE cell, and any RHE cell that drew it) is one batch per fold, the
 other RHE draws at most 3^(M * depth) - 1 more. A batch is shared only
-while it holds at most 2^`quantum.MAX_STATE_QUBITS` amplitudes (rows * 2^M,
-the size of the largest single state the package allows); larger ones, such
-as a 10-qubit fold, are encoded per cell so they never sit on top of a
-reservoir build's memory peak. Results are still reported in (feature set,
-fold, combination, repetition) order.
+while `qelm.run_circuit_batch` runs it as one block, that is while it holds
+at most `qelm.BLOCK_AMPLITUDES` amplitudes (rows * 2^M): an FS2-FS5 fold of
+about 1,064 rows holds at most 34k. Larger ones, such as a 10-qubit fold of
+about 1.09M, are encoded per cell so they never sit on top of a reservoir
+build's memory peak. Results are still reported in (feature set, fold,
+combination, repetition) order.
 """
 from __future__ import annotations
 
@@ -30,14 +31,12 @@ from itertools import combinations as iter_pairs
 
 import numpy as np
 
-from . import elevator, qelm, quantum, stats
+from . import elevator, qelm, stats
 from .elevator import BuildingConfig, Dataset, TrafficProfile
 from .errors import ConfigurationError, DegenerateInputError, ValidationError, check_number
 from .stats import ComparisonReport, PairwiseResult, RunResults
 
-ENCODERS = ("DHE", "RHE")
-RESERVOIRS = ("CNOT", "HAAR", "ISING", "ROTATION")
-ALL_COMBINATIONS = tuple(f"{e}_{r}" for e in ENCODERS for r in RESERVOIRS)
+ALL_COMBINATIONS = tuple(f"{e}_{r}" for e in qelm.ENCODER_KINDS for r in qelm.RESERVOIR_KINDS)
 
 RESULTS_CSV = "results_raw.csv"
 BASELINES_CSV = "baselines.csv"
@@ -275,11 +274,11 @@ def _prepare_fold(train_days: list[Dataset], test_day: Dataset,
 
 
 def _shares_encoded_batch(fold: _FoldCache) -> bool:
-    """Whether a fold's cells may share one encoded batch: only while it is
-    no larger than the largest single state the package allows, so holding
-    it across cells never stacks a large batch on a reservoir build's peak."""
+    """Whether a fold's cells may share one encoded batch: only while
+    `qelm.run_circuit_batch` runs it as one block, so holding it across
+    cells never stacks a large batch on a reservoir build's peak."""
     rows, width = fold.angles.shape
-    return rows << width <= 1 << quantum.MAX_STATE_QUBITS
+    return rows << width <= qelm.BLOCK_AMPLITUDES
 
 
 def _cell_mse(fold: _FoldCache, encoder: qelm.EncoderSpec, reservoir_kind: str,

@@ -43,12 +43,14 @@ for composing the CNOT rings, `pauli_expectations` for the readout,
 for the reservoir matrices. The dense Kronecker oracle in the tests is their
 independent reference.
 
-A saved pipeline carries each reservoir's sampled parameters: the Ising
-couplings, fields and time step, the rotation layers, or for HAAR the dense
-unitary (`unitary_re`/`unitary_im`) below HAAR_REFLECTOR_QUBITS qubits and
-the raw QR and tau (`reflectors_re`/`reflectors_im`, `tau_re`/`tau_im`)
-from there. The loader rebuilds the reflector stage through the same
-function as the build, so predictions round-trip bit-identically.
+A reservoir is its sampled parameters, `params`, carried unchanged from the
+`ReservoirSpec` through the built `Reservoir` to the saved pipeline: the
+Ising couplings, fields and time step, the rotation layers, or for HAAR the
+dense unitary (`unitary_re`/`unitary_im`) below HAAR_REFLECTOR_QUBITS qubits
+and the raw QR and tau (`reflectors_re`/`reflectors_im`, `tau_re`/`tau_im`)
+from there. The loader passes a document's parameters back through
+`ReservoirSpec`, which checks them, and `build_reservoir`, which compiles
+them as the build did, so predictions round-trip bit-identically.
 """
 from __future__ import annotations
 
@@ -134,6 +136,12 @@ def apply_normalization(params: NormalizationParams, features: np.ndarray) -> np
 # encoder
 # ---------------------------------------------------------------------------
 
+def _check_seed(seed) -> None:
+    """A spec's `seed`: None or an integer >= 0, as numpy's SeedSequence takes."""
+    if seed is not None and check_number("seed", seed, integer=True) < 0:
+        raise ConfigurationError(f"field 'seed' must be >= 0, got {seed}")
+
+
 @dataclass
 class EncoderSpec:
     """Hardware-efficient encoder: per-qubit rotations then a cyclic CZ ring.
@@ -151,23 +159,23 @@ class EncoderSpec:
     def __post_init__(self):
         if self.kind not in ENCODER_KINDS:
             raise ConfigurationError(f"unknown encoder kind {self.kind!r}")
-        for name in ("num_features", "depth"):
-            if check_number(name, getattr(self, name), integer=True) < 1:
-                raise ConfigurationError(f"field '{name}' must be >= 1")
+        width, cap = self.num_features, quantum.MAX_STATE_QUBITS
+        if not 2 <= check_number("num_features", width, integer=True) <= cap:
+            raise ConfigurationError(f"field 'num_features' must be in [2, {cap}] (the ring "
+                                     f"needs 2 qubits, the state cap is {cap}), got {width}")
+        if check_number("depth", self.depth, integer=True) < 1:
+            raise ConfigurationError("field 'depth' must be >= 1")
+        _check_seed(self.seed)
         if self.axis_assignment is None:
             if self.kind == "DHE":
-                axes = tuple(tuple("X" for _ in range(self.num_features))
-                             for _ in range(self.depth))
+                self.axis_assignment = (("X",) * width,) * self.depth
+            elif self.seed is None:
+                raise ConfigurationError("RHE encoder requires a seed")
             else:
-                if self.seed is None:
-                    raise ConfigurationError("RHE encoder requires a seed")
                 rng = np.random.default_rng(self.seed)
-                axes = tuple(
-                    tuple(quantum.PAULI_KINDS[i]
-                          for i in rng.integers(0, 3, size=self.num_features))
-                    for _ in range(self.depth)
-                )
-            self.axis_assignment = axes
+                self.axis_assignment = tuple(
+                    tuple(quantum.PAULI_KINDS[i] for i in rng.integers(0, 3, size=width))
+                    for _ in range(self.depth))
         if len(self.axis_assignment) != self.depth:
             raise ConfigurationError(
                 f"field 'axis_assignment' must hold {self.depth} layers (the depth), "
@@ -192,42 +200,60 @@ def cyclic_ring(num_qubits: int, kind: str) -> list[GateOp]:
 # reservoirs
 # ---------------------------------------------------------------------------
 
+# one (axis, angle) per qubit, per layer
+RotationLayers = tuple[tuple[tuple[str, float], ...], ...]
+# a reservoir's sampled parameters, per kind as in ReservoirSpec
+ReservoirParams = IsingParams | RotationLayers | np.ndarray | tuple[np.ndarray, ...] | None
+
+
 @dataclass
 class ReservoirSpec:
-    """Which fixed reservoir to build; random parameters come from `seed`
-    unless given explicitly (`ising`, `rotation_layers`)."""
+    """Which fixed reservoir to build. `params` holds its sampled parameters
+    when they are known, and `build_reservoir` draws them from `seed`
+    otherwise: for ISING an `IsingParams`, for ROTATION one rotation layer
+    per unit of depth, for HAAR one dense unitary or the (qr, tau) of
+    `quantum.haar_reflectors` (checked in O(4^M)), and for CNOT none."""
 
     kind: str
     num_qubits: int
     depth: int = 10
     seed: int | None = None
-    ising: IsingParams | None = None
-    rotation_layers: tuple[tuple[tuple[str, float], ...], ...] | None = None
+    params: ReservoirParams = None
 
     def __post_init__(self):
         if self.kind not in RESERVOIR_KINDS:
             raise ConfigurationError(f"unknown reservoir kind {self.kind!r}")
         ring = int(self.kind in ("CNOT", "ROTATION"))   # layers end in a CNOT ring
+        cap = quantum.MAX_STATE_QUBITS if ring else quantum.MAX_DENSE_QUBITS   # dense 2^M
         width = check_number("num_qubits", self.num_qubits, integer=True)
-        if not 1 + ring <= width <= quantum.MAX_STATE_QUBITS:
-            raise ConfigurationError(f"field 'num_qubits' must be in [{1 + ring}, "
-                                     f"{quantum.MAX_STATE_QUBITS}], got {width}")
+        if not 1 + ring <= width <= cap:
+            raise ConfigurationError(f"field 'num_qubits' must be in [{1 + ring}, {cap}] "
+                                     f"for {self.kind}, got {width}")
         # only the ring kinds stack layers, but every kind records its depth
         if check_number("depth", self.depth, integer=True) < ring:
             raise ConfigurationError(f"field 'depth' must be >= {ring}, got {self.depth}")
-        if self.ising is not None and self.kind != "ISING":
-            raise ConfigurationError("ising parameters only apply to the ISING kind")
-        if self.rotation_layers is not None:
+        _check_seed(self.seed)
+        if self.params is None:
+            if self.seed is None and self.kind != "CNOT":
+                raise ConfigurationError(f"{self.kind} reservoir requires a seed or params")
+        elif self.kind == "CNOT":
+            raise ConfigurationError("field 'params' must be None for CNOT: it has no "
+                                     "random parameters")
+        elif self.kind == "ISING":
+            if not (isinstance(self.params, IsingParams) and self.params.num_qubits == width):
+                raise ConfigurationError(f"field 'params' must be IsingParams over {width} "
+                                         "qubits for ISING")
+        elif self.kind == "ROTATION":
             self._check_rotation_layers()
+        else:
+            self._check_haar()
 
     def _check_rotation_layers(self) -> None:
-        if self.kind != "ROTATION":
-            raise ConfigurationError("rotation_layers only apply to the ROTATION kind")
-        if len(self.rotation_layers) != self.depth:
+        if len(self.params) != self.depth:
             raise ConfigurationError(
                 f"field 'rotation_layers' must hold {self.depth} layers (the depth), "
-                f"got {len(self.rotation_layers)}")
-        for layer in self.rotation_layers:
+                f"got {len(self.params)}")
+        for layer in self.params:
             if len(layer) != self.num_qubits:
                 raise ConfigurationError("each rotation layer must cover every qubit")
             for axis, angle in layer:
@@ -235,6 +261,28 @@ class ReservoirSpec:
                     raise ConfigurationError(
                         f"field 'rotation_layers' has axis {axis!r}; axes must be X, Y or Z")
                 check_number("rotation_layers", angle, error=ValidationError)
+
+    def _check_haar(self) -> None:
+        """A dense unitary, or (qr, tau) checked in O(dim^2): H_i = I - tau_i
+        v_i v_i^H is unitary exactly when 2 Re tau_i = |tau_i|^2 |v_i|^2, and
+        every phase R_ii / |R_ii| needs R_ii != 0."""
+        dim, u = 1 << self.num_qubits, self.params
+        if not (isinstance(u, tuple) and len(u) == 2):
+            if not (isinstance(u, np.ndarray) and u.shape == (dim, dim)
+                    and quantum.unitarity_defect(u) < 1e-10):
+                raise ValidationError(f"HAAR matrix must be a {dim}x{dim} unitary")
+            return
+        qr, tau = u
+        if np.shape(qr) != (dim, dim) or np.shape(tau) != (dim,):
+            raise ValidationError(f"fields 'reflectors' and 'tau' must be {dim}x{dim} "
+                                  f"and {dim} long, got {np.shape(qr)} and {np.shape(tau)}")
+        norms = 1.0 + np.sum(np.abs(np.triu(qr, 1)) ** 2, axis=1)
+        bad = np.flatnonzero(np.abs(2.0 * tau.real - np.abs(tau) ** 2 * norms) > 1e-10)
+        if len(bad):
+            raise ValidationError(f"fields 'reflectors' and 'tau' make reflector {bad[0]} "
+                                  "non-unitary")
+        if np.any(np.diagonal(qr) == 0):
+            raise ValidationError("field 'reflectors' has a zero on R's diagonal")
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,22 +349,18 @@ class Stage:
 
 @dataclass
 class Reservoir:
-    """Built reservoir: its compiled stages, plus the sampled parameters
-    retained so it serializes without the seed (a narrow HAAR reservoir's
-    parameter is its single dense stage, a wide one's the (qr, tau) of
-    `quantum.haar_reflectors` in `reflectors`)."""
+    """Built reservoir: its compiled stages, and the sampled `params` they
+    were compiled from (as in `ReservoirSpec`), so it serializes without the
+    seed."""
 
     kind: str
     num_qubits: int
     depth: int = 10
     stages: tuple[Stage, ...] = ()
-    ising: IsingParams | None = None
-    rotation_layers: tuple[tuple[tuple[str, float], ...], ...] | None = None
-    reflectors: tuple[np.ndarray, np.ndarray] | None = None
+    params: ReservoirParams = None
 
 
-def _sample_rotation_layers(num_qubits: int, depth: int,
-                            seed: int) -> tuple[tuple[tuple[str, float], ...], ...]:
+def _sample_rotation_layers(num_qubits: int, depth: int, seed: int) -> RotationLayers:
     rng = np.random.default_rng(seed)
     layers = []
     for _ in range(depth):
@@ -340,7 +384,7 @@ def _ring_permutation(num_qubits: int, depth: int) -> np.ndarray:
     return perm
 
 
-def _rotation_factors(layers: tuple[tuple[tuple[str, float], ...], ...],
+def _rotation_factors(layers: RotationLayers,
                       split: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Kronecker factors of every layer's rotations: (L, 2^split, 2^split) for
     qubits below `split` and (L, 2^(M-split), 2^(M-split)) for the rest (None
@@ -367,8 +411,7 @@ def _rotation_factors(layers: tuple[tuple[tuple[str, float], ...], ...],
     return kron(rot[:, :split]), kron(rot[:, split:])
 
 
-def _rotation_stages(num_qubits: int,
-                     layers: tuple[tuple[tuple[str, float], ...], ...]) -> tuple[Stage, ...]:
+def _rotation_stages(num_qubits: int, layers: RotationLayers) -> tuple[Stage, ...]:
     """Per layer: rotations split into Kronecker factors of 2^ceil(M/2) and
     2^floor(M/2) (`_rotation_factors`, built for all layers in one
     broadcast), then the layer's CNOT ring as one permutation. That costs
@@ -391,11 +434,9 @@ def _rotation_stages(num_qubits: int,
 
 
 def _reflector_stage(qr: np.ndarray, tau: np.ndarray) -> Stage:
-    """The `reflectors` stage of `quantum.haar_reflectors`' (qr, tau), used
-    by both the build and the loader so a saved reservoir runs bit-identically.
-
-    Per block of WY_BLOCK reflectors from `start`, V^T holds their vectors
-    over the columns from `start` (unit diagonal, zeros before it) and the
+    """The `reflectors` stage of `quantum.haar_reflectors`' (qr, tau): per
+    block of WY_BLOCK reflectors from `start`, V^T holds their vectors over
+    the columns from `start` (unit diagonal, zeros before it) and the
     upper-triangular T follows LAPACK's `larft`: T[i, i] = tau_i and
     T[:i, i] = -tau_i T[:i, :i] (V^H v_i)[:i]."""
     qr = np.ascontiguousarray(qr)   # one layout, whichever path made it
@@ -415,40 +456,34 @@ def _reflector_stage(qr: np.ndarray, tau: np.ndarray) -> Stage:
 
 
 def build_reservoir(spec: ReservoirSpec) -> Reservoir:
-    """Materialize and compile a reservoir; deterministic for a fixed spec and seed."""
-    d = spec.num_qubits
-    if spec.kind == "CNOT":
-        return Reservoir("CNOT", d, spec.depth,
-                         stages=(Stage(perm=_ring_permutation(d, spec.depth)),))
-    if spec.kind == "HAAR":
-        if spec.seed is None:
-            raise ConfigurationError("HAAR reservoir requires a seed")
-        if d < HAAR_REFLECTOR_QUBITS:
-            return Reservoir("HAAR", d, spec.depth,
-                             stages=(Stage(quantum.haar_unitary(1 << d, spec.seed)),))
-        qr, tau = quantum.haar_reflectors(1 << d, spec.seed)
-        return Reservoir("HAAR", d, spec.depth, stages=(_reflector_stage(qr, tau),),
-                         reflectors=(qr, tau))
-    if spec.kind == "ISING":
-        params = spec.ising
+    """Materialize and compile a reservoir; deterministic for a fixed spec and seed.
+
+    Without `spec.params` the parameters are drawn from the seed first: HAAR
+    as one dense unitary below HAAR_REFLECTOR_QUBITS qubits and as its
+    Householder reflectors from there. The stages are then compiled from the
+    parameters alone, so a spec carrying a built reservoir's `params`
+    rebuilds its stages exactly."""
+    kind, d, params = spec.kind, spec.num_qubits, spec.params
+    if kind == "CNOT":
+        stages = (Stage(perm=_ring_permutation(d, spec.depth)),)
+    elif kind == "HAAR":
         if params is None:
-            if spec.seed is None:
-                raise ConfigurationError("ISING reservoir requires a seed or parameters")
+            params = (quantum.haar_unitary(1 << d, spec.seed) if d < HAAR_REFLECTOR_QUBITS
+                      else quantum.haar_reflectors(1 << d, spec.seed))
+        stages = (_reflector_stage(*params) if isinstance(params, tuple) else Stage(params),)
+    elif kind == "ISING":
+        if params is None:
             params = quantum.sample_ising_params(d, spec.seed)
-        if params.num_qubits != d:
-            raise ConfigurationError("Ising parameter size does not match num_qubits")
         if d < ISING_PARITY_QUBITS:
-            stage = Stage(quantum.ising_unitary(params))
+            stages = (Stage(quantum.ising_unitary(params)),)
         else:
-            stage = Stage(parity=tuple(u / 2.0 for u in quantum.ising_parity_blocks(params)))
-        return Reservoir("ISING", d, spec.depth, stages=(stage,), ising=params)
-    layers = spec.rotation_layers
-    if layers is None:
-        if spec.seed is None:
-            raise ConfigurationError("ROTATION reservoir requires a seed or layers")
-        layers = _sample_rotation_layers(d, spec.depth, spec.seed)
-    return Reservoir("ROTATION", d, spec.depth, stages=_rotation_stages(d, layers),
-                     rotation_layers=layers)
+            halves = tuple(u / 2.0 for u in quantum.ising_parity_blocks(params))
+            stages = (Stage(parity=halves),)
+    else:
+        if params is None:
+            params = _sample_rotation_layers(d, spec.depth, spec.seed)
+        stages = _rotation_stages(d, params)
+    return Reservoir(kind, d, spec.depth, stages, params)
 
 
 # ---------------------------------------------------------------------------
@@ -456,16 +491,12 @@ def build_reservoir(spec: ReservoirSpec) -> Reservoir:
 # ---------------------------------------------------------------------------
 
 def _angle_batch(encoder: EncoderSpec, angles) -> np.ndarray:
-    """`angles` as a finite (P, M) float array, checked against the encoder's width."""
+    """`angles` as a finite (P, M) float array for the encoder's M qubits."""
     m = encoder.num_features
-    if m > quantum.MAX_STATE_QUBITS:
-        raise ConfigurationError(
-            f"{m} qubits exceed the state-vector cap of {quantum.MAX_STATE_QUBITS}")
-    if m < 2:
-        raise ConfigurationError("cyclic entanglement needs at least 2 qubits")
     angles = np.atleast_2d(np.asarray(angles, dtype=float))
-    if angles.shape[1] != m:
-        raise ShapeError(f"expected {m} angles per row, got {angles.shape[1]}")
+    if angles.ndim != 2 or angles.shape[1] != m:
+        raise ShapeError(f"expected one row or a (rows, {m}) batch of angles, "
+                         f"got shape {angles.shape}")
     require_finite("angles", angles)
     return angles
 
@@ -603,7 +634,11 @@ class Pipeline:
         return obs @ self.readout.weights + self.readout.intercept
 
     def predict(self, features: np.ndarray) -> float:
-        return float(self.predict_batch(np.asarray(features)[None, :])[0])
+        row = np.asarray(features)
+        if row.ndim != 1:
+            raise ShapeError(f"predict takes one feature row, got shape {row.shape}; "
+                             "use predict_batch for a batch")
+        return float(self.predict_batch(row[None, :])[0])
 
     def to_json(self) -> str:
         return json.dumps(_pipeline_to_dict(self))
@@ -658,26 +693,22 @@ def qelm_train(train, encoder: EncoderSpec, reservoir: ReservoirSpec | Reservoir
 # ---------------------------------------------------------------------------
 
 def _pipeline_to_dict(p: Pipeline) -> dict:
-    reservoir: dict = {"kind": p.reservoir.kind, "num_qubits": p.reservoir.num_qubits,
+    kind, params = p.reservoir.kind, p.reservoir.params
+    reservoir: dict = {"kind": kind, "num_qubits": p.reservoir.num_qubits,
                        "depth": p.reservoir.depth}
-    if p.reservoir.kind == "ISING":
-        reservoir["ising"] = {
-            "couplings": p.reservoir.ising.couplings.tolist(),
-            "fields": p.reservoir.ising.fields.tolist(),
-            "time_step": p.reservoir.ising.time_step,
-        }
-    elif p.reservoir.kind == "ROTATION":
-        reservoir["rotation_layers"] = [
-            [[axis, angle] for axis, angle in layer] for layer in p.reservoir.rotation_layers
-        ]
-    elif p.reservoir.reflectors is not None:
-        qr, tau = p.reservoir.reflectors
+    if kind == "ISING":
+        reservoir["ising"] = {"couplings": params.couplings.tolist(),
+                              "fields": params.fields.tolist(),
+                              "time_step": params.time_step}
+    elif kind == "ROTATION":
+        reservoir["rotation_layers"] = [[[axis, angle] for axis, angle in layer]
+                                        for layer in params]
+    elif kind == "HAAR" and isinstance(params, tuple):
+        qr, tau = params
         reservoir.update(reflectors_re=qr.real.tolist(), reflectors_im=qr.imag.tolist(),
                          tau_re=tau.real.tolist(), tau_im=tau.imag.tolist())
-    elif p.reservoir.kind == "HAAR":
-        entries = p.reservoir.stages[0].low
-        reservoir["unitary_re"] = entries.real.tolist()
-        reservoir["unitary_im"] = entries.imag.tolist()
+    elif kind == "HAAR":
+        reservoir.update(unitary_re=params.real.tolist(), unitary_im=params.imag.tolist())
     return {
         "format": "qelm-pipeline-v1",
         "encoder": {
@@ -722,10 +753,6 @@ def _pipeline_from_dict(doc: dict) -> Pipeline:
     check_number("intercept", readout.intercept, error=ValidationError)
     if check_number("ridge_lambda", readout.ridge_lambda, error=ValidationError) < 0:
         raise ValidationError("field 'ridge_lambda' must be >= 0")
-    if pipeline.reservoir.kind == "HAAR" and pipeline.reservoir.reflectors is None:
-        u = pipeline.reservoir.stages[0].low
-        if u.shape != (1 << m, 1 << m) or not quantum.unitarity_defect(u) < 1e-10:
-            raise ValidationError(f"HAAR matrix must be a {1 << m}x{1 << m} unitary")
     return pipeline
 
 
@@ -740,53 +767,26 @@ def _complex_field(res: dict, name: str) -> np.ndarray:
     return values
 
 
-def _loaded_reflectors(res: dict, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """A wide HAAR document's (qr, tau), checked in O(dim^2): H_i = I - tau_i
-    v_i v_i^H is unitary exactly when 2 Re tau_i = |tau_i|^2 |v_i|^2, and
-    every phase R_ii / |R_ii| needs R_ii != 0."""
-    qr, tau = _complex_field(res, "reflectors"), _complex_field(res, "tau")
-    if qr.shape != (dim, dim) or tau.shape != (dim,):
-        raise ValidationError(f"fields 'reflectors' and 'tau' must be {dim}x{dim} "
-                              f"and {dim} long, got {qr.shape} and {tau.shape}")
-    norms = 1.0 + np.sum(np.abs(np.triu(qr, 1)) ** 2, axis=1)
-    bad = np.flatnonzero(np.abs(2.0 * tau.real - np.abs(tau) ** 2 * norms) > 1e-10)
-    if len(bad):
-        raise ValidationError(f"fields 'reflectors' and 'tau' make reflector {bad[0]} "
-                              "non-unitary")
-    if np.any(np.diagonal(qr) == 0):
-        raise ValidationError("field 'reflectors' has a zero on R's diagonal")
-    return qr, tau
-
-
 def _pipeline_fields(doc: dict) -> Pipeline:
     enc = doc["encoder"]
     encoder = EncoderSpec(enc["kind"], enc["num_features"], enc["depth"],
                           axis_assignment=tuple(tuple(layer)
                                                 for layer in enc["axis_assignment"]))
     res = doc["reservoir"]
-    kind, d, depth = res["kind"], res["num_qubits"], res["depth"]
-    if kind == "CNOT":
-        reservoir = build_reservoir(ReservoirSpec("CNOT", d, depth))
-    elif kind == "ISING":
+    kind, d, params = res["kind"], res["num_qubits"], None
+    if kind == "ISING":
         params = IsingParams(d, res["ising"]["couplings"], res["ising"]["fields"],
                              res["ising"]["time_step"])
-        reservoir = build_reservoir(ReservoirSpec("ISING", d, depth, ising=params))
     elif kind == "ROTATION":
-        layers = tuple(tuple((axis, angle) for axis, angle in layer)
+        params = tuple(tuple((axis, angle) for axis, angle in layer)
                        for layer in res["rotation_layers"])
-        reservoir = build_reservoir(ReservoirSpec("ROTATION", d, depth,
-                                                  rotation_layers=layers))
+    elif kind == "HAAR" and "reflectors_re" in res:
+        params = (_complex_field(res, "reflectors"), _complex_field(res, "tau"))
     elif kind == "HAAR":
-        ReservoirSpec("HAAR", d, depth)   # checks the width and depth fields
-        if "reflectors_re" in res:
-            qr, tau = _loaded_reflectors(res, 1 << d)
-            reservoir = Reservoir("HAAR", d, depth, stages=(_reflector_stage(qr, tau),),
-                                  reflectors=(qr, tau))
-        else:
-            reservoir = Reservoir("HAAR", d, depth,
-                                  stages=(Stage(_complex_field(res, "unitary")),))
-    else:
+        params = _complex_field(res, "unitary")
+    elif kind != "CNOT":
         raise ValidationError(f"unknown reservoir kind {kind!r}")
+    reservoir = build_reservoir(ReservoirSpec(kind, d, res["depth"], params=params))
     bounds = doc["normalization"]
     norm = NormalizationParams(*(number_array(f"normalization.{key}", bounds[key])
                                  for key in ("mins", "maxs")))

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qelmkit import cli, elevator, harness, qelm, quantum, stats
+from qelmkit import cli, elevator, harness, qelm, stats
 from qelmkit.errors import ConfigurationError, ValidationError
 from qelmkit.harness import ExperimentConfig
 from qelmkit.stats import RunResults
@@ -341,12 +341,12 @@ def test_shared_encoding_sweep_matches_per_cell_circuits(monkeypatch):
 
 
 def test_encoded_batch_sharing_rule(toy_days):
-    # shared only while rows * 2^M fits the largest single state allowed
+    # shared only while rows * 2^M fits one row block of run_circuit_batch
     fs5 = harness._prepare_fold(toy_days[:1], toy_days[1], "FS5")
     fs10 = harness._prepare_fold(toy_days[:1], toy_days[1], "FS10")
     assert harness._shares_encoded_batch(fs5)
     assert not harness._shares_encoded_batch(fs10)
-    limit = 1 << quantum.MAX_STATE_QUBITS
+    limit = qelm.BLOCK_AMPLITUDES
     assert harness._shares_encoded_batch(replace(fs5, angles=np.zeros((limit >> 5, 5))))
     assert not harness._shares_encoded_batch(replace(fs5, angles=np.zeros(((limit >> 5) + 1, 5))))
 

@@ -18,7 +18,7 @@ from test_quantum import PAULI, dense_gate, embed, zero_state
 def identity_reservoir(num_qubits: int) -> qelm.Reservoir:
     params = quantum.IsingParams(num_qubits, np.zeros((num_qubits, num_qubits)),
                                  np.zeros(num_qubits), 1.0)
-    return qelm.build_reservoir(ReservoirSpec("ISING", num_qubits, ising=params))
+    return qelm.build_reservoir(ReservoirSpec("ISING", num_qubits, params=params))
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +56,7 @@ def reservoir_gates(res: qelm.Reservoir) -> list[quantum.GateOp]:
     if res.kind == "CNOT":
         return ring * res.depth
     gates = []
-    for layer in res.rotation_layers:
+    for layer in res.params:
         gates += [quantum.GateOp("R" + axis, target=q, angle=angle)
                   for q, (axis, angle) in enumerate(layer)]
         gates += ring
@@ -70,8 +70,8 @@ def reservoir_oracle(res: qelm.Reservoir, seed: int) -> np.ndarray:
     if res.kind == "HAAR":
         return quantum.haar_unitary(dim, seed)
     if res.kind == "ISING":
-        h = quantum.ising_hamiltonian(res.ising)
-        return scipy.linalg.expm(-1j * h * res.ising.time_step)
+        h = quantum.ising_hamiltonian(res.params)
+        return scipy.linalg.expm(-1j * h * res.params.time_step)
     u = np.eye(dim, dtype=complex)
     for gate in reservoir_gates(res):
         u = dense_gate(gate, res.num_qubits) @ u
@@ -220,11 +220,9 @@ def test_encoder_depth_repeats_block():
 
 
 def test_encoder_rejects_single_qubit():
-    enc = EncoderSpec("DHE", 1)
+    # used to construct and fail only when run
     with pytest.raises(ConfigurationError, match="2 qubits"):
-        qelm.run_circuit_batch(enc, qelm.Reservoir("CNOT", 1, depth=0), [[0.1]])
-    with pytest.raises(ConfigurationError, match="2 qubits"):
-        qelm.encode_batch(enc, [[0.1]])
+        EncoderSpec("DHE", 1)
 
 
 def test_rhe_requires_seed():
@@ -250,8 +248,8 @@ def test_cnot_reservoir_structure():
 
 def test_rotation_reservoir_structure():
     res = qelm.build_reservoir(ReservoirSpec("ROTATION", 3, depth=2, seed=8))
-    assert len(res.rotation_layers) == 2
-    for layer in res.rotation_layers:
+    assert len(res.params) == 2
+    for layer in res.params:
         assert len(layer) == 3
         for axis, angle in layer:
             assert axis in "XYZ" and 0.0 <= angle < 2 * np.pi
@@ -261,7 +259,7 @@ def test_rotation_reservoir_structure():
     assert res.stages[0].high is None and res.stages[0].perm is None
     np.testing.assert_allclose(stages_matrix(res), reservoir_oracle(res, 8), atol=1e-12)
     again = qelm.build_reservoir(ReservoirSpec("ROTATION", 3, depth=2, seed=8))
-    assert again.rotation_layers == res.rotation_layers
+    assert again.params == res.params
     # 2^3 > 1 * (4 + 2): one stage per layer, two Kronecker factors and the ring
     shallow = qelm.build_reservoir(ReservoirSpec("ROTATION", 3, depth=1, seed=8))
     assert len(shallow.stages) == 1
@@ -300,7 +298,7 @@ def test_haar_reservoir_width_rule():
     # one dense stage below HAAR_REFLECTOR_QUBITS, the Householder reflectors from there
     narrow = qelm.build_reservoir(ReservoirSpec("HAAR", 8, seed=1))
     assert len(narrow.stages) == 1 and narrow.stages[0].reflectors is None
-    assert narrow.stages[0].low.shape == (256, 256) and narrow.reflectors is None
+    assert narrow.stages[0].low is narrow.params and narrow.params.shape == (256, 256)
     wide = qelm.build_reservoir(ReservoirSpec("HAAR", 9, seed=1))
     assert len(wide.stages) == 1
     stage = wide.stages[0]
@@ -309,7 +307,7 @@ def test_haar_reservoir_width_rule():
     phases, blocks = stage.reflectors
     assert phases.shape == (512,)
     assert [start for start, _, _ in blocks] == list(range(0, 512, qelm.WY_BLOCK))
-    assert [u.shape for u in wide.reflectors] == [(512, 512), (512,)]
+    assert [u.shape for u in wide.params] == [(512, 512), (512,)]
     np.testing.assert_allclose(stages_matrix(wide), quantum.haar_unitary(512, 1),
                                rtol=0, atol=1e-12)
 
@@ -325,13 +323,56 @@ def test_identity_ising_reservoir_equals_encoder_only():
 
 def test_reservoir_spec_field_validation():
     with pytest.raises(ConfigurationError):
-        ReservoirSpec("CNOT", 3, ising=quantum.sample_ising_params(3, 0))
+        ReservoirSpec("CNOT", 3, params=quantum.sample_ising_params(3, 0))
     with pytest.raises(ConfigurationError):
-        ReservoirSpec("ISING", 3, rotation_layers=((("X", 0.1),),))
+        ReservoirSpec("ISING", 3, params=((("X", 0.1),),))
     with pytest.raises(ConfigurationError):
         ReservoirSpec("WEIRD", 3)
     with pytest.raises(ConfigurationError):
         qelm.build_reservoir(ReservoirSpec("HAAR", 3))  # no seed
+
+
+PARAM_CASES = [("CNOT", 3), ("CNOT", 9), ("ROTATION", 3), ("ROTATION", 9),
+               ("ISING", 3), ("ISING", 7), ("HAAR", 3), ("HAAR", 9)]
+
+
+@pytest.mark.parametrize("kind,m", PARAM_CASES, ids=[f"{k}-{m}" for k, m in PARAM_CASES])
+def test_reservoir_params_rebuild_the_same_stages(kind, m):
+    # a reservoir is its params: a spec carrying them compiles the same stages
+    res = qelm.build_reservoir(ReservoirSpec(kind, m, depth=3, seed=m))
+    again = qelm.build_reservoir(ReservoirSpec(kind, m, depth=3, params=res.params))
+    assert again.params is res.params and len(again.stages) == len(res.stages)
+    amps = qelm.encode_batch(EncoderSpec("RHE", m, seed=1),
+                             np.random.default_rng(m).uniform(0, np.pi, size=(4, m)))
+    original = rebuilt = amps
+    for first, second in zip(res.stages, again.stages):
+        original, rebuilt = first.apply(original), second.apply(rebuilt)
+    assert original.tobytes() == rebuilt.tobytes()
+
+
+def break_tau(qr, tau):
+    tau = tau.copy()
+    tau[0] = 0.5
+    return qr, tau
+
+
+def zero_r_diagonal(qr, tau):
+    qr = qr.copy()
+    qr[2, 2] = 0.0
+    return qr, tau
+
+
+@pytest.mark.parametrize("params,fragment", [
+    (lambda: quantum.haar_unitary(8, 1) * 1.01, "must be a 8x8 unitary"),
+    (lambda: quantum.haar_unitary(4, 1), "must be a 8x8 unitary"),
+    (lambda: break_tau(*quantum.haar_reflectors(8, 1)), "make reflector 0 non-unitary"),
+    (lambda: zero_r_diagonal(*quantum.haar_reflectors(8, 1)), "'reflectors' has a zero"),
+    (lambda: quantum.haar_reflectors(4, 1), "'reflectors' and 'tau' must be 8x8"),
+], ids=["non-unitary", "wrong-size", "tau", "zero-diagonal", "reflectors-size"])
+def test_haar_spec_rejects_bad_params(params, fragment):
+    # refused as a document with the same parameters is
+    with pytest.raises(ValidationError, match=fragment):
+        ReservoirSpec("HAAR", 3, params=params())
 
 
 @pytest.mark.parametrize("build,field", [
@@ -339,13 +380,34 @@ def test_reservoir_spec_field_validation():
     (lambda: ReservoirSpec("ROTATION", 3, depth=1.5, seed=0), "depth"),
     (lambda: ReservoirSpec("HAAR", 2.5, seed=0), "num_qubits"),
     (lambda: ReservoirSpec("ROTATION", 2, depth=2,
-                           rotation_layers=((("X", 0.1), ("Y", 0.2)),)), "rotation_layers"),
+                           params=((("X", 0.1), ("Y", 0.2)),)), "rotation_layers"),
     (lambda: ReservoirSpec("ROTATION", 2, depth=1,
-                           rotation_layers=((("X", 0.1), ("W", 0.2)),)), "rotation_layers"),
+                           params=((("X", 0.1), ("W", 0.2)),)), "rotation_layers"),
     (lambda: EncoderSpec("DHE", 3, depth=1.5), "depth"),   # was a raw TypeError
     (lambda: EncoderSpec("DHE", 0), "num_features"),
     (lambda: EncoderSpec("DHE", 2, depth=2, axis_assignment=(("X", "X"),)),
      "axis_assignment"),
+    # each constructed and failed only when run, without naming a field
+    pytest.param(lambda: EncoderSpec("DHE", 20), "num_features", id="encoder-20-qubits"),
+    pytest.param(lambda: ReservoirSpec("HAAR", 13, seed=1), "num_qubits", id="haar-13-qubits"),
+    pytest.param(lambda: ReservoirSpec("ISING", 13, seed=1), "num_qubits",
+                 id="ising-13-qubits"),
+    # -1 was numpy's raw ValueError, 1.5 and "a" a raw TypeError, True seed 1
+    pytest.param(lambda: EncoderSpec("RHE", 3, seed=-1), "seed", id="encoder-seed-negative"),
+    pytest.param(lambda: EncoderSpec("RHE", 3, seed=1.5), "seed", id="encoder-seed-float"),
+    pytest.param(lambda: EncoderSpec("RHE", 3, seed="a"), "seed", id="encoder-seed-string"),
+    pytest.param(lambda: EncoderSpec("DHE", 3, seed=True), "seed", id="encoder-seed-bool"),
+    pytest.param(lambda: ReservoirSpec("HAAR", 3, seed=-1), "seed",
+                 id="reservoir-seed-negative"),
+    pytest.param(lambda: ReservoirSpec("ISING", 3, seed=1.5), "seed",
+                 id="reservoir-seed-float"),
+    pytest.param(lambda: ReservoirSpec("ROTATION", 3, seed="a"), "seed",
+                 id="reservoir-seed-string"),
+    pytest.param(lambda: ReservoirSpec("CNOT", 3, seed=True), "seed",
+                 id="reservoir-seed-bool"),
+    pytest.param(lambda: ReservoirSpec("CNOT", 3, params=()), "params", id="cnot-params"),
+    pytest.param(lambda: ReservoirSpec("ISING", 3, params=quantum.sample_ising_params(4, 0)),
+                 "params", id="ising-params-width"),
 ])
 def test_specs_reject_bad_fields(build, field):
     with pytest.raises(ConfigurationError, match=field):
@@ -365,7 +427,7 @@ def test_rotation_spec_rejects_non_finite_angle():
     # a NaN angle made every entry of the compiled stage NaN
     with pytest.raises(ValidationError, match="rotation_layers"):
         ReservoirSpec("ROTATION", 2, depth=1,
-                      rotation_layers=((("X", float("nan")), ("Y", 0.2)),))
+                      params=((("X", float("nan")), ("Y", 0.2)),))
 
 
 def rotation_oracle(axis: str, angle: float) -> np.ndarray:
@@ -414,7 +476,7 @@ def test_rotation_stages_match_kron_oracle(m, depth):
                                        rtol=0, atol=1e-15)
     if m == 1:
         return   # a one-qubit register has no CNOT ring, so no reservoir
-    res = qelm.build_reservoir(ReservoirSpec("ROTATION", m, depth, rotation_layers=layers))
+    res = qelm.build_reservoir(ReservoirSpec("ROTATION", m, depth, params=layers))
     dim = 1 << m
     if dim <= depth * ((1 << split) + (1 << (m - split))):
         assert len(res.stages) == 1 and res.stages[0].low.shape == (dim, dim)
@@ -583,11 +645,9 @@ def test_run_circuit_batch_width_guard():
     # so a missing guard shows as a test failure, not a memory blow-up
     m = quantum.MAX_STATE_QUBITS + 1
     with pytest.raises(ConfigurationError, match="cap"):
-        qelm.run_circuit_batch(EncoderSpec("DHE", m), qelm.Reservoir("CNOT", m, depth=0),
-                               np.zeros((1, m)))
+        EncoderSpec("DHE", m)
     with pytest.raises(ConfigurationError):
-        qelm.qelm_train((np.zeros((4, m)), np.zeros(4)), EncoderSpec("DHE", m),
-                        ReservoirSpec("ROTATION", m, seed=0))
+        ReservoirSpec("ROTATION", m, seed=0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -600,6 +660,15 @@ def test_non_finite_angles_fail_loudly(bad):
         qelm.run_circuit_batch(enc, res, angles)
     with pytest.raises(ValidationError, match="finite"):
         qelm.encode_batch(enc, angles)
+
+
+def test_batches_of_more_than_two_dimensions_are_refused():
+    # each was numpy's raw "could not broadcast" ValueError
+    enc = EncoderSpec("DHE", 3)
+    with pytest.raises(ShapeError, match=r"shape \(4, 3, 1\)"):
+        qelm.run_circuit_batch(enc, identity_reservoir(3), np.zeros((4, 3, 1)))
+    with pytest.raises(ShapeError, match=r"shape \(4, 3, 1\)"):
+        qelm.encode_batch(enc, np.zeros((4, 3, 1)))
 
 
 def test_run_circuit_shape_errors():
@@ -733,6 +802,17 @@ def test_qelm_predict_finite_and_matches_pipeline():
     value = pipe.predict(x)
     assert np.isfinite(value)
     assert value == pipe.predict_batch(x[None, :])[0]
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (5, 3), (1, 3)])
+def test_predict_takes_one_row(shape):
+    # a 3x3 array was numpy's raw broadcast error, a 5x3 one "expected 3 angles
+    # per row, got 5"
+    features, targets = make_training_data()
+    pipe = qelm.qelm_train((features, targets), EncoderSpec("DHE", 3),
+                           ReservoirSpec("CNOT", 3))
+    with pytest.raises(ShapeError, match="predict_batch"):
+        pipe.predict(np.ones(shape))
 
 
 def test_qelm_train_shape_guard():
@@ -972,7 +1052,7 @@ def test_wide_dense_haar_documents_still_load():
     unitary = quantum.haar_unitary(1 << m, 5)
     doc["reservoir"].update(unitary_re=unitary.real.tolist(), unitary_im=unitary.imag.tolist())
     dense = qelm.Pipeline.from_json(json.dumps(doc))
-    assert dense.reservoir.reflectors is None
+    assert dense.reservoir.params.shape == (512, 512)
     assert dense.reservoir.stages[0].low.shape == (512, 512)
     np.testing.assert_allclose(dense.predict_batch(features), pipe.predict_batch(features),
                                rtol=1e-12)
