@@ -19,7 +19,9 @@ applied one at a time.
   assignment, so `run_circuit_batch` accepts a precomputed one (`encoded`)
   and only reads it: the sweep encodes each fold's angles once per distinct
   assignment and shares the batch among that assignment's cells, while the
-  batch holds at most 2^MAX_STATE_QUBITS amplitudes (see `harness`).
+  batch holds at most BLOCK_AMPLITUDES amplitudes (see `harness`). A qubit
+  whose axis is Z in every layer stays exactly in |0>, so every encoded row
+  is exactly 0 off the 2^(M-f) indices where those f frozen qubits are 0.
 - Reservoir: `build_reservoir` compiles the reservoir into `Stage`s, each an
   optional pair of spin-flip parity blocks, set of Householder reflectors,
   low-qubit matrix, high-qubit matrix and index permutation. HAAR is one
@@ -34,6 +36,14 @@ applied one at a time.
   2^floor(M/2) for its rotations, built for every layer in one broadcast,
   plus the layer's ring permutation), or, where 2^M <= L * (2^ceil(M/2) +
   2^floor(M/2)) for L layers, the whole stack folded into one dense stage.
+- Subspace rule: with S that support, `run_circuit_batch` may push S's
+  unit rows through the stages once, giving their (|S|, 2^M) transfer
+  matrix, and evolve each row block as one GEMM, block[:, S] @ transfer,
+  the same up to floating-point order. It does so when the transfer fits
+  one row block (|S| * 2^M <= BLOCK_AMPLITUDES) and costs fewer
+  multiply-adds than the stages for the batch's P rows: |S| * (c + P *
+  2^M) < P * c, with c the stages' cost per row (`Stage.multiply_adds`). A
+  single row or a CNOT reservoir (a pure permutation) never qualifies.
 - Readout: `quantum.pauli_expectations`, one GEMM for every qubit's <Z>.
 
 The compiled forms call `quantum`'s kernels: `rotation_matrix` for every
@@ -136,6 +146,17 @@ def apply_normalization(params: NormalizationParams, features: np.ndarray) -> np
 # encoder
 # ---------------------------------------------------------------------------
 
+def _tuples(name: str, value, levels: int):
+    """`value`, lists or tuples nested `levels` deep (as a pipeline document
+    holds them), as tuples nested alike; anything else where a list belongs
+    raises ValidationError naming field `name`."""
+    if levels == 0:
+        return value
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"field '{name}' needs a list where it holds {value!r}")
+    return tuple(_tuples(name, item, levels - 1) for item in value)
+
+
 def _check_seed(seed) -> None:
     """A spec's `seed`: None or an integer >= 0, as numpy's SeedSequence takes."""
     if seed is not None and check_number("seed", seed, integer=True) < 0:
@@ -176,6 +197,7 @@ class EncoderSpec:
                 self.axis_assignment = tuple(
                     tuple(quantum.PAULI_KINDS[i] for i in rng.integers(0, 3, size=width))
                     for _ in range(self.depth))
+        self.axis_assignment = _tuples("axis_assignment", self.axis_assignment, 2)
         if len(self.axis_assignment) != self.depth:
             raise ConfigurationError(
                 f"field 'axis_assignment' must hold {self.depth} layers (the depth), "
@@ -249,14 +271,19 @@ class ReservoirSpec:
             self._check_haar()
 
     def _check_rotation_layers(self) -> None:
-        if len(self.params) != self.depth:
+        layers = _tuples("rotation_layers", self.params, 3)   # params stays as given
+        if len(layers) != self.depth:
             raise ConfigurationError(
                 f"field 'rotation_layers' must hold {self.depth} layers (the depth), "
-                f"got {len(self.params)}")
-        for layer in self.params:
+                f"got {len(layers)}")
+        for layer in layers:
             if len(layer) != self.num_qubits:
                 raise ConfigurationError("each rotation layer must cover every qubit")
-            for axis, angle in layer:
+            for entry in layer:
+                if len(entry) != 2:
+                    raise ValidationError("field 'rotation_layers' must hold [axis, angle] "
+                                          f"pairs, got {list(entry)!r}")
+                axis, angle = entry
                 if axis not in quantum.PAULI_KINDS:
                     raise ConfigurationError(
                         f"field 'rotation_layers' has axis {axis!r}; axes must be X, Y or Z")
@@ -346,6 +373,14 @@ class Stage:
             amps = np.take(amps, self.perm, axis=1)
         return amps
 
+    def multiply_adds(self, dim: int) -> int:
+        """Complex multiply-adds `apply` spends per row of a (P, dim) batch:
+        the permutation costs none."""
+        cost = 0 if self.parity is None else 2 * len(self.parity[0]) ** 2
+        if self.reflectors is not None:
+            cost += sum(2 * w.size for _, w, _ in self.reflectors[1])
+        return cost + sum(dim * len(mat) for mat in (self.low, self.high) if mat is not None)
+
 
 @dataclass
 class Reservoir:
@@ -415,19 +450,20 @@ def _rotation_stages(num_qubits: int, layers: RotationLayers) -> tuple[Stage, ..
     """Per layer: rotations split into Kronecker factors of 2^ceil(M/2) and
     2^floor(M/2) (`_rotation_factors`, built for all layers in one
     broadcast), then the layer's CNOT ring as one permutation. That costs
-    L * (2^ceil(M/2) + 2^floor(M/2)) multiply-adds per amplitude for L
-    layers, against 2^M for one dense matrix of the whole stack; where the
-    dense matrix costs no more, the stack is folded into it by pushing the
-    identity through the staged form. Wider registers stay staged, which
-    also keeps them clear of the dense-matrix cap."""
-    split = num_qubits - num_qubits // 2
+    L * 2^M * (2^ceil(M/2) + 2^floor(M/2)) multiply-adds per row for L
+    layers (`Stage.multiply_adds`), against 2^M * 2^M for one dense matrix
+    of the whole stack; where the dense matrix costs no more, the stack is
+    folded into it by pushing the identity through the staged form. Wider
+    registers stay staged, which also keeps them clear of the dense-matrix
+    cap."""
+    dim, split = 1 << num_qubits, num_qubits - num_qubits // 2
     ring = _ring_permutation(num_qubits, 1)
     low, high = _rotation_factors(layers, split)
     stages = tuple(Stage(low[k], None if high is None else high[k], ring)
                    for k in range(len(layers)))
-    if 1 << num_qubits > len(layers) * ((1 << split) + (1 << (num_qubits - split))):
+    if dim * dim > sum(stage.multiply_adds(dim) for stage in stages):
         return stages
-    amps = np.eye(1 << num_qubits, dtype=complex)
+    amps = np.eye(dim, dtype=complex)
     for stage in stages:
         amps = stage.apply(amps)
     return (Stage(amps.T),)   # row j of amps is column j of the stack's matrix
@@ -530,6 +566,31 @@ def encode_batch(encoder: EncoderSpec, angles: np.ndarray) -> np.ndarray:
     return amps
 
 
+def _support_transfer(encoder: EncoderSpec, reservoir: Reservoir,
+                      rows: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(S, T) for running `rows` encoded rows through the reservoir as
+    x[:, S] @ T, or None where the stages should run instead (the subspace
+    rule of the module docstring). S is the support the frozen qubits leave
+    and T the (|S|, 2^M) transfer matrix, S's unit rows pushed through the
+    stages. R_Z has an exact 0 below its diagonal, and R_Z and the CZ signs
+    are diagonal, so an encoded amplitude with a frozen bit set is an exact
+    0 and x[:, S] @ T differs from the stages only in floating-point order."""
+    m = encoder.num_features
+    dim = 1 << m
+    frozen = sum(1 << q for q in range(m)
+                 if all(layer[q] == "Z" for layer in encoder.axis_assignment))
+    size = dim >> bin(frozen).count("1")
+    cost = sum(stage.multiply_adds(dim) for stage in reservoir.stages)
+    if size * dim > BLOCK_AMPLITUDES or size * (cost + rows * dim) >= rows * cost:
+        return None
+    support = np.flatnonzero((np.arange(dim) & frozen) == 0)
+    transfer = np.zeros((size, dim), dtype=complex)   # np.eye(dim)[support], unformed
+    transfer[np.arange(size), support] = 1.0
+    for stage in reservoir.stages:
+        transfer = stage.apply(transfer)
+    return support, transfer
+
+
 def run_circuit_batch(encoder: EncoderSpec, reservoir: Reservoir,
                       angles: np.ndarray, encoded: np.ndarray | None = None) -> np.ndarray:
     """Observation matrix (P, 3M) for a batch of angle vectors (P, M).
@@ -542,7 +603,11 @@ def run_circuit_batch(encoder: EncoderSpec, reservoir: Reservoir,
 
     The rows go through the whole circuit in blocks of at most
     BLOCK_AMPLITUDES amplitudes, each written into one preallocated
-    observation matrix; a batch within the budget is a single block.
+    observation matrix; a batch within the budget is a single block. Where
+    the encoder leaves qubits frozen in |0> (axis Z in every layer), each
+    block may instead run as one GEMM on the support those qubits leave
+    occupied, through the stages' transfer matrix on it (`_support_transfer`
+    says when); only the floating-point order differs.
     """
     angles = _angle_batch(encoder, angles)
     m = encoder.num_features
@@ -552,12 +617,17 @@ def run_circuit_batch(encoder: EncoderSpec, reservoir: Reservoir,
         raise ShapeError(f"encoded batch must be {(len(angles), 1 << m)}, "
                          f"got {np.shape(encoded)}")
     obs = np.empty((len(angles), 3 * m))
+    subspace = _support_transfer(encoder, reservoir, len(angles))
     step = max(1, BLOCK_AMPLITUDES >> m)
     for start in range(0, len(angles), step):
         rows = slice(start, start + step)
         amps = encode_batch(encoder, angles[rows]) if encoded is None else encoded[rows]
-        for stage in reservoir.stages:   # each stage returns a new array
-            amps = stage.apply(amps)
+        if subspace is not None:
+            support, transfer = subspace
+            amps = amps[:, support] @ transfer
+        else:
+            for stage in reservoir.stages:   # each stage returns a new array
+                amps = stage.apply(amps)
         obs[rows] = quantum.pauli_expectations(amps, m)
     return obs
 
@@ -770,16 +840,14 @@ def _complex_field(res: dict, name: str) -> np.ndarray:
 def _pipeline_fields(doc: dict) -> Pipeline:
     enc = doc["encoder"]
     encoder = EncoderSpec(enc["kind"], enc["num_features"], enc["depth"],
-                          axis_assignment=tuple(tuple(layer)
-                                                for layer in enc["axis_assignment"]))
+                          axis_assignment=enc["axis_assignment"])
     res = doc["reservoir"]
     kind, d, params = res["kind"], res["num_qubits"], None
     if kind == "ISING":
         params = IsingParams(d, res["ising"]["couplings"], res["ising"]["fields"],
                              res["ising"]["time_step"])
     elif kind == "ROTATION":
-        params = tuple(tuple((axis, angle) for axis, angle in layer)
-                       for layer in res["rotation_layers"])
+        params = _tuples("rotation_layers", res["rotation_layers"], 3)
     elif kind == "HAAR" and "reflectors_re" in res:
         params = (_complex_field(res, "reflectors"), _complex_field(res, "tau"))
     elif kind == "HAAR":

@@ -414,6 +414,18 @@ def test_specs_reject_bad_fields(build, field):
         build()
 
 
+@pytest.mark.parametrize("build,field", [
+    (lambda: ReservoirSpec("ROTATION", 3, depth=1, params=5), "'rotation_layers'"),
+    (lambda: ReservoirSpec("ROTATION", 3, depth=1, params=((("X", 0.1, 7),) * 3,)),
+     "'rotation_layers'"),
+    (lambda: EncoderSpec("RHE", 3, axis_assignment=(5,)), "'axis_assignment'"),
+], ids=["rotation-layers-not-a-list", "rotation-entry-not-a-pair", "axes-not-nested"])
+def test_specs_reject_malformed_nesting(build, field):
+    # len() or unpacking of these was a raw TypeError or ValueError
+    with pytest.raises(ValidationError, match=field):
+        build()
+
+
 @pytest.mark.parametrize("kind", ["CNOT", "ROTATION"])
 def test_ring_reservoirs_need_two_qubits(kind):
     # a one-qubit ring used to fail in build_reservoir with GateOp's
@@ -630,6 +642,146 @@ def test_run_circuit_batch_row_blocks_match_one_block(monkeypatch, kind):
     monkeypatch.setattr(qelm, "BLOCK_AMPLITUDES", encoded.size)
     whole = qelm.run_circuit_batch(enc, res, angles)
     np.testing.assert_allclose(blocked, whole, rtol=0, atol=1e-13)
+
+
+def frozen_encoder(m: int, frozen: int, depth: int = 1) -> EncoderSpec:
+    """An RHE encoder whose first `frozen` qubits are Z in every layer and
+    whose others cycle through X and Y."""
+    return EncoderSpec("RHE", m, depth=depth, axis_assignment=tuple(
+        tuple("Z" if q < frozen else "XY"[(q + k) % 2] for q in range(m))
+        for k in range(depth)))
+
+
+def stage_path_observations(enc: EncoderSpec, res: qelm.Reservoir,
+                            angles: np.ndarray) -> np.ndarray:
+    """The full-width path: every encoded row through each stage, then the
+    readout."""
+    amps = qelm.encode_batch(enc, angles)
+    for stage in res.stages:
+        amps = stage.apply(amps)
+    return quantum.pauli_expectations(amps, enc.num_features)
+
+
+def test_stage_multiply_adds():
+    # per row of a (P, 2^M) batch: each GEMM's inner dimension times its output width
+    dim = 512
+    low, high, perm = np.eye(32), np.eye(16), np.arange(dim)
+    assert qelm.Stage(low, high, perm).multiply_adds(dim) == dim * (32 + 16)
+    assert qelm.Stage(perm=perm).multiply_adds(dim) == 0
+    assert qelm.Stage(np.eye(dim)).multiply_adds(dim) == dim * dim
+    ising = qelm.build_reservoir(ReservoirSpec("ISING", 9, seed=1)).stages[0]
+    assert ising.multiply_adds(dim) == 2 * (dim // 2) ** 2
+    haar = qelm.build_reservoir(ReservoirSpec("HAAR", 9, seed=1)).stages[0]
+    # block b of 64 reflectors: W is (dim - 64 b, 64), applied then its V^T
+    assert haar.multiply_adds(dim) == sum(2 * (dim - start) * qelm.WY_BLOCK
+                                          for start in range(0, dim, qelm.WY_BLOCK))
+
+
+# (kind, qubits, reservoir depth, frozen qubits, rows, the compiled form)
+SUBSPACE_CASES = [
+    ("HAAR", 4, 1, 2, 40, "dense"),
+    ("ISING", 7, 1, 3, 64, "parity"),
+    ("HAAR", 9, 1, 3, 200, "reflectors"),
+    ("ROTATION", 9, 2, 4, 120, "staged"),
+    ("ROTATION", 5, 3, 2, 40, "folded"),
+]
+
+
+def is_dense(stage: qelm.Stage) -> bool:
+    return stage.low is not None and stage.high is None and stage.perm is None
+
+
+FORMS = {"dense": is_dense, "folded": is_dense,
+         "parity": lambda stage: stage.parity is not None,
+         "reflectors": lambda stage: stage.reflectors is not None,
+         "staged": lambda stage: stage.high is not None and stage.perm is not None}
+
+
+@pytest.mark.parametrize("kind,m,depth,frozen,rows,form", SUBSPACE_CASES,
+                         ids=[case[-1] for case in SUBSPACE_CASES])
+def test_subspace_rule_matches_the_stage_path(kind, m, depth, frozen, rows, form):
+    res = qelm.build_reservoir(ReservoirSpec(kind, m, depth=depth, seed=m))
+    assert all(FORMS[form](stage) for stage in res.stages)
+    enc = frozen_encoder(m, frozen)
+    support, transfer = qelm._support_transfer(enc, res, rows)
+    assert transfer.shape == (1 << (m - frozen), 1 << m)
+    np.testing.assert_array_equal(support, [i for i in range(1 << m) if i % (1 << frozen) == 0])
+    angles = np.random.default_rng(m).uniform(0, np.pi, size=(rows, m))
+    encoded = qelm.encode_batch(enc, angles)
+    # the rule rests on exact zeros: every amplitude with a frozen bit set is 0
+    assert not np.any(np.delete(encoded, support, axis=1))
+    before = encoded.copy()
+    encoded.flags.writeable = False   # any write into the shared batch raises
+    observed = qelm.run_circuit_batch(enc, res, angles)
+    np.testing.assert_allclose(observed, stage_path_observations(enc, res, angles),
+                               rtol=0, atol=1e-12)
+    shared = qelm.run_circuit_batch(enc, res, angles, encoded=encoded)
+    assert shared.tobytes() == observed.tobytes()
+    assert encoded.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["HAAR", "ISING", "ROTATION"])
+@pytest.mark.parametrize("encoder_depth", [1, 2])
+def test_subspace_rule_matches_gate_by_gate_oracle(kind, encoder_depth):
+    m, rows, seed = 5, 40, 50 + encoder_depth
+    enc = frozen_encoder(m, 2, depth=encoder_depth)
+    res = qelm.build_reservoir(ReservoirSpec(kind, m, depth=3, seed=seed))
+    assert qelm._support_transfer(enc, res, rows) is not None
+    angles = np.random.default_rng(seed).uniform(0, np.pi, size=(rows, m))
+    np.testing.assert_allclose(qelm.run_circuit_batch(enc, res, angles),
+                               gate_by_gate_observations(enc, res, seed, angles),
+                               rtol=0, atol=1e-12)
+
+
+def test_a_qubit_that_is_z_in_one_layer_only_is_not_frozen():
+    # qubit 0 is Z in both layers; qubit 1 is Z in the first only, and the
+    # second layer's X rotation moves it out of |0>
+    m, rows = 5, 40
+    enc = EncoderSpec("RHE", m, depth=2, axis_assignment=(("Z", "Z", "X", "Y", "X"),
+                                                          ("Z", "X", "Y", "X", "Y")))
+    res = qelm.build_reservoir(ReservoirSpec("HAAR", m, seed=3))
+    support, transfer = qelm._support_transfer(enc, res, rows)
+    np.testing.assert_array_equal(support, np.arange(0, 1 << m, 2))
+    angles = np.random.default_rng(3).uniform(0.5, 2.5, size=(rows, m))
+    assert np.any(qelm.encode_batch(enc, angles)[:, 2::4])   # bit 1 set, bit 0 clear
+    np.testing.assert_allclose(qelm.run_circuit_batch(enc, res, angles),
+                               stage_path_observations(enc, res, angles),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(qelm.run_circuit_batch(enc, res, angles),
+                               gate_by_gate_observations(enc, res, 3, angles),
+                               rtol=0, atol=1e-12)
+
+
+def test_subspace_rule_declines_where_it_saves_nothing(monkeypatch):
+    m, frozen = 7, 3
+    enc = frozen_encoder(m, frozen)
+    res = qelm.build_reservoir(ReservoirSpec("ISING", m, seed=2))
+    size, dim, cost = 1 << (m - frozen), 1 << m, 2 * (1 << (m - 1)) ** 2
+    # size * (cost + rows * dim) < rows * cost from 22 rows on
+    assert qelm._support_transfer(enc, res, 21) is None
+    assert qelm._support_transfer(enc, res, 22) is not None
+    assert qelm._support_transfer(enc, res, 1) is None
+    assert qelm._support_transfer(frozen_encoder(m, 0), res, 10 ** 6) is None
+    cnot = qelm.build_reservoir(ReservoirSpec("CNOT", m))   # a permutation costs nothing
+    assert qelm._support_transfer(enc, cnot, 10 ** 6) is None
+    # the transfer matrix must fit one row block
+    monkeypatch.setattr(qelm, "BLOCK_AMPLITUDES", size * dim - 1)
+    assert qelm._support_transfer(enc, res, 10 ** 6) is None
+    monkeypatch.setattr(qelm, "BLOCK_AMPLITUDES", size * dim)
+    assert qelm._support_transfer(enc, res, 10 ** 6) is not None
+    assert cost == res.stages[0].multiply_adds(dim)
+
+
+def test_one_row_prediction_takes_the_stage_path(monkeypatch):
+    features, targets = make_training_data(m=4, p=60)
+    pipeline = qelm.qelm_train((features, targets), frozen_encoder(4, 2),
+                               ReservoirSpec("HAAR", 4, seed=5))
+    rule, decisions = qelm._support_transfer, []
+    monkeypatch.setattr(qelm, "_support_transfer",
+                        lambda *args: decisions.append(rule(*args)) or decisions[-1])
+    pipeline.predict(features[0])
+    pipeline.predict_batch(features)
+    assert decisions[0] is None and decisions[1] is not None
 
 
 @pytest.mark.parametrize("shape", [(4, 16), (5, 8), (16,), (5, 16, 1)])
@@ -906,7 +1058,7 @@ def set_field(*path_and_value):
         for part in path:
             doc = doc[part]
         doc[key] = value
-    corrupt.__name__ = f"set_{'_'.join(path + [key])}_{value}"   # the test id
+    corrupt.__name__ = f"set_{'_'.join(map(str, path + [key]))}_{value}"   # the test id
     return corrupt
 
 
@@ -975,6 +1127,15 @@ def string_entry(*path):
     ("CNOT", set_field("readout", "weights", [[0.5]] * 9), ValidationError, "weights"),
     ("CNOT", set_field("normalization", "maxs", [1.0, [2.0], 3.0]), ValidationError,
      "'normalization.maxs'"),
+    # raw ValueError "too many values to unpack" and TypeErrors on non-lists
+    ("ROTATION", set_field("reservoir", "rotation_layers", 0, 0, ["X", 0.1, 7]),
+     ValidationError, "'rotation_layers'"),
+    ("ROTATION", set_field("reservoir", "rotation_layers", 0, 0, 5), ValidationError,
+     "'rotation_layers'"),
+    ("ROTATION", set_field("reservoir", "rotation_layers", 5), ValidationError,
+     "'rotation_layers'"),
+    ("CNOT", set_field("encoder", "axis_assignment", [5]), ValidationError,
+     "'axis_assignment'"),
 ])
 def test_pipeline_from_json_rejects_inconsistent_documents(kind, corrupt, error, fragment):
     doc = pipeline_doc(kind)
