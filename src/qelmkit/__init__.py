@@ -1,9 +1,11 @@
 """Quantum extreme learning machine regression toolkit.
 
 Hardware-efficient encoders, four fixed quantum reservoirs compiled to
-dense or permutation stages over batched amplitude arrays, a Pauli readout
-and a least-squares fit, plus a synthetic elevator-traffic benchmark and the
-statistical harness to compare them.
+stages over batched amplitude arrays (a dense matrix, Kronecker layers plus
+a ring gather, spin-flip parity blocks, Householder reflectors, or a
+gather; a batch may run through them as one transfer matrix instead), a
+Pauli readout and a least-squares fit, plus a synthetic elevator-traffic
+benchmark and the statistical harness to compare them.
 """
 from .elevator import (BuildingConfig, Dataset, FeatureWindow, Passenger,
                        TrafficProfile, generate_traffic, select_features,

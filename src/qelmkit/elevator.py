@@ -324,9 +324,6 @@ class Dataset:
     def awt_values(self) -> np.ndarray:
         return np.array([w.awt for w in self.windows], dtype=float)
 
-    def empty_mask(self) -> np.ndarray:
-        return np.array([w.empty for w in self.windows], dtype=bool)
-
     def drop_empty(self) -> "Dataset":
         return Dataset(self.label, [w for w in self.windows if not w.empty],
                        self.feature_names)

@@ -31,19 +31,19 @@ applied one at a time.
   stage below ISING_PARITY_QUBITS qubits and, from there, one stage of its
   two half-size parity blocks (`quantum.ising_parity_blocks`), so the dense
   2^M matrix is never assembled or applied. CNOT is its whole ring stack
-  composed into one permutation. ROTATION takes the cheaper of two exact
-  forms: one stage per layer (two Kronecker factors of 2^ceil(M/2) and
-  2^floor(M/2) for its rotations, built for every layer in one broadcast,
-  plus the layer's ring permutation), or, where 2^M <= L * (2^ceil(M/2) +
-  2^floor(M/2)) for L layers, the whole stack folded into one dense stage.
-- Subspace rule: with S that support, `run_circuit_batch` may push S's
-  unit rows through the stages once, giving their (|S|, 2^M) transfer
-  matrix, and evolve each row block as one GEMM, block[:, S] @ transfer,
-  the same up to floating-point order. It does so when the transfer fits
-  one row block (|S| * 2^M <= BLOCK_AMPLITUDES) and costs fewer
-  multiply-adds than the stages for the batch's P rows: |S| * (c + P *
-  2^M) < P * c, with c the stages' cost per row (`Stage.multiply_adds`). A
-  single row or a CNOT reservoir (a pure permutation) never qualifies.
+  composed into one permutation. ROTATION is one stage per layer, at every
+  width: two Kronecker factors of 2^ceil(M/2) and 2^floor(M/2) for its
+  rotations, built for every layer in one broadcast, then the layer's ring
+  permutation.
+- Subspace rule, the one place stages collapse into a matrix: with S the
+  support above (every index when no qubit is frozen), `run_circuit_batch`
+  may push S's unit rows through the stages once, giving their (|S|, 2^M)
+  transfer matrix, and evolve each row block as one GEMM, block[:, S] @
+  transfer, the same up to floating-point order. It does so when the
+  transfer fits one row block (|S| * 2^M <= BLOCK_AMPLITUDES) and costs
+  fewer multiply-adds than the stages for the batch's P rows: |S| * (c + P
+  * 2^M) < P * c, with c the stages' cost per row (`Stage.multiply_adds`).
+  A single row or a CNOT reservoir (a pure permutation) never qualifies.
 - Readout: `quantum.pauli_expectations`, one GEMM for every qubit's <Z>.
 
 The compiled forms call `quantum`'s kernels: `rotation_matrix` for every
@@ -210,12 +210,6 @@ class EncoderSpec:
         if self.kind == "DHE" and any(a != "X" for layer in self.axis_assignment
                                       for a in layer):
             raise ConfigurationError("DHE axes must all be X")
-
-
-def cyclic_ring(num_qubits: int, kind: str) -> list[GateOp]:
-    """Entangling ring (0,1), (1,2), ..., (D-1, 0) of CZ or CNOT gates."""
-    return [GateOp(kind, target=(i + 1) % num_qubits, control=i)
-            for i in range(num_qubits)]
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +400,13 @@ def _sample_rotation_layers(num_qubits: int, depth: int, seed: int) -> RotationL
 
 
 def _ring_permutation(num_qubits: int, depth: int) -> np.ndarray:
-    """Gather indices of `depth` CNOT rings applied in order: each gate's
-    kernel is itself a gather a -> a[src], so applying one ring's gates to
-    the identity index array composes them, and gathering that ring through
-    itself adds a ring."""
+    """Gather indices of `depth` CNOT rings (0, 1), (1, 2), ..., (M-1, 0)
+    applied in order: each gate's kernel is itself a gather a -> a[src], so
+    applying one ring's gates to the identity index array composes them, and
+    gathering that ring through itself adds a ring."""
     ring = np.arange(1 << num_qubits)
-    for gate in cyclic_ring(num_qubits, "CNOT"):
+    for i in range(num_qubits):
+        gate = GateOp("CNOT", target=(i + 1) % num_qubits, control=i)
         ring = quantum.apply_gate_kernel(ring, num_qubits, gate)
     perm = ring
     for _ in range(depth - 1):
@@ -419,12 +414,11 @@ def _ring_permutation(num_qubits: int, depth: int) -> np.ndarray:
     return perm
 
 
-def _rotation_factors(layers: RotationLayers,
-                      split: int) -> tuple[np.ndarray, np.ndarray | None]:
+def _rotation_factors(layers: RotationLayers, split: int) -> tuple[np.ndarray, np.ndarray]:
     """Kronecker factors of every layer's rotations: (L, 2^split, 2^split) for
-    qubits below `split` and (L, 2^(M-split), 2^(M-split)) for the rest (None
-    when no qubit is left), the first qubit of each factor on its least
-    significant index bit.
+    qubits below `split` and (L, 2^(M-split), 2^(M-split)) for the rest (1x1
+    identities when no qubit is left), the first qubit of each factor on its
+    least significant index bit.
 
     One `quantum.rotation_matrix` call gives every slot's 2x2 matrix, and
     each factor grows one qubit at a time as u (x) mat by a broadcast outer
@@ -433,40 +427,15 @@ def _rotation_factors(layers: RotationLayers,
                                   [[angle for _, angle in layer] for layer in layers])
     num_layers = len(rot)   # rot is (L, M, 2, 2)
 
-    def kron(qubits: np.ndarray) -> np.ndarray | None:
-        if qubits.shape[1] == 0:
-            return None
-        mat = qubits[:, 0]
-        for q in range(1, qubits.shape[1]):
+    def kron(qubits: np.ndarray) -> np.ndarray:
+        mat = np.ones((num_layers, 1, 1), dtype=complex)
+        for q in range(qubits.shape[1]):
             dim = mat.shape[1]
             mat = (qubits[:, q, :, None, :, None] * mat[:, None, :, None, :]
                    ).reshape(num_layers, 2 * dim, 2 * dim)
         return mat
 
     return kron(rot[:, :split]), kron(rot[:, split:])
-
-
-def _rotation_stages(num_qubits: int, layers: RotationLayers) -> tuple[Stage, ...]:
-    """Per layer: rotations split into Kronecker factors of 2^ceil(M/2) and
-    2^floor(M/2) (`_rotation_factors`, built for all layers in one
-    broadcast), then the layer's CNOT ring as one permutation. That costs
-    L * 2^M * (2^ceil(M/2) + 2^floor(M/2)) multiply-adds per row for L
-    layers (`Stage.multiply_adds`), against 2^M * 2^M for one dense matrix
-    of the whole stack; where the dense matrix costs no more, the stack is
-    folded into it by pushing the identity through the staged form. Wider
-    registers stay staged, which also keeps them clear of the dense-matrix
-    cap."""
-    dim, split = 1 << num_qubits, num_qubits - num_qubits // 2
-    ring = _ring_permutation(num_qubits, 1)
-    low, high = _rotation_factors(layers, split)
-    stages = tuple(Stage(low[k], None if high is None else high[k], ring)
-                   for k in range(len(layers)))
-    if dim * dim > sum(stage.multiply_adds(dim) for stage in stages):
-        return stages
-    amps = np.eye(dim, dtype=complex)
-    for stage in stages:
-        amps = stage.apply(amps)
-    return (Stage(amps.T),)   # row j of amps is column j of the stack's matrix
 
 
 def _reflector_stage(qr: np.ndarray, tau: np.ndarray) -> Stage:
@@ -518,7 +487,9 @@ def build_reservoir(spec: ReservoirSpec) -> Reservoir:
     else:
         if params is None:
             params = _sample_rotation_layers(d, spec.depth, spec.seed)
-        stages = _rotation_stages(d, params)
+        ring = _ring_permutation(d, 1)
+        low, high = _rotation_factors(params, d - d // 2)
+        stages = tuple(Stage(low[k], high[k], ring) for k in range(spec.depth))
     return Reservoir(kind, d, spec.depth, stages, params)
 
 
@@ -571,10 +542,11 @@ def _support_transfer(encoder: EncoderSpec, reservoir: Reservoir,
     """(S, T) for running `rows` encoded rows through the reservoir as
     x[:, S] @ T, or None where the stages should run instead (the subspace
     rule of the module docstring). S is the support the frozen qubits leave
-    and T the (|S|, 2^M) transfer matrix, S's unit rows pushed through the
-    stages. R_Z has an exact 0 below its diagonal, and R_Z and the CZ signs
-    are diagonal, so an encoded amplitude with a frozen bit set is an exact
-    0 and x[:, S] @ T differs from the stages only in floating-point order."""
+    (every index when none is frozen) and T the (|S|, 2^M) transfer matrix,
+    S's unit rows pushed through the stages. R_Z has an exact 0 below its
+    diagonal, and R_Z and the CZ signs are diagonal, so an encoded amplitude
+    with a frozen bit set is an exact 0 and x[:, S] @ T differs from the
+    stages only in floating-point order."""
     m = encoder.num_features
     dim = 1 << m
     frozen = sum(1 << q for q in range(m)
@@ -603,10 +575,10 @@ def run_circuit_batch(encoder: EncoderSpec, reservoir: Reservoir,
 
     The rows go through the whole circuit in blocks of at most
     BLOCK_AMPLITUDES amplitudes, each written into one preallocated
-    observation matrix; a batch within the budget is a single block. Where
-    the encoder leaves qubits frozen in |0> (axis Z in every layer), each
-    block may instead run as one GEMM on the support those qubits leave
-    occupied, through the stages' transfer matrix on it (`_support_transfer`
+    observation matrix; a batch within the budget is a single block. Each
+    block may instead run as one GEMM on the support that the encoder's
+    frozen qubits (axis Z in every layer) leave occupied, every index when
+    none is, through the stages' transfer matrix on it (`_support_transfer`
     says when); only the floating-point order differs.
     """
     angles = _angle_batch(encoder, angles)
@@ -779,7 +751,7 @@ def _pipeline_to_dict(p: Pipeline) -> dict:
                          tau_re=tau.real.tolist(), tau_im=tau.imag.tolist())
     elif kind == "HAAR":
         reservoir.update(unitary_re=params.real.tolist(), unitary_im=params.imag.tolist())
-    return {
+    doc = {
         "format": "qelm-pipeline-v1",
         "encoder": {
             "kind": p.encoder.kind,
@@ -794,12 +766,14 @@ def _pipeline_to_dict(p: Pipeline) -> dict:
                     "include_intercept": p.readout.include_intercept,
                     "intercept": p.readout.intercept,
                     "ridge_lambda": p.readout.ridge_lambda},
-        "training_rss": p.training_rss,
     }
+    if not np.isnan(p.training_rss):   # an unknown RSS is left out, as the loader reads it
+        doc["training_rss"] = p.training_rss
+    return doc
 
 
 def _pipeline_from_dict(doc: dict) -> Pipeline:
-    if doc.get("format") != "qelm-pipeline-v1":
+    if _section("document", doc).get("format") != "qelm-pipeline-v1":
         raise ConfigurationError("unrecognized pipeline document format")
     try:
         pipeline = _pipeline_fields(doc)
@@ -823,7 +797,18 @@ def _pipeline_from_dict(doc: dict) -> Pipeline:
     check_number("intercept", readout.intercept, error=ValidationError)
     if check_number("ridge_lambda", readout.ridge_lambda, error=ValidationError) < 0:
         raise ValidationError("field 'ridge_lambda' must be >= 0")
+    if "training_rss" in doc and check_number("training_rss", pipeline.training_rss,
+                                              error=ValidationError) < 0:
+        raise ValidationError("field 'training_rss' must be >= 0")
     return pipeline
+
+
+def _section(name: str, value) -> dict:
+    """`value`, which a pipeline document must hold as a JSON object."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"pipeline {name} must be a JSON object, "
+                              f"got {type(value).__name__}")
+    return value
 
 
 def _complex_field(res: dict, name: str) -> np.ndarray:
@@ -838,14 +823,14 @@ def _complex_field(res: dict, name: str) -> np.ndarray:
 
 
 def _pipeline_fields(doc: dict) -> Pipeline:
-    enc = doc["encoder"]
+    enc = _section("encoder", doc["encoder"])
     encoder = EncoderSpec(enc["kind"], enc["num_features"], enc["depth"],
                           axis_assignment=enc["axis_assignment"])
-    res = doc["reservoir"]
+    res = _section("reservoir", doc["reservoir"])
     kind, d, params = res["kind"], res["num_qubits"], None
     if kind == "ISING":
-        params = IsingParams(d, res["ising"]["couplings"], res["ising"]["fields"],
-                             res["ising"]["time_step"])
+        ising = _section("reservoir.ising", res["ising"])
+        params = IsingParams(d, ising["couplings"], ising["fields"], ising["time_step"])
     elif kind == "ROTATION":
         params = _tuples("rotation_layers", res["rotation_layers"], 3)
     elif kind == "HAAR" and "reflectors_re" in res:
@@ -855,10 +840,10 @@ def _pipeline_fields(doc: dict) -> Pipeline:
     elif kind != "CNOT":
         raise ValidationError(f"unknown reservoir kind {kind!r}")
     reservoir = build_reservoir(ReservoirSpec(kind, d, res["depth"], params=params))
-    bounds = doc["normalization"]
+    bounds = _section("normalization", doc["normalization"])
     norm = NormalizationParams(*(number_array(f"normalization.{key}", bounds[key])
                                  for key in ("mins", "maxs")))
-    ro = doc["readout"]
+    ro = _section("readout", doc["readout"])
     readout = ReadoutModel(number_array("readout.weights", ro["weights"]),
                            ro["include_intercept"], ro["intercept"],
                            ro["ridge_lambda"])

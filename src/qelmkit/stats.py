@@ -337,12 +337,6 @@ def predict_tree_batch(model: TreeNode, features) -> np.ndarray:
     return np.array(values)
 
 
-def count_splits(model: TreeNode) -> int:
-    if model.is_leaf:
-        return 0
-    return 1 + count_splits(model.left) + count_splits(model.right)
-
-
 # ---------------------------------------------------------------------------
 # result containers
 # ---------------------------------------------------------------------------

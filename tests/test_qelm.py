@@ -254,13 +254,12 @@ def test_rotation_reservoir_structure():
         for axis, angle in layer:
             assert axis in "XYZ" and 0.0 <= angle < 2 * np.pi
     assert len(reservoir_gates(res)) == 12   # per layer: 3 rotations + 3 ring CNOTs
-    # 2^3 <= 2 * (4 + 2): the whole stack folds into one dense stage
-    assert len(res.stages) == 1
-    assert res.stages[0].high is None and res.stages[0].perm is None
+    # one stage per layer, two Kronecker factors and the ring, at every width
+    assert len(res.stages) == 2
+    assert all(st.high is not None and st.perm is not None for st in res.stages)
     np.testing.assert_allclose(stages_matrix(res), reservoir_oracle(res, 8), atol=1e-12)
     again = qelm.build_reservoir(ReservoirSpec("ROTATION", 3, depth=2, seed=8))
     assert again.params == res.params
-    # 2^3 > 1 * (4 + 2): one stage per layer, two Kronecker factors and the ring
     shallow = qelm.build_reservoir(ReservoirSpec("ROTATION", 3, depth=1, seed=8))
     assert len(shallow.stages) == 1
     assert shallow.stages[0].high is not None and shallow.stages[0].perm is not None
@@ -480,22 +479,15 @@ def test_rotation_stages_match_kron_oracle(m, depth):
     layers = tuple(tuple((str(rng.choice(list("XYZ"))), float(rng.uniform(0, 2 * np.pi)))
                          for _ in range(m)) for _ in range(depth))
     low, high = qelm._rotation_factors(layers, split)
-    assert (high is None) == (m == 1)
-    for k, layer in enumerate(layers):
+    for k, layer in enumerate(layers):   # at m = 1, high holds 1x1 identities
         np.testing.assert_allclose(low[k], kron_rotations(layer[:split]), rtol=0, atol=1e-15)
-        if m > 1:
-            np.testing.assert_allclose(high[k], kron_rotations(layer[split:]),
-                                       rtol=0, atol=1e-15)
+        np.testing.assert_allclose(high[k], kron_rotations(layer[split:]), rtol=0, atol=1e-15)
     if m == 1:
         return   # a one-qubit register has no CNOT ring, so no reservoir
     res = qelm.build_reservoir(ReservoirSpec("ROTATION", m, depth, params=layers))
     dim = 1 << m
-    if dim <= depth * ((1 << split) + (1 << (m - split))):
-        assert len(res.stages) == 1 and res.stages[0].low.shape == (dim, dim)
-        assert res.stages[0].high is None and res.stages[0].perm is None
-    else:
-        assert len(res.stages) == depth
-        assert all(st.high is not None and st.perm is not None for st in res.stages)
+    assert len(res.stages) == depth
+    assert all(st.high is not None and st.perm is not None for st in res.stages)
     # compare on up to 64 basis columns, so M = 10 stays cheap
     cols = np.sort(np.random.default_rng(m).permutation(dim)[:64])
     expected = np.eye(dim, dtype=complex)[:, cols]
@@ -677,28 +669,30 @@ def test_stage_multiply_adds():
                                           for start in range(0, dim, qelm.WY_BLOCK))
 
 
-# (kind, qubits, reservoir depth, frozen qubits, rows, the compiled form)
-SUBSPACE_CASES = [
-    ("HAAR", 4, 1, 2, 40, "dense"),
-    ("ISING", 7, 1, 3, 64, "parity"),
-    ("HAAR", 9, 1, 3, 200, "reflectors"),
-    ("ROTATION", 9, 2, 4, 120, "staged"),
-    ("ROTATION", 5, 3, 2, 40, "folded"),
-]
+# id: (kind, qubits, reservoir depth, frozen qubits, rows, the compiled form);
+# with no qubit frozen the support is every index, which a narrow ROTATION
+# batch takes from 44 rows on at M = 5 and depth 10
+SUBSPACE_CASES = {
+    "dense": ("HAAR", 4, 1, 2, 40, "dense"),
+    "parity": ("ISING", 7, 1, 3, 64, "parity"),
+    "reflectors": ("HAAR", 9, 1, 3, 200, "reflectors"),
+    "staged": ("ROTATION", 9, 2, 4, 120, "staged"),
+    "unfrozen": ("ROTATION", 5, 10, 0, 64, "staged"),
+}
 
 
 def is_dense(stage: qelm.Stage) -> bool:
     return stage.low is not None and stage.high is None and stage.perm is None
 
 
-FORMS = {"dense": is_dense, "folded": is_dense,
+FORMS = {"dense": is_dense,
          "parity": lambda stage: stage.parity is not None,
          "reflectors": lambda stage: stage.reflectors is not None,
          "staged": lambda stage: stage.high is not None and stage.perm is not None}
 
 
-@pytest.mark.parametrize("kind,m,depth,frozen,rows,form", SUBSPACE_CASES,
-                         ids=[case[-1] for case in SUBSPACE_CASES])
+@pytest.mark.parametrize("kind,m,depth,frozen,rows,form", list(SUBSPACE_CASES.values()),
+                         ids=list(SUBSPACE_CASES))
 def test_subspace_rule_matches_the_stage_path(kind, m, depth, frozen, rows, form):
     res = qelm.build_reservoir(ReservoirSpec(kind, m, depth=depth, seed=m))
     assert all(FORMS[form](stage) for stage in res.stages)
@@ -770,6 +764,24 @@ def test_subspace_rule_declines_where_it_saves_nothing(monkeypatch):
     monkeypatch.setattr(qelm, "BLOCK_AMPLITUDES", size * dim)
     assert qelm._support_transfer(enc, res, 10 ** 6) is not None
     assert cost == res.stages[0].multiply_adds(dim)
+
+
+@pytest.mark.parametrize("kind", qelm.ENCODER_KINDS)
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_narrow_rotation_rows_and_batches_agree(m, kind, monkeypatch):
+    # one row runs the ten staged layers; a batch past the break-even (44
+    # rows at M = 5) runs as one GEMM through the transfer on the support
+    features, targets = make_training_data(m=m, p=60, seed=m)
+    pipeline = qelm.qelm_train((features, targets), EncoderSpec(kind, m, seed=m),
+                               ReservoirSpec("ROTATION", m, seed=m))
+    assert len(pipeline.reservoir.stages) == 10
+    rule, decisions = qelm._support_transfer, []
+    monkeypatch.setattr(qelm, "_support_transfer",
+                        lambda *args: decisions.append(rule(*args)) or decisions[-1])
+    rows = [pipeline.predict(row) for row in features]
+    batch = pipeline.predict_batch(features)
+    assert all(d is None for d in decisions[:-1]) and decisions[-1] is not None
+    np.testing.assert_allclose(rows, batch, rtol=0, atol=1e-12)
 
 
 def test_one_row_prediction_takes_the_stage_path(monkeypatch):
@@ -989,6 +1001,7 @@ def test_pipeline_roundtrip_bit_identical(tmp_path, kind, m):
     original = pipe.predict_batch(probe)
     restored = loaded.predict_batch(probe)
     assert original.tobytes() == restored.tobytes()
+    assert loaded.training_rss == pipe.training_rss
 
 
 def kind_seed(kind: str) -> int:
@@ -1136,6 +1149,10 @@ def string_entry(*path):
      "'rotation_layers'"),
     ("CNOT", set_field("encoder", "axis_assignment", [5]), ValidationError,
      "'axis_assignment'"),
+    # "x" loaded, and the pipeline held the string
+    ("ROTATION", set_field("training_rss", "x"), ValidationError, "'training_rss'"),
+    ("ROTATION", set_field("training_rss", float("nan")), ValidationError, "'training_rss'"),
+    ("ROTATION", set_field("training_rss", -1.0), ValidationError, "'training_rss' must be >= 0"),
 ])
 def test_pipeline_from_json_rejects_inconsistent_documents(kind, corrupt, error, fragment):
     doc = pipeline_doc(kind)
@@ -1143,6 +1160,29 @@ def test_pipeline_from_json_rejects_inconsistent_documents(kind, corrupt, error,
     corrupt(doc)
     with pytest.raises(error, match=fragment):
         qelm.Pipeline.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("section,value", [
+    ("document", []), ("encoder", 5), ("reservoir", []), ("reservoir.ising", 5),
+    ("readout", "x"), ("normalization", 3)])
+def test_pipeline_from_json_rejects_non_object_sections(section, value):
+    # each was a raw AttributeError or TypeError
+    doc = pipeline_doc("ISING")
+    if section == "document":
+        doc = value
+    else:
+        set_field(*section.split("."), value)(doc)
+    with pytest.raises(ValidationError, match=f"pipeline {section} must be a JSON object"):
+        qelm.Pipeline.from_json(json.dumps(doc))
+
+
+def test_pipeline_documents_without_training_rss_load():
+    doc = pipeline_doc("CNOT")
+    del doc["training_rss"]
+    loaded = qelm.Pipeline.from_json(json.dumps(doc))
+    assert math.isnan(loaded.training_rss)
+    # and an unknown RSS is saved by leaving it out, so the document loads again
+    assert json.loads(loaded.to_json()) == doc
 
 
 def reflector_doc(monkeypatch) -> dict:

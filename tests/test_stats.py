@@ -311,9 +311,15 @@ def test_cohens_d_errors_and_magnitude():
 # regression tree
 # ---------------------------------------------------------------------------
 
+def count_splits(model: stats.TreeNode) -> int:
+    if model.is_leaf:
+        return 0
+    return 1 + count_splits(model.left) + count_splits(model.right)
+
+
 def test_tree_constant_targets():
     tree = stats.fit_regression_tree(np.arange(6.0).reshape(-1, 1), np.full(6, 3.0))
-    assert stats.count_splits(tree) == 0
+    assert count_splits(tree) == 0
     assert stats.predict_tree(tree, [2.5]) == 3.0
 
 
@@ -321,7 +327,7 @@ def test_tree_step_function_single_split():
     x = np.arange(10.0).reshape(-1, 1)
     y = (x[:, 0] >= 5).astype(float) * 4.0
     tree = stats.fit_regression_tree(x, y, max_splits=25)
-    assert stats.count_splits(tree) == 1
+    assert count_splits(tree) == 1
     assert stats.mse(stats.predict_tree_batch(tree, x), y) == 0.0
 
 
@@ -337,7 +343,7 @@ def test_tree_split_budget_respected():
     x = rng.normal(size=(300, 5))
     y = rng.normal(size=300)
     tree = stats.fit_regression_tree(x, y, max_splits=25)
-    assert stats.count_splits(tree) <= 25
+    assert count_splits(tree) <= 25
 
 
 def test_tree_training_error_monotone_in_splits():
