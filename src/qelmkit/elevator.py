@@ -14,13 +14,26 @@ time (AWT) target:
 A call is "up" when the destination floor is above the origin. Waiting time
 runs from the call until the assigned car starts opening its doors at the
 origin floor.
+
+Generated days are reproducible bit for bit, and two orders fix them:
+
+- RNG draws. `generate_traffic` takes, per profile segment in list order,
+  one `poisson` count, one `uniform` batch of arrival times and one `choice`
+  batch of trip kinds; then per passenger, in arrival order within the
+  segment, one scalar `integers` (up or down trip) or two (interfloor:
+  origin, then destination), then one `normal` weight. Batching any of the
+  per-passenger draws would change the stream and every frozen instance.
+- Event ties. `simulate` pops events by (time, kind, counter): at equal
+  times an arrival (kind 0) comes before a pickup (1), and a pickup before a
+  delivery completion (2), and events of one kind in the order they were
+  scheduled. Arrivals are scheduled in stable arrival-time order.
 """
 from __future__ import annotations
 
 import csv
 import heapq
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -158,26 +171,28 @@ def generate_traffic(config: BuildingConfig, profile: TrafficProfile,
     end there; interfloor trips pick distinct uniform floors.
     """
     rng = np.random.default_rng(seed)
+    integers, normal = rng.integers, rng.normal
     floors = config.num_floors
     passengers: list[Passenger] = []
+    append = passengers.append
     for seg in profile.segments:
         mean = seg.rate_per_min * (seg.end_s - seg.start_s) / 60.0
         count = int(rng.poisson(mean))
-        times = np.sort(rng.uniform(seg.start_s, seg.end_s, size=count))
+        times = np.sort(rng.uniform(seg.start_s, seg.end_s, size=count)).tolist()
         kinds = rng.choice(3, size=count, p=[seg.up_fraction, seg.down_fraction,
-                                             seg.interfloor_fraction])
+                                             seg.interfloor_fraction]).tolist()
         for t, kind in zip(times, kinds):
             if kind == 0:
-                origin, dest = 0, int(rng.integers(1, floors))
+                origin, dest = 0, int(integers(1, floors))
             elif kind == 1:
-                origin, dest = int(rng.integers(1, floors)), 0
+                origin, dest = int(integers(1, floors)), 0
             else:
-                origin = int(rng.integers(0, floors))
-                dest = int(rng.integers(0, floors - 1))
+                origin = int(integers(0, floors))
+                dest = int(integers(0, floors - 1))
                 if dest >= origin:
                     dest += 1
-            weight = float(np.clip(rng.normal(75.0, 15.0), 35.0, 135.0))
-            passengers.append(Passenger(float(t), origin, dest, weight))
+            weight = min(max(normal(75.0, 15.0), 35.0), 135.0)
+            append(Passenger(t, origin, dest, weight))
     passengers.sort(key=lambda p: p.arrival_time)
     return passengers
 
@@ -185,15 +200,6 @@ def generate_traffic(config: BuildingConfig, profile: TrafficProfile,
 # ---------------------------------------------------------------------------
 # discrete-event simulation
 # ---------------------------------------------------------------------------
-
-@dataclass
-class _Car:
-    floor: int
-    busy: bool = False
-    pending: list[int] = field(default_factory=list)
-    est_free_at: float = 0.0
-    est_free_floor: int = 0
-
 
 def simulate(config: BuildingConfig, passengers: list[Passenger],
              start_floors: list[int] | None = None) -> list[tuple[Passenger, float]]:
@@ -203,86 +209,99 @@ def simulate(config: BuildingConfig, passengers: list[Passenger],
     estimated arrival time at the origin (nearest-car heuristic, no
     reassignment). Cars work their call queue in order; at a pickup stop
     they also board any co-assigned waiting passenger at that floor going
-    the same direction, up to capacity.
+    the same direction, up to capacity. Cars start at `start_floors`, one
+    integer floor in [0, num_floors) per car (default: all at floor 0).
     """
-    for p in passengers:
-        if not (0 <= p.origin_floor < config.num_floors
-                and 0 <= p.dest_floor < config.num_floors):
-            raise ValidationError(f"passenger floor out of range: {p}")
+    floors = config.num_floors
+    origin = [p.origin_floor for p in passengers]
+    dest = [p.dest_floor for p in passengers]
+    arrival = [p.arrival_time for p in passengers]
+    for i, (o, d) in enumerate(zip(origin, dest)):
+        if not (0 <= o < floors and 0 <= d < floors):
+            raise ValidationError(f"passenger floor out of range: {passengers[i]}")
+    up = [d > o for o, d in zip(origin, dest)]
     if start_floors is None:
         start_floors = [0] * config.num_elevators
     if len(start_floors) != config.num_elevators:
         raise ConfigurationError("start_floors must list one floor per elevator")
+    for f in start_floors:
+        if not 0 <= check_number("start_floors", f, integer=True) < floors:
+            raise ConfigurationError(f"field 'start_floors' must hold floors in "
+                                     f"[0, {floors}), got {f!r}")
 
-    ftt, door = config.floor_travel_time, config.door_cycle_time
-    cars = [_Car(floor=f, est_free_floor=f) for f in start_floors]
+    ftt, door, capacity = config.floor_travel_time, config.door_cycle_time, config.capacity
+    # per car: current floor, whether it is serving its queue, the queue of
+    # assigned passenger indices, and the dispatcher's estimate of when and
+    # where the car will be free
+    car_floor = list(start_floors)
+    busy = [False] * len(car_floor)
+    pending: list[list[int]] = [[] for _ in car_floor]
+    free_at = [0.0] * len(car_floor)
+    free_floor = list(start_floors)
+    cars = range(len(car_floor))
     waits: list[float | None] = [None] * len(passengers)
 
-    order = sorted(range(len(passengers)), key=lambda i: passengers[i].arrival_time)
     # event entries: (time, kind, tiebreak, payload); arrivals (0) dispatch
     # before same-instant pickups (1) and completions (2), so simultaneous
     # callers can share the same door-open
-    events: list[tuple[float, int, int, int]] = []
-    counter = 0
-    for i in order:
-        events.append((passengers[i].arrival_time, 0, counter, i))
-        counter += 1
+    order = sorted(range(len(passengers)), key=arrival.__getitem__)
+    events = [(arrival[i], 0, counter, i) for counter, i in enumerate(order)]
+    counter = len(events)
     heapq.heapify(events)
+    heappush, heappop = heapq.heappush, heapq.heappop
 
     def start_pickup(ci: int, now: float) -> None:
         nonlocal counter
-        car = cars[ci]
-        if not car.pending:
-            car.busy = False
-            car.est_free_at, car.est_free_floor = now, car.floor
+        if not pending[ci]:
+            busy[ci] = False
+            free_at[ci], free_floor[ci] = now, car_floor[ci]
             return
-        car.busy = True
-        head = passengers[car.pending[0]]
-        travel = abs(car.floor - head.origin_floor) * ftt
-        heapq.heappush(events, (now + travel, 1, counter, ci))
+        busy[ci] = True
+        travel = abs(car_floor[ci] - origin[pending[ci][0]]) * ftt
+        heappush(events, (now + travel, 1, counter, ci))
         counter += 1
 
     def handle_pickup(ci: int, now: float) -> None:
         nonlocal counter
-        car = cars[ci]
-        head = passengers[car.pending[0]]
-        floor = head.origin_floor
-        car.floor = floor
-        up = head.goes_up
+        queue = pending[ci]
+        head = queue[0]
+        floor, going_up = origin[head], up[head]
         boarded: list[int] = []
-        for pid in list(car.pending):
-            p = passengers[pid]
-            if (p.origin_floor == floor and p.goes_up == up
-                    and p.arrival_time <= now and len(boarded) < config.capacity):
+        left: list[int] = []
+        for pid in queue:
+            if (origin[pid] == floor and up[pid] == going_up
+                    and arrival[pid] <= now and len(boarded) < capacity):
                 boarded.append(pid)
-        for pid in boarded:
-            waits[pid] = now - passengers[pid].arrival_time
-            car.pending.remove(pid)
-        dests = sorted({passengers[pid].dest_floor for pid in boarded}, reverse=not up)
+                waits[pid] = now - arrival[pid]
+            else:
+                left.append(pid)
+        pending[ci] = left
         finish = now + door
         cursor = floor
-        for d in dests:
+        for d in sorted({dest[pid] for pid in boarded}, reverse=not going_up):
             finish += abs(d - cursor) * ftt + door
             cursor = d
-        car.floor = cursor
-        heapq.heappush(events, (finish, 2, counter, ci))
+        car_floor[ci] = cursor
+        heappush(events, (finish, 2, counter, ci))
         counter += 1
 
     while events:
-        now, kind, _, payload = heapq.heappop(events)
+        now, kind, _, payload = heappop(events)
         if kind == 0:  # arrival: dispatch to min-ETA car
-            p = passengers[payload]
+            o = origin[payload]
             best_ci, best_eta = 0, math.inf
-            for ci, car in enumerate(cars):
-                ready = max(car.est_free_at, now)
-                eta = ready + abs(car.est_free_floor - p.origin_floor) * ftt
+            for ci in cars:
+                ready = free_at[ci]
+                if now > ready:
+                    ready = now
+                eta = ready + abs(free_floor[ci] - o) * ftt
                 if eta < best_eta:
                     best_ci, best_eta = ci, eta
-            car = cars[best_ci]
-            car.pending.append(payload)
-            car.est_free_at = best_eta + door + abs(p.dest_floor - p.origin_floor) * ftt + door
-            car.est_free_floor = p.dest_floor
-            if not car.busy:
+            d = dest[payload]
+            pending[best_ci].append(payload)
+            free_at[best_ci] = best_eta + door + abs(d - o) * ftt + door
+            free_floor[best_ci] = d
+            if not busy[best_ci]:
                 start_pickup(best_ci, now)
         elif kind == 1:
             handle_pickup(payload, now)
@@ -319,6 +338,8 @@ class Dataset:
         return len(self.windows)
 
     def feature_matrix(self) -> np.ndarray:
+        if not self.windows:   # keep the column count, so it stacks with others
+            return np.empty((0, len(self.feature_names)))
         return np.array([w.raw_features for w in self.windows], dtype=float)
 
     def awt_values(self) -> np.ndarray:
@@ -346,38 +367,47 @@ def windowize(config: BuildingConfig, served: list[tuple[Passenger, float]],
     training can exclude them.
     """
     low, _, high = floor_tiers(config.num_floors)
+    tier = {floor: 0 for floor in low} | {floor: 2 for floor in high}
+    height = config.floor_height
     num_windows = math.ceil(DAY_SECONDS / WINDOW_SECONDS)
-    buckets: list[list[tuple[Passenger, float]]] = [[] for _ in range(num_windows)]
-    for p, wait in served:
-        buckets[int(p.arrival_time // WINDOW_SECONDS)].append((p, wait))
+    # one record per call: its window, its count column (f1..f6 as 0..5),
+    # its travel distance and its wait
+    window, column, dist, wait = [], [], [], []
+    for p, w in served:
+        o, d = p.origin_floor, p.dest_floor
+        window.append(int(p.arrival_time // WINDOW_SECONDS))
+        column.append(tier.get(o, 1) + (0 if d > o else 3))
+        dist.append(abs(d - o) * height)
+        wait.append(w)
+    window, column = np.array(window, dtype=np.intp), np.array(column, dtype=np.intp)
+    dist, wait = np.array(dist, dtype=float), np.array(wait, dtype=float)
+
+    f = np.zeros((num_windows, 12))
+    f[:, :6] = np.bincount(window * 6 + column,
+                           minlength=num_windows * 6).reshape(num_windows, 6)
+    f[:, 10] = f[:, 0] + f[:, 1] + f[:, 2]
+    f[:, 11] = f[:, 3] + f[:, 4] + f[:, 5]
+    f[1:, 8:10] = f[:-1, 10:12]
+    # the stable sorts keep served order within each window's calls (waits)
+    # and within its up or down calls (distances), so every mean below is the
+    # same pairwise sum in the same order as np.mean over those calls
+    direction = window * 2 + (column >= 3)   # 2i: window i's up calls, 2i + 1: down
+    by_direction = np.argsort(direction, kind="stable")
+    dists = dist[by_direction]
+    bounds = np.searchsorted(direction[by_direction],
+                             np.arange(2 * num_windows + 1)).tolist()
+    waits = wait[np.argsort(window, kind="stable")]
+
+    def mean(values: np.ndarray, a: int, b: int) -> float:
+        return float(np.add.reduce(values[a:b]) / (b - a)) if b > a else 0.0
 
     windows: list[FeatureWindow] = []
-    prev_up = prev_down = 0.0
-    for i, bucket in enumerate(buckets):
-        f = np.zeros(12)
-        up_dist: list[float] = []
-        down_dist: list[float] = []
-        waits = []
-        for p, wait in bucket:
-            tier = 0 if p.origin_floor in low else (2 if p.origin_floor in high else 1)
-            dist = abs(p.dest_floor - p.origin_floor) * config.floor_height
-            if p.goes_up:
-                f[tier] += 1
-                up_dist.append(dist)
-            else:
-                f[3 + tier] += 1
-                down_dist.append(dist)
-            waits.append(wait)
-        f[6] = float(np.mean(up_dist)) if up_dist else 0.0
-        f[7] = float(np.mean(down_dist)) if down_dist else 0.0
-        f[8], f[9] = prev_up, prev_down
-        f[10] = f[0] + f[1] + f[2]
-        f[11] = f[3] + f[4] + f[5]
-        awt = float(np.mean(waits)) if waits else 0.0
-        windows.append(FeatureWindow(float(i * WINDOW_SECONDS),
-                                     float(WINDOW_SECONDS), f, awt,
-                                     empty=not bucket))
-        prev_up, prev_down = f[10], f[11]
+    for i in range(num_windows):
+        a, mid, b = bounds[2 * i:2 * i + 3]
+        f[i, 6] = mean(dists, a, mid)
+        f[i, 7] = mean(dists, mid, b)
+        windows.append(FeatureWindow(float(i * WINDOW_SECONDS), float(WINDOW_SECONDS),
+                                     f[i], mean(waits, a, b), empty=a == b))
     return Dataset(label, windows)
 
 

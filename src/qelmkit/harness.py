@@ -251,10 +251,17 @@ class _FoldCache:
 def _fold_windows(train_days: list[Dataset], test_day: Dataset,
                   feature_set: str) -> tuple[np.ndarray, np.ndarray, Dataset]:
     """Training features and targets stacked over `train_days`, and the
-    held-out day, all restricted to `feature_set` with empty windows dropped."""
+    held-out day, all restricted to `feature_set` with empty windows dropped.
+    The held-out day, and the training days together, must keep a window."""
     train_parts = [elevator.select_features(d, feature_set).drop_empty()
                    for d in train_days]
     test = elevator.select_features(test_day, feature_set).drop_empty()
+    if not len(test):
+        raise ValidationError(f"held-out day {test_day.label!r} has no non-empty window")
+    if not any(len(p) for p in train_parts):
+        labels = ", ".join(repr(d.label) for d in train_days)
+        raise ValidationError(f"training days {labels} (held-out day {test_day.label!r}) "
+                              "have no non-empty window")
     return (np.vstack([p.feature_matrix() for p in train_parts]),
             np.concatenate([p.awt_values() for p in train_parts]), test)
 
@@ -593,9 +600,17 @@ def write_results_csv(path, results: list[RunResults]) -> None:
 
 
 def read_results_csv(path) -> list[RunResults]:
+    """The RunResults of a file `write_results_csv` wrote: within each
+    (dataset, feature_set, encoder, reservoir), the rows' repetitions must
+    count 0, 1, 2, ... in file order."""
     rows: dict[tuple[str, str, str, str], list[float]] = {}
-    for row, (value,) in elevator.read_csv_rows(path, _RESULTS_HEADER, 1):
-        rows.setdefault(tuple(row[:4]), []).append(value)
+    lines = elevator.read_csv_rows(path, _RESULTS_HEADER, 1)
+    for line, (row, (value,)) in enumerate(lines, start=2):
+        values = rows.setdefault(tuple(row[:4]), [])
+        if row[4] != str(len(values)):
+            raise ValidationError(f"{path}: row {line} has repetition {row[4]!r}; "
+                                  f"expected {len(values)}")
+        values.append(value)
     return [RunResults(day, fs, enc, res, np.array(values))
             for (day, fs, enc, res), values in rows.items()]
 

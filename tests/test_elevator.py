@@ -1,6 +1,9 @@
 """Elevator benchmark tests: traffic generation, dispatch simulation,
 feature windowing, the dataset CSV format and profile documents."""
+import heapq
 import json
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -145,7 +148,7 @@ def test_conservation_and_nonnegative_waits():
     passengers = el.generate_traffic(cfg, el.office_day_profile(), seed=11)
     served = el.simulate(cfg, passengers)
     assert len(served) == len(passengers)
-    assert [p is q for (p, _), q in zip(served, passengers)]
+    assert all(p is q for (p, _), q in zip(served, passengers))
     assert all(w >= 0.0 for _, w in served)
 
 
@@ -156,6 +159,15 @@ def test_more_elevators_do_not_hurt():
     one = el.simulate(el.BuildingConfig(num_elevators=1), passengers)
     two = el.simulate(el.BuildingConfig(num_elevators=2), passengers)
     assert np.mean([w for _, w in two]) <= np.mean([w for _, w in one])
+
+
+@pytest.mark.parametrize("start_floors", [[99, 0, 0], [-1, 0, 0], [10, 0, 0],
+                                          [2.5, 0, 0], [0, True, 0], [0, 0, "3"]])
+def test_simulate_rejects_bad_start_floors(start_floors):
+    # [99, 0, 0] used to return a 7.5 s wait, [2.5, 0, 0] one of 3.75 s
+    with pytest.raises(ConfigurationError, match="start_floors"):
+        el.simulate(el.BuildingConfig(num_floors=10), [el.Passenger(0.0, 5, 0, 70.0)],
+                    start_floors=start_floors)
 
 
 def test_simulate_rejects_invalid_floor():
@@ -228,6 +240,13 @@ def test_windowize_empty_flag_and_count():
     assert ds.windows[1].empty and ds.windows[1].awt == 0.0
     trimmed = ds.drop_empty()
     assert len(trimmed) == 1
+
+
+def test_feature_matrix_of_no_windows_keeps_its_columns():
+    ds = el.windowize(el.BuildingConfig(), [])
+    assert all(w.empty for w in ds.windows)
+    assert ds.drop_empty().feature_matrix().shape == (0, 12)
+    assert el.select_features(ds, "FS2").drop_empty().feature_matrix().shape == (0, 2)
 
 
 def test_feature_consistency_on_generated_day():
@@ -343,3 +362,241 @@ def test_vary_profile_scales_rates_only():
         assert a.start_s == b.start_s and a.end_s == b.end_s
         assert a.up_fraction == b.up_fraction
         assert 0.8 * a.rate_per_min <= b.rate_per_min <= 1.2 * a.rate_per_min
+
+
+# ---------------------------------------------------------------------------
+# agreement with the plain per-passenger implementation
+# ---------------------------------------------------------------------------
+# Plain object-per-passenger implementations of generate_traffic, simulate
+# and windowize, kept as the oracle: every day the module generates must
+# equal theirs bit for bit, since seeded instances and stored results rest
+# on it.
+
+def reference_generate_traffic(config, profile, seed):
+    rng = np.random.default_rng(seed)
+    floors = config.num_floors
+    passengers = []
+    for seg in profile.segments:
+        mean = seg.rate_per_min * (seg.end_s - seg.start_s) / 60.0
+        count = int(rng.poisson(mean))
+        times = np.sort(rng.uniform(seg.start_s, seg.end_s, size=count))
+        kinds = rng.choice(3, size=count, p=[seg.up_fraction, seg.down_fraction,
+                                             seg.interfloor_fraction])
+        for t, kind in zip(times, kinds):
+            if kind == 0:
+                origin, dest = 0, int(rng.integers(1, floors))
+            elif kind == 1:
+                origin, dest = int(rng.integers(1, floors)), 0
+            else:
+                origin = int(rng.integers(0, floors))
+                dest = int(rng.integers(0, floors - 1))
+                if dest >= origin:
+                    dest += 1
+            weight = float(np.clip(rng.normal(75.0, 15.0), 35.0, 135.0))
+            passengers.append(el.Passenger(float(t), origin, dest, weight))
+    passengers.sort(key=lambda p: p.arrival_time)
+    return passengers
+
+
+@dataclass
+class ReferenceCar:
+    floor: int
+    busy: bool = False
+    pending: list = field(default_factory=list)
+    est_free_at: float = 0.0
+    est_free_floor: int = 0
+
+
+def reference_simulate(config, passengers, start_floors=None):
+    if start_floors is None:
+        start_floors = [0] * config.num_elevators
+    ftt, door = config.floor_travel_time, config.door_cycle_time
+    cars = [ReferenceCar(floor=f, est_free_floor=f) for f in start_floors]
+    waits = [None] * len(passengers)
+    order = sorted(range(len(passengers)), key=lambda i: passengers[i].arrival_time)
+    events = []
+    counter = 0
+    for i in order:
+        events.append((passengers[i].arrival_time, 0, counter, i))
+        counter += 1
+    heapq.heapify(events)
+
+    def start_pickup(ci, now):
+        nonlocal counter
+        car = cars[ci]
+        if not car.pending:
+            car.busy = False
+            car.est_free_at, car.est_free_floor = now, car.floor
+            return
+        car.busy = True
+        head = passengers[car.pending[0]]
+        travel = abs(car.floor - head.origin_floor) * ftt
+        heapq.heappush(events, (now + travel, 1, counter, ci))
+        counter += 1
+
+    def handle_pickup(ci, now):
+        nonlocal counter
+        car = cars[ci]
+        head = passengers[car.pending[0]]
+        floor = head.origin_floor
+        car.floor = floor
+        up = head.goes_up
+        boarded = []
+        for pid in list(car.pending):
+            p = passengers[pid]
+            if (p.origin_floor == floor and p.goes_up == up
+                    and p.arrival_time <= now and len(boarded) < config.capacity):
+                boarded.append(pid)
+        for pid in boarded:
+            waits[pid] = now - passengers[pid].arrival_time
+            car.pending.remove(pid)
+        dests = sorted({passengers[pid].dest_floor for pid in boarded}, reverse=not up)
+        finish = now + door
+        cursor = floor
+        for d in dests:
+            finish += abs(d - cursor) * ftt + door
+            cursor = d
+        car.floor = cursor
+        heapq.heappush(events, (finish, 2, counter, ci))
+        counter += 1
+
+    while events:
+        now, kind, _, payload = heapq.heappop(events)
+        if kind == 0:
+            p = passengers[payload]
+            best_ci, best_eta = 0, math.inf
+            for ci, car in enumerate(cars):
+                ready = max(car.est_free_at, now)
+                eta = ready + abs(car.est_free_floor - p.origin_floor) * ftt
+                if eta < best_eta:
+                    best_ci, best_eta = ci, eta
+            car = cars[best_ci]
+            car.pending.append(payload)
+            car.est_free_at = best_eta + door + abs(p.dest_floor - p.origin_floor) * ftt + door
+            car.est_free_floor = p.dest_floor
+            if not car.busy:
+                start_pickup(best_ci, now)
+        elif kind == 1:
+            handle_pickup(payload, now)
+        else:
+            start_pickup(payload, now)
+    return [(p, float(w)) for p, w in zip(passengers, waits)]
+
+
+def reference_windowize(config, served, label="day"):
+    low, _, high = el.floor_tiers(config.num_floors)
+    num_windows = math.ceil(el.DAY_SECONDS / el.WINDOW_SECONDS)
+    buckets = [[] for _ in range(num_windows)]
+    for p, wait in served:
+        buckets[int(p.arrival_time // el.WINDOW_SECONDS)].append((p, wait))
+    windows = []
+    prev_up = prev_down = 0.0
+    for i, bucket in enumerate(buckets):
+        f = np.zeros(12)
+        up_dist, down_dist, waits = [], [], []
+        for p, wait in bucket:
+            tier = 0 if p.origin_floor in low else (2 if p.origin_floor in high else 1)
+            dist = abs(p.dest_floor - p.origin_floor) * config.floor_height
+            if p.goes_up:
+                f[tier] += 1
+                up_dist.append(dist)
+            else:
+                f[3 + tier] += 1
+                down_dist.append(dist)
+            waits.append(wait)
+        f[6] = float(np.mean(up_dist)) if up_dist else 0.0
+        f[7] = float(np.mean(down_dist)) if down_dist else 0.0
+        f[8], f[9] = prev_up, prev_down
+        f[10] = f[0] + f[1] + f[2]
+        f[11] = f[3] + f[4] + f[5]
+        awt = float(np.mean(waits)) if waits else 0.0
+        windows.append(el.FeatureWindow(float(i * el.WINDOW_SECONDS),
+                                        float(el.WINDOW_SECONDS), f, awt,
+                                        empty=not bucket))
+        prev_up, prev_down = f[10], f[11]
+    return el.Dataset(label, windows)
+
+
+def passenger_fields(passengers):
+    return [(p.arrival_time, p.origin_floor, p.dest_floor, p.weight_kg) for p in passengers]
+
+
+def assert_same_days(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.label, a.feature_names, len(a)) == (b.label, b.feature_names, len(b))
+        for x, y in zip(a.windows, b.windows):
+            assert (x.window_start, x.duration, x.awt, x.empty) == \
+                   (y.window_start, y.duration, y.awt, y.empty)
+            assert type(x.empty) is type(y.empty) and type(x.awt) is type(y.awt)
+            assert x.raw_features.dtype == y.raw_features.dtype
+            assert x.raw_features.tolist() == y.raw_features.tolist()
+
+
+def assert_same_pipeline(config, passengers, start_floors=None, shuffle_seed=None):
+    served = el.simulate(config, passengers, start_floors)
+    want = reference_simulate(config, passengers, start_floors)
+    assert all(p is q for (p, _), (q, _) in zip(served, want))
+    assert [w for _, w in served] == [w for _, w in want]
+    if shuffle_seed is not None:
+        order = np.random.default_rng(shuffle_seed).permutation(len(served))
+        served = [served[i] for i in order]
+    assert_same_days([el.windowize(config, served, label="x")],
+                     [reference_windowize(config, served, label="x")])
+
+
+@pytest.mark.parametrize("seed", [18, 7, 3, 11])
+@pytest.mark.parametrize("awt", ["simulated", "nonlinear"])
+def test_generated_days_match_reference(monkeypatch, seed, awt):
+    from qelmkit import harness
+    spec = {"seed": seed, "awt": awt, "num_days": 2}
+    got = harness.generate_days(spec)
+    monkeypatch.setattr(el, "generate_traffic", reference_generate_traffic)
+    monkeypatch.setattr(el, "simulate", reference_simulate)
+    monkeypatch.setattr(el, "windowize", reference_windowize)
+    assert_same_days(got, harness.generate_days(spec))
+
+
+@pytest.mark.parametrize("config", [
+    el.BuildingConfig(),
+    el.BuildingConfig(num_elevators=1),
+    el.BuildingConfig(capacity=2),
+    # times and heights with no exact binary form, so a mean summed in any
+    # other order than the reference's shows in the last bits
+    el.BuildingConfig(num_floors=17, num_elevators=4, floor_travel_time=1.1,
+                      door_cycle_time=5.3, floor_height=3.3)],
+    ids=["default", "one-car", "capacity-2", "tall"])
+def test_traffic_and_simulation_match_reference(config):
+    profile = el.office_day_profile()
+    passengers = el.generate_traffic(config, profile, seed=21)
+    assert passenger_fields(passengers) == \
+        passenger_fields(reference_generate_traffic(config, profile, seed=21))
+    assert_same_pipeline(config, passengers)
+    start = [(3 * k + 2) % config.num_floors for k in range(config.num_elevators)]
+    assert_same_pipeline(config, passengers, start_floors=start)
+
+
+@pytest.mark.parametrize("config", [el.BuildingConfig(num_elevators=2),
+                                    el.BuildingConfig(num_elevators=1, capacity=2)],
+                         ids=["two-cars", "one-car-capacity-2"])
+def test_simultaneous_arrivals_match_reference(config):
+    # many callers share a handful of instants and floors, so the event
+    # tie-breaks and shared door-opens decide every wait
+    rng = np.random.default_rng(4)
+    passengers = []
+    for t in rng.choice([0.0, 30.0, 30.0, 95.5, 400.0, 400.0, 400.0], size=60):
+        origin, dest = (int(v) for v in rng.choice(4, size=2, replace=False))
+        passengers.append(el.Passenger(float(t), origin, dest, 70.0))
+    assert_same_pipeline(config, passengers, start_floors=[3] * config.num_elevators)
+
+
+@pytest.mark.parametrize("shuffle_seed", [0, 1])
+def test_windowize_of_shuffled_served_list_matches_reference(shuffle_seed):
+    config = el.BuildingConfig(floor_travel_time=1.1, door_cycle_time=5.3, floor_height=3.3)
+    passengers = el.generate_traffic(config, el.office_day_profile(), seed=5)
+    assert_same_pipeline(config, passengers, shuffle_seed=shuffle_seed)
+    # arbitrary waits: their sums depend on the order calls are added in
+    rng = np.random.default_rng(shuffle_seed)
+    served = [(passengers[i], float(rng.uniform(0.0, 90.0)))
+              for i in rng.permutation(len(passengers))]
+    assert_same_days([el.windowize(config, served)], [reference_windowize(config, served)])

@@ -355,6 +355,33 @@ def test_encoded_batch_sharing_rule(toy_days):
 # RQ1 ranking
 # ---------------------------------------------------------------------------
 
+def empty_day(label):
+    """A day whose every window is empty, as an all-empty CSV or a rate-0
+    generate profile gives."""
+    return elevator.windowize(elevator.BuildingConfig(), [], label=label)
+
+
+def test_fold_windows_skip_an_empty_training_day(toy_days):
+    # a (0,)-shaped feature matrix used to break np.vstack with a raw ValueError
+    plain = harness._fold_windows([toy_days[1]], toy_days[0], "FS2")
+    padded = harness._fold_windows([empty_day("Empty"), toy_days[1]], toy_days[0], "FS2")
+    np.testing.assert_array_equal(padded[0], plain[0])
+    np.testing.assert_array_equal(padded[1], plain[1])
+
+
+@pytest.mark.parametrize("run", [
+    lambda days: harness.run_rq1_sweep(toy_config(repetitions=1), days),
+    harness.baseline_tree_mse])
+@pytest.mark.parametrize("position,fragment", [
+    (0, "held-out day 'Empty'"),          # was ShapeError "expected 2 features, got 0"
+    (1, "training days 'Empty'")])        # was numpy's raw ValueError from np.vstack
+def test_sweep_names_a_day_without_windows(toy_days, run, position, fragment):
+    days = [toy_days[0]]
+    days.insert(position, empty_day("Empty"))
+    with pytest.raises(ValidationError, match=fragment):
+        run(days)
+
+
 def test_run_rq1_sweep_shape(toy_days):
     cfg = toy_config(feature_sets=["FS2", "FS3b"])
     ranking, results = harness.run_rq1_sweep(cfg, toy_days)
@@ -526,15 +553,30 @@ def test_results_csv_roundtrip(tmp_path, toy_days):
 
 
 @pytest.mark.parametrize("bad", ["CNOT,1,nan", "CNOT,1,inf", "CNOT,1,-inf", "CNOT,1,oops",
-                                 "CNOT,1", "CNOT,1,0.5,extra"])
+                                 "CNOT,1", "CNOT,1,0.5,extra",
+                                 # repetitions count 0, 1, 2, ... per combination;
+                                 # these used to load as extra repetitions
+                                 "CNOT,abc,0.5", "CNOT,0,0.5", "CNOT,2,0.5", "CNOT,01,0.5",
+                                 "CNOT,-1,0.5"])
 def test_read_results_csv_rejects_bad_rows(tmp_path, bad):
     # a NaN MSE read as "not significant" in the RQ2/RQ3 rank tests
     path = tmp_path / "results_raw.csv"
     path.write_text("dataset,feature_set,encoder,reservoir,repetition,mse\n"
                     "Day1,FS2,DHE,CNOT,0,1.5\n"
                     f"Day1,FS2,DHE,{bad}\n")
-    with pytest.raises(ValidationError, match="row 3"):
+    with pytest.raises(ValidationError, match="row 3") as exc:
         harness.read_results_csv(path)
+    assert "results_raw.csv" in str(exc.value)
+
+
+def test_read_results_csv_counts_repetitions_per_combination(tmp_path):
+    path = tmp_path / "results_raw.csv"
+    path.write_text("dataset,feature_set,encoder,reservoir,repetition,mse\n"
+                    "Day1,FS2,DHE,CNOT,0,1.5\n"
+                    "Day2,FS2,DHE,CNOT,0,2.5\n"
+                    "Day1,FS2,DHE,CNOT,1,3.5\n")
+    loaded = {r.dataset: list(r.mse_values) for r in harness.read_results_csv(path)}
+    assert loaded == {"Day1": [1.5, 3.5], "Day2": [2.5]}
 
 
 def test_baselines_csv_roundtrip(tmp_path):
