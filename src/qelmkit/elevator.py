@@ -23,10 +23,13 @@ Generated days are reproducible bit for bit, and two orders fix them:
   segment, one scalar `integers` (up or down trip) or two (interfloor:
   origin, then destination), then one `normal` weight. Batching any of the
   per-passenger draws would change the stream and every frozen instance.
-- Event ties. `simulate` pops events by (time, kind, counter): at equal
-  times an arrival (kind 0) comes before a pickup (1), and a pickup before a
-  delivery completion (2), and events of one kind in the order they were
-  scheduled. Arrivals are scheduled in stable arrival-time order.
+- Event ties. `simulate` takes arrivals from the passenger list stably
+  sorted by arrival time, and car events from a heap ordered by (time,
+  kind, counter) that holds at most one event per car: a busy car's pickup
+  (kind 1) or delivery completion (2). The next arrival runs unless the
+  earliest car event is strictly earlier, so at equal times an arrival comes
+  before a pickup, a pickup before a completion, and car events of one kind
+  run in the order they were scheduled.
 """
 from __future__ import annotations
 
@@ -216,9 +219,20 @@ def simulate(config: BuildingConfig, passengers: list[Passenger],
     origin = [p.origin_floor for p in passengers]
     dest = [p.dest_floor for p in passengers]
     arrival = [p.arrival_time for p in passengers]
-    for i, (o, d) in enumerate(zip(origin, dest)):
-        if not (0 <= o < floors and 0 <= d < floors):
-            raise ValidationError(f"passenger floor out of range: {passengers[i]}")
+    # one pass over the floor types and bounds; only when it fails is each
+    # passenger's floors checked, to name the first one at fault
+    both = origin + dest
+    if not (set(map(type, both)) <= {int}
+            and 0 <= min(both, default=0) and max(both, default=0) < floors):
+        for p in passengers:
+            try:
+                if all(0 <= check_number("floor", f, integer=True, error=ValidationError)
+                       < floors for f in (p.origin_floor, p.dest_floor)):
+                    continue
+            except ValidationError:
+                pass
+            raise ValidationError(f"passenger floors must be integers in "
+                                  f"[0, {floors}), got {p}")
     up = [d > o for o, d in zip(origin, dest)]
     if start_floors is None:
         start_floors = [0] * config.num_elevators
@@ -241,72 +255,67 @@ def simulate(config: BuildingConfig, passengers: list[Passenger],
     cars = range(len(car_floor))
     waits: list[float | None] = [None] * len(passengers)
 
-    # event entries: (time, kind, tiebreak, payload); arrivals (0) dispatch
-    # before same-instant pickups (1) and completions (2), so simultaneous
-    # callers can share the same door-open
-    order = sorted(range(len(passengers)), key=arrival.__getitem__)
-    events = [(arrival[i], 0, counter, i) for counter, i in enumerate(order)]
-    counter = len(events)
-    heapq.heapify(events)
+    # car events (time, kind, tiebreak, car): a busy car's one pickup (1) or
+    # delivery completion (2); they run before the next arrival only when
+    # strictly earlier, so simultaneous callers can share the same door-open
+    events: list[tuple[float, int, int, int]] = []
+    counter = 0
     heappush, heappop = heapq.heappush, heapq.heappop
-
-    def start_pickup(ci: int, now: float) -> None:
-        nonlocal counter
-        if not pending[ci]:
-            busy[ci] = False
-            free_at[ci], free_floor[ci] = now, car_floor[ci]
-            return
-        busy[ci] = True
-        travel = abs(car_floor[ci] - origin[pending[ci][0]]) * ftt
-        heappush(events, (now + travel, 1, counter, ci))
-        counter += 1
-
-    def handle_pickup(ci: int, now: float) -> None:
-        nonlocal counter
-        queue = pending[ci]
-        head = queue[0]
-        floor, going_up = origin[head], up[head]
-        boarded: list[int] = []
-        left: list[int] = []
-        for pid in queue:
-            if (origin[pid] == floor and up[pid] == going_up
-                    and arrival[pid] <= now and len(boarded) < capacity):
-                boarded.append(pid)
-                waits[pid] = now - arrival[pid]
-            else:
-                left.append(pid)
-        pending[ci] = left
-        finish = now + door
-        cursor = floor
-        for d in sorted({dest[pid] for pid in boarded}, reverse=not going_up):
-            finish += abs(d - cursor) * ftt + door
-            cursor = d
-        car_floor[ci] = cursor
-        heappush(events, (finish, 2, counter, ci))
-        counter += 1
-
-    while events:
-        now, kind, _, payload = heappop(events)
-        if kind == 0:  # arrival: dispatch to min-ETA car
-            o = origin[payload]
-            best_ci, best_eta = 0, math.inf
-            for ci in cars:
-                ready = free_at[ci]
-                if now > ready:
-                    ready = now
-                eta = ready + abs(free_floor[ci] - o) * ftt
-                if eta < best_eta:
-                    best_ci, best_eta = ci, eta
-            d = dest[payload]
-            pending[best_ci].append(payload)
-            free_at[best_ci] = best_eta + door + abs(d - o) * ftt + door
-            free_floor[best_ci] = d
-            if not busy[best_ci]:
-                start_pickup(best_ci, now)
-        elif kind == 1:
-            handle_pickup(payload, now)
-        else:  # car finished a delivery
-            start_pickup(payload, now)
+    order = sorted(range(len(passengers)), key=arrival.__getitem__)
+    for i in order + [None]:
+        next_arrival = math.inf if i is None else arrival[i]
+        while events and events[0][0] < next_arrival:
+            now, kind, _, ci = heappop(events)
+            queue = pending[ci]
+            if kind == 1:  # pickup: board co-waiting callers going the same way
+                floor, going_up = origin[queue[0]], up[queue[0]]
+                boarded: list[int] = []
+                left: list[int] = []
+                for pid in queue:
+                    if (origin[pid] == floor and up[pid] == going_up
+                            and arrival[pid] <= now and len(boarded) < capacity):
+                        boarded.append(pid)
+                        waits[pid] = now - arrival[pid]
+                    else:
+                        left.append(pid)
+                pending[ci] = left
+                if len(boarded) == 1:  # the usual stop: no set to build and sort
+                    stops = [dest[boarded[0]]]
+                else:
+                    stops = sorted({dest[pid] for pid in boarded}, reverse=not going_up)
+                finish = now + door
+                cursor = floor
+                for d in stops:
+                    finish += abs(d - cursor) * ftt + door
+                    cursor = d
+                car_floor[ci] = cursor
+                heappush(events, (finish, 2, counter, ci))
+            elif queue:  # delivered: head for the next queued caller
+                travel = abs(car_floor[ci] - origin[queue[0]]) * ftt
+                heappush(events, (now + travel, 1, counter, ci))
+            else:  # delivered, nothing queued: idle
+                busy[ci] = False
+                free_at[ci], free_floor[ci] = now, car_floor[ci]
+            counter += 1
+        if i is None:
+            break
+        # arrival: dispatch to the min-ETA car
+        now, o, d = next_arrival, origin[i], dest[i]
+        best_ci, best_eta = 0, math.inf
+        for ci in cars:
+            ready = free_at[ci]
+            if now > ready:
+                ready = now
+            eta = ready + abs(free_floor[ci] - o) * ftt
+            if eta < best_eta:
+                best_ci, best_eta = ci, eta
+        pending[best_ci].append(i)
+        free_at[best_ci] = best_eta + door + abs(d - o) * ftt + door
+        free_floor[best_ci] = d
+        if not busy[best_ci]:
+            busy[best_ci] = True
+            heappush(events, (now + abs(car_floor[best_ci] - o) * ftt, 1, counter, best_ci))
+            counter += 1
 
     unserved = [i for i, w in enumerate(waits) if w is None]
     if unserved:
@@ -477,14 +486,28 @@ def read_csv_rows(path, header: list[str], numeric: int):
 
 
 def read_dataset_csv(path, label: str | None = None) -> Dataset:
+    """The windows of a dataset CSV. Each row must be consistent: `empty` is
+    1 exactly when it has no calls (f11 + f12 == 0), an empty window's awt_s
+    is 0, and window starts strictly increase; a violation names the file
+    and the row."""
     windows = []
     rows = read_csv_rows(path, DATASET_HEADER, len(DATASET_HEADER))
     for line, (row, values) in enumerate(rows, start=2):
         if row[14] not in ("0", "1"):
             raise ValidationError(f"{path}: row {line} has empty {row[14]!r}; "
                                   "it must be 0 or 1")
+        empty = row[14] == "1"
+        if empty != (values[11] + values[12] == 0):
+            raise ValidationError(f"{path}: row {line} has empty {row[14]} but "
+                                  f"f11 + f12 = {values[11] + values[12]!r} calls")
+        if empty and values[13] != 0:
+            raise ValidationError(f"{path}: row {line} is empty but has "
+                                  f"awt_s {row[13]!r}; it must be 0")
+        if windows and values[0] <= windows[-1].window_start:
+            raise ValidationError(f"{path}: row {line} starts at {row[0]}, not "
+                                  f"after the previous row's {windows[-1].window_start!r}")
         windows.append(FeatureWindow(values[0], float(WINDOW_SECONDS),
-                                     np.array(values[1:13]), values[13], row[14] == "1"))
+                                     np.array(values[1:13]), values[13], empty))
     if label is None:
         label = str(path).rsplit("/", 1)[-1].removesuffix(".csv")
     return Dataset(label, windows)

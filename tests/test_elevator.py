@@ -171,9 +171,21 @@ def test_simulate_rejects_bad_start_floors(start_floors):
 
 
 def test_simulate_rejects_invalid_floor():
-    with pytest.raises(ValidationError):
-        el.simulate(el.BuildingConfig(num_floors=5),
-                    [el.Passenger(0.0, 0, 9, 70.0)])
+    # floors that are not integers used to be served: 2.5 got a 3.75 s wait
+    ok = el.Passenger(0.0, 1, 2, 70.0)
+    for num_floors, origin, dest in [(5, 0, 9), (10, 2.5, 0), (10, True, 0), (10, 0, 3.0)]:
+        with pytest.raises(ValidationError, match="arrival_time=5.0"):
+            el.simulate(el.BuildingConfig(num_floors=num_floors),
+                        [ok, el.Passenger(5.0, origin, dest, 70.0)])
+
+
+def test_simulate_accepts_numpy_integer_floors():
+    config = el.BuildingConfig()
+    passengers = [el.Passenger(0.0, 0, 5, 70.0), el.Passenger(1.0, 7, 2, 70.0)]
+    as_numpy = [el.Passenger(p.arrival_time, np.int64(p.origin_floor),
+                             np.int64(p.dest_floor), p.weight_kg) for p in passengers]
+    assert [w for _, w in el.simulate(config, as_numpy)] == \
+        [w for _, w in el.simulate(config, passengers)]
 
 
 def test_capacity_forces_second_trip():
@@ -316,7 +328,12 @@ def test_dataset_csv_roundtrip(tmp_path):
     "0.0,1,0,0,0,0,0,3.0,oops,0,0,1,0,12.5,0",
     "0.0,1,0,0,0,0,0,3.0,0,0,0,1,0,12.5",        # short: was a raw IndexError
     "0.0,1,0,0,0,0,0,3.0,0,0,0,1,0,12.5,x",      # was a raw ValueError
-    "0.0,1,0,0,0,0,0,3.0,0,0,0,1,0,12.5,2"])     # read silently as empty
+    "0.0,1,0,0,0,0,0,3.0,0,0,0,1,0,12.5,2",      # read silently as empty
+    "300.0,1,0,0,0,0,0,3.0,0,0,0,1,0,12.5,1",    # calls, flagged empty
+    "300.0,0,0,0,0,0,0,0,0,0,0,0,0,40.0,0",      # no calls, kept for training
+    "300.0,0,0,0,0,0,0,0,0,0,0,0,0,40.0,1",      # empty, yet a waiting time
+    "0.0,1,0,0,0,0,0,3.0,0,0,0,1,0,12.5,0",      # two windows start at 0.0
+    "-300.0,1,0,0,0,0,0,3.0,0,0,0,1,0,12.5,0"])  # starts before the last one
 def test_read_dataset_csv_rejects_bad_rows(tmp_path, bad):
     path = tmp_path / "Day1.csv"
     path.write_text(",".join(el.DATASET_HEADER) + "\n"
@@ -574,6 +591,10 @@ def test_traffic_and_simulation_match_reference(config):
     assert_same_pipeline(config, passengers)
     start = [(3 * k + 2) % config.num_floors for k in range(config.num_elevators)]
     assert_same_pipeline(config, passengers, start_floors=start)
+    # the same day in a shuffled order: arrivals are taken in stable
+    # arrival-time order, waits come back in input order
+    shuffled = [passengers[i] for i in np.random.default_rng(3).permutation(len(passengers))]
+    assert_same_pipeline(config, shuffled, start_floors=start)
 
 
 @pytest.mark.parametrize("config", [el.BuildingConfig(num_elevators=2),
