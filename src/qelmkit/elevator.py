@@ -279,10 +279,7 @@ def simulate(config: BuildingConfig, passengers: list[Passenger],
                     else:
                         left.append(pid)
                 pending[ci] = left
-                if len(boarded) == 1:  # the usual stop: no set to build and sort
-                    stops = [dest[boarded[0]]]
-                else:
-                    stops = sorted({dest[pid] for pid in boarded}, reverse=not going_up)
+                stops = sorted({dest[pid] for pid in boarded}, reverse=not going_up)
                 finish = now + door
                 cursor = floor
                 for d in stops:
