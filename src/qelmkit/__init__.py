@@ -7,9 +7,9 @@ gather; a batch may run through them as one transfer matrix instead), a
 Pauli readout and a least-squares fit, plus a synthetic elevator-traffic
 benchmark and the statistical harness to compare them.
 """
-from .elevator import (BuildingConfig, Dataset, FeatureWindow, Passenger,
-                       TrafficProfile, generate_traffic, select_features,
-                       simulate, simulate_day, windowize)
+from .elevator import (BuildingConfig, Dataset, Passenger, TrafficProfile,
+                       generate_traffic, select_features, simulate,
+                       simulate_day, windowize)
 from .harness import (ExperimentConfig, RankingTable, run_rq1_sweep,
                       run_rq2_comparison, run_rq3_baseline)
 from .qelm import (EncoderSpec, NormalizationParams, Pipeline, ReadoutModel,

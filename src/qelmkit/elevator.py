@@ -2,8 +2,8 @@
 
 Generates Poisson passenger traffic from a piecewise-constant day profile,
 simulates a bank of elevators under a nearest-car dispatcher, and rolls the
-served calls into 5-minute windows of 12 features plus the average waiting
-time (AWT) target:
+served calls into 5-minute windows, returned as the read-only columns of a
+`Dataset`, of 12 features plus the average waiting time (AWT) target:
 
     f1..f3   upward calls from low / medium / high origin floors
     f4..f6   downward calls from low / medium / high origin floors
@@ -40,7 +40,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, ValidationError, check_number
+from .errors import ConfigurationError, ShapeError, ValidationError, check_number
 
 DAY_SECONDS = 86400
 WINDOW_SECONDS = 300
@@ -204,21 +204,14 @@ def generate_traffic(config: BuildingConfig, profile: TrafficProfile,
 # discrete-event simulation
 # ---------------------------------------------------------------------------
 
-def simulate(config: BuildingConfig, passengers: list[Passenger],
-             start_floors: list[int] | None = None) -> list[tuple[Passenger, float]]:
-    """Serve every passenger; returns (passenger, waiting_time) in input order.
-
-    Each hall call is assigned on arrival to the car with the smallest
-    estimated arrival time at the origin (nearest-car heuristic, no
-    reassignment). Cars work their call queue in order; at a pickup stop
-    they also board any co-assigned waiting passenger at that floor going
-    the same direction, up to capacity. Cars start at `start_floors`, one
-    integer floor in [0, num_floors) per car (default: all at floor 0).
-    """
+def _passenger_floors(config: BuildingConfig,
+                      passengers: list[Passenger]) -> tuple[list[int], list[int]]:
+    """The origin and destination floors of `passengers`, which must be
+    integers in [0, num_floors); otherwise a ValidationError names the first
+    passenger at fault. `Passenger` itself does not check its floors."""
     floors = config.num_floors
     origin = [p.origin_floor for p in passengers]
     dest = [p.dest_floor for p in passengers]
-    arrival = [p.arrival_time for p in passengers]
     # one pass over the floor types and bounds; only when it fails is each
     # passenger's floors checked, to name the first one at fault
     both = origin + dest
@@ -233,6 +226,23 @@ def simulate(config: BuildingConfig, passengers: list[Passenger],
                 pass
             raise ValidationError(f"passenger floors must be integers in "
                                   f"[0, {floors}), got {p}")
+    return origin, dest
+
+
+def simulate(config: BuildingConfig, passengers: list[Passenger],
+             start_floors: list[int] | None = None) -> list[tuple[Passenger, float]]:
+    """Serve every passenger; returns (passenger, waiting_time) in input order.
+
+    Each hall call is assigned on arrival to the car with the smallest
+    estimated arrival time at the origin (nearest-car heuristic, no
+    reassignment). Cars work their call queue in order; at a pickup stop
+    they also board any co-assigned waiting passenger at that floor going
+    the same direction, up to capacity. Cars start at `start_floors`, one
+    integer floor in [0, num_floors) per car (default: all at floor 0).
+    """
+    floors = config.num_floors
+    origin, dest = _passenger_floors(config, passengers)
+    arrival = [p.arrival_time for p in passengers]
     up = [d > o for o, d in zip(origin, dest)]
     if start_floors is None:
         start_floors = [0] * config.num_elevators
@@ -326,34 +336,44 @@ def simulate(config: BuildingConfig, passengers: list[Passenger],
 # ---------------------------------------------------------------------------
 
 @dataclass
-class FeatureWindow:
-    window_start: float
-    duration: float
-    raw_features: np.ndarray
-    awt: float
-    empty: bool = False
-
-
-@dataclass
 class Dataset:
+    """A day's WINDOW_SECONDS windows as read-only columns, one entry per
+    window. Projections share the columns, so a stray write raises instead
+    of changing another dataset."""
+
     label: str
-    windows: list[FeatureWindow]
+    starts: np.ndarray     # window start, seconds
+    features: np.ndarray   # (windows, len(feature_names))
+    awt: np.ndarray
+    empty: np.ndarray      # no calls, so no training target
     feature_names: tuple[str, ...] = FEATURE_NAMES
 
+    def __post_init__(self):
+        columns = ("starts", "features", "awt", "empty")
+        for name in columns:
+            column = np.asarray(getattr(self, name), bool if name == "empty" else float).view()
+            column.flags.writeable = False   # on a view: the caller's array keeps its flags
+            setattr(self, name, column)
+        rows = self.starts.size
+        if not (self.starts.shape == self.awt.shape == self.empty.shape == (rows,)
+                and self.features.shape == (rows, len(self.feature_names))):
+            raise ShapeError(f"dataset {self.label!r} needs one entry per window in each "
+                             f"column and {len(self.feature_names)} feature columns, got "
+                             f"shapes {[getattr(self, name).shape for name in columns]}")
+
     def __len__(self) -> int:
-        return len(self.windows)
+        return len(self.starts)
 
     def feature_matrix(self) -> np.ndarray:
-        if not self.windows:   # keep the column count, so it stacks with others
-            return np.empty((0, len(self.feature_names)))
-        return np.array([w.raw_features for w in self.windows], dtype=float)
+        return self.features
 
     def awt_values(self) -> np.ndarray:
-        return np.array([w.awt for w in self.windows], dtype=float)
+        return self.awt
 
     def drop_empty(self) -> "Dataset":
-        return Dataset(self.label, [w for w in self.windows if not w.empty],
-                       self.feature_names)
+        keep = ~self.empty
+        return replace(self, starts=self.starts[keep], features=self.features[keep],
+                       awt=self.awt[keep], empty=self.empty[keep])
 
 
 def floor_tiers(num_floors: int) -> tuple[range, range, range]:
@@ -376,11 +396,11 @@ def windowize(config: BuildingConfig, served: list[tuple[Passenger, float]],
     tier = {floor: 0 for floor in low} | {floor: 2 for floor in high}
     height = config.floor_height
     num_windows = math.ceil(DAY_SECONDS / WINDOW_SECONDS)
+    origin, dest = _passenger_floors(config, [p for p, _ in served])
     # one record per call: its window, its count column (f1..f6 as 0..5),
     # its travel distance and its wait
     window, column, dist, wait = [], [], [], []
-    for p, w in served:
-        o, d = p.origin_floor, p.dest_floor
+    for (p, w), o, d in zip(served, origin, dest):
         window.append(int(p.arrival_time // WINDOW_SECONDS))
         column.append(tier.get(o, 1) + (0 if d > o else 3))
         dist.append(abs(d - o) * height)
@@ -407,14 +427,14 @@ def windowize(config: BuildingConfig, served: list[tuple[Passenger, float]],
     def mean(values: np.ndarray, a: int, b: int) -> float:
         return float(np.add.reduce(values[a:b]) / (b - a)) if b > a else 0.0
 
-    windows: list[FeatureWindow] = []
+    awt = np.zeros(num_windows)
     for i in range(num_windows):
         a, mid, b = bounds[2 * i:2 * i + 3]
         f[i, 6] = mean(dists, a, mid)
         f[i, 7] = mean(dists, mid, b)
-        windows.append(FeatureWindow(float(i * WINDOW_SECONDS), float(WINDOW_SECONDS),
-                                     f[i], mean(waits, a, b), empty=a == b))
-    return Dataset(label, windows)
+        awt[i] = mean(waits, a, b)
+    starts = np.arange(num_windows) * float(WINDOW_SECONDS)
+    return Dataset(label, starts, f, awt, empty=f[:, 10] + f[:, 11] == 0)
 
 
 def select_features(dataset: Dataset, feature_set: str) -> Dataset:
@@ -425,9 +445,7 @@ def select_features(dataset: Dataset, feature_set: str) -> Dataset:
         raise ConfigurationError("feature selection needs the full 12-feature layout")
     names = FEATURE_SETS[feature_set]
     cols = [FEATURE_NAMES.index(n) for n in names]
-    windows = [FeatureWindow(w.window_start, w.duration, w.raw_features[cols],
-                             w.awt, w.empty) for w in dataset.windows]
-    return Dataset(dataset.label, windows, names)
+    return replace(dataset, features=dataset.features[:, cols], feature_names=names)
 
 
 def simulate_day(config: BuildingConfig, profile: TrafficProfile, seed: int,
@@ -451,10 +469,9 @@ def write_dataset_csv(path, dataset: Dataset) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(DATASET_HEADER)
-        for w in dataset.windows:
-            writer.writerow([repr(float(w.window_start))]
-                            + [repr(float(v)) for v in w.raw_features]
-                            + [repr(float(w.awt)), int(w.empty)])
+        table = np.column_stack([dataset.starts, dataset.features, dataset.awt])
+        writer.writerows([repr(v) for v in values] + [int(empty)]
+                         for values, empty in zip(table.tolist(), dataset.empty.tolist()))
 
 
 def read_csv_rows(path, header: list[str], numeric: int):
@@ -483,28 +500,36 @@ def read_csv_rows(path, header: list[str], numeric: int):
 
 
 def read_dataset_csv(path, label: str | None = None) -> Dataset:
-    """The windows of a dataset CSV. Each row must be consistent: `empty` is
-    1 exactly when it has no calls (f11 + f12 == 0), an empty window's awt_s
-    is 0, and window starts strictly increase; a violation names the file
-    and the row."""
-    windows = []
-    rows = read_csv_rows(path, DATASET_HEADER, len(DATASET_HEADER))
-    for line, (row, values) in enumerate(rows, start=2):
-        if row[14] not in ("0", "1"):
-            raise ValidationError(f"{path}: row {line} has empty {row[14]!r}; "
-                                  "it must be 0 or 1")
-        empty = row[14] == "1"
-        if empty != (values[11] + values[12] == 0):
-            raise ValidationError(f"{path}: row {line} has empty {row[14]} but "
-                                  f"f11 + f12 = {values[11] + values[12]!r} calls")
-        if empty and values[13] != 0:
-            raise ValidationError(f"{path}: row {line} is empty but has "
-                                  f"awt_s {row[13]!r}; it must be 0")
-        if windows and values[0] <= windows[-1].window_start:
-            raise ValidationError(f"{path}: row {line} starts at {row[0]}, not "
-                                  f"after the previous row's {windows[-1].window_start!r}")
-        windows.append(FeatureWindow(values[0], float(WINDOW_SECONDS),
-                                     np.array(values[1:13]), values[13], empty))
+    """The windows of a dataset CSV. Each row must be consistent: the call
+    counts f1..f6 and f9..f12 are non-negative integers with f11 = f1 + f2 +
+    f3 and f12 = f4 + f5 + f6, the distances f7, f8 and awt_s are >= 0,
+    `empty` is 1 exactly when the row has no calls (f11 + f12 == 0), an
+    empty window's awt_s is 0, and window starts strictly increase; a
+    violation names the file and the row. f9 and f10 are not checked against
+    the previous row's f11 and f12: a file may leave windows out, so the
+    previous row need not be the previous window."""
+    rows = list(read_csv_rows(path, DATASET_HEADER, len(DATASET_HEADER)))
+    table = np.array([values for _, values in rows]).reshape(-1, len(DATASET_HEADER))
+    starts, f, awt = table[:, 0], table[:, 1:13], table[:, 13]
+    flags = np.array([row[14] for row, _ in rows], dtype=str)
+
+    def reject(bad, problem: str) -> None:   # names the first row where `bad` holds
+        at = np.flatnonzero(bad)
+        if len(at):
+            raise ValidationError(f"{path}: row {at[0] + 2} "
+                                  f"({','.join(rows[at[0]][0])}) {problem}")
+
+    reject((flags != "0") & (flags != "1"), "has an empty flag other than 0 or 1")
+    counts = f[:, [0, 1, 2, 3, 4, 5, 8, 9, 10, 11]]
+    reject(np.any((counts < 0) | (counts != np.floor(counts)), axis=1),
+           "has a call count (f1..f6, f9..f12) that is not a non-negative integer")
+    reject(f[:, 10] != f[:, 0] + f[:, 1] + f[:, 2], "has f11 != f1 + f2 + f3")
+    reject(f[:, 11] != f[:, 3] + f[:, 4] + f[:, 5], "has f12 != f4 + f5 + f6")
+    reject(np.any(f[:, 6:8] < 0, axis=1) | (awt < 0), "has a negative f7, f8 or awt_s")
+    empty = flags == "1"
+    reject(empty != (f[:, 10] + f[:, 11] == 0), "has an empty flag that contradicts f11 + f12")
+    reject(empty & (awt != 0), "is empty but has a nonzero awt_s")
+    reject(np.diff(starts, prepend=-math.inf) <= 0, "does not start after the previous row")
     if label is None:
         label = str(path).rsplit("/", 1)[-1].removesuffix(".csv")
-    return Dataset(label, windows)
+    return Dataset(label, starts, f, awt, empty)

@@ -25,7 +25,7 @@ import csv
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from itertools import combinations as iter_pairs
 
@@ -208,14 +208,8 @@ def _overlay_nonlinear_awt(dataset: Dataset) -> Dataset:
     aggregate-feature models and the component-feature baseline while the
     queueing dynamics keep every feature informative.
     """
-    windows = []
-    for w in dataset.windows:
-        f = w.raw_features
-        bump = 4.0 * np.tanh(f[11] / 12.0)
-        awt = float(w.awt + bump) if not w.empty else 0.0
-        windows.append(elevator.FeatureWindow(w.window_start, w.duration,
-                                              w.raw_features, awt, w.empty))
-    return Dataset(dataset.label, windows, dataset.feature_names)
+    bump = 4.0 * np.tanh(dataset.features[:, 11] / 12.0)
+    return replace(dataset, awt=np.where(dataset.empty, 0.0, dataset.awt + bump))
 
 
 def load_datasets(config: ExperimentConfig) -> list[Dataset]:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qelmkit import elevator as el
-from qelmkit.errors import ConfigurationError, ValidationError
+from qelmkit.errors import ConfigurationError, ShapeError, ValidationError
 
 
 def flat_profile(rate, up=0.3, down=0.3, inter=0.4, start=0, end=el.DAY_SECONDS):
@@ -219,16 +219,15 @@ def test_windowize_feature_definitions():
         (el.Passenger(30.0, 8, 2, 70.0), 6.0),    # down from high
     ]
     ds = el.windowize(cfg, served)
-    w0 = ds.windows[0]
-    f = w0.raw_features
+    f = ds.features[0]
     assert f[0] == 2 and f[5] == 1                      # f1, f6
     assert f[1] == f[2] == f[3] == f[4] == 0
     assert f[6] == pytest.approx((12.0 + 12.0) / 2)     # f7: both up trips 4 floors
     assert f[7] == pytest.approx(18.0)                  # f8: 6 floors down
     assert f[8] == 0 and f[9] == 0                      # f9, f10: first window
     assert f[10] == 2 and f[11] == 1                    # f11, f12
-    assert w0.awt == pytest.approx(6.0)
-    assert not w0.empty
+    assert ds.awt[0] == pytest.approx(6.0)
+    assert not ds.empty[0]
 
 
 def test_windowize_lag_features():
@@ -238,27 +237,67 @@ def test_windowize_lag_features():
         (el.Passenger(400.0, 5, 0, 70.0), 2.0),
     ]
     ds = el.windowize(cfg, served)
-    assert ds.windows[1].raw_features[8] == 1.0   # f9 = previous window's f11
-    assert ds.windows[1].raw_features[9] == 0.0
-    assert ds.windows[2].raw_features[8] == 0.0
-    assert ds.windows[2].raw_features[9] == 1.0
+    assert ds.features[1, 8] == 1.0   # f9 = previous window's f11
+    assert ds.features[1, 9] == 0.0
+    assert ds.features[2, 8] == 0.0
+    assert ds.features[2, 9] == 1.0
 
 
 def test_windowize_empty_flag_and_count():
     cfg = el.BuildingConfig()
     ds = el.windowize(cfg, [(el.Passenger(10.0, 0, 4, 70.0), 4.0)])
-    assert len(ds.windows) == el.DAY_SECONDS // el.WINDOW_SECONDS
-    assert not ds.windows[0].empty
-    assert ds.windows[1].empty and ds.windows[1].awt == 0.0
+    assert len(ds) == el.DAY_SECONDS // el.WINDOW_SECONDS
+    assert not ds.empty[0]
+    assert ds.empty[1] and ds.awt[1] == 0.0
     trimmed = ds.drop_empty()
     assert len(trimmed) == 1
 
 
 def test_feature_matrix_of_no_windows_keeps_its_columns():
     ds = el.windowize(el.BuildingConfig(), [])
-    assert all(w.empty for w in ds.windows)
+    assert ds.empty.all()
     assert ds.drop_empty().feature_matrix().shape == (0, 12)
     assert el.select_features(ds, "FS2").drop_empty().feature_matrix().shape == (0, 2)
+
+
+def test_windowize_rejects_invalid_floor():
+    # these used to be counted: origin 99 as a medium-tier down call of 297 m
+    served = [(el.Passenger(0.0, 1, 2, 70.0), 3.0)]
+    for origin, dest in [(2.5, 0), (99, 0), (0, -4)]:
+        with pytest.raises(ValidationError, match="arrival_time=5.0"):
+            el.windowize(el.BuildingConfig(num_floors=10),
+                         served + [(el.Passenger(5.0, origin, dest, 70.0), 1.0)])
+
+
+def test_dataset_rejects_columns_of_other_shapes():
+    starts, features, awt, empty = np.arange(3.0), np.zeros((3, 2)), np.zeros(3), np.zeros(3)
+    names = ("f11", "f12")
+    for columns in [(starts[:2], features, awt, empty), (starts, features[:2], awt, empty),
+                    (starts, features, awt[:2], empty), (starts, features, awt, empty[:2]),
+                    (starts, features[:, 0], awt, empty), (starts[0], features, awt, empty)]:
+        with pytest.raises(ShapeError, match="one entry per window"):
+            el.Dataset("x", *columns, feature_names=names)
+    for names in [("f11", "f12", "f7"), ("f11",), el.FEATURE_NAMES]:
+        with pytest.raises(ShapeError, match=f"{len(names)} feature columns"):
+            el.Dataset("x", starts, features, awt, empty, feature_names=names)
+
+
+def test_dataset_columns_are_read_only():
+    day = el.simulate_day(el.BuildingConfig(), el.office_day_profile(), seed=3)
+    projected = el.select_features(day, "FS2")
+    before = [a.copy() for a in (day.features, day.awt, projected.features, projected.awt)]
+    for column in (day.feature_matrix(), projected.feature_matrix(),
+                   day.awt_values(), projected.awt_values(), day.empty, day.starts):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 99.0
+    for a, b in zip(before, (day.features, day.awt, projected.features, projected.awt)):
+        np.testing.assert_array_equal(a, b)
+    assert day.starts.dtype == day.features.dtype == day.awt.dtype == np.float64
+    assert day.empty.dtype == bool
+    # the caller's own arrays stay writable
+    awt = np.zeros(3)
+    el.Dataset("x", np.arange(3.0), np.zeros((3, 2)), awt, np.zeros(3), ("f11", "f12"))
+    awt[0] = 1.0
 
 
 def test_feature_consistency_on_generated_day():
@@ -317,7 +356,7 @@ def test_dataset_csv_roundtrip(tmp_path):
     assert loaded.label == "Day1"
     np.testing.assert_array_equal(loaded.feature_matrix(), ds.feature_matrix())
     np.testing.assert_array_equal(loaded.awt_values(), ds.awt_values())
-    assert [w.empty for w in loaded.windows] == [w.empty for w in ds.windows]
+    np.testing.assert_array_equal(loaded.empty, ds.empty)
 
 
 @pytest.mark.parametrize("bad", [
@@ -333,7 +372,15 @@ def test_dataset_csv_roundtrip(tmp_path):
     "300.0,0,0,0,0,0,0,0,0,0,0,0,0,40.0,0",      # no calls, kept for training
     "300.0,0,0,0,0,0,0,0,0,0,0,0,0,40.0,1",      # empty, yet a waiting time
     "0.0,1,0,0,0,0,0,3.0,0,0,0,1,0,12.5,0",      # two windows start at 0.0
-    "-300.0,1,0,0,0,0,0,3.0,0,0,0,1,0,12.5,0"])  # starts before the last one
+    "-300.0,1,0,0,0,0,0,3.0,0,0,0,1,0,12.5,0",   # starts before the last one
+    "300.0,0,0,0,0,0,0,0,0,0,0,5,0,12.5,0",      # five up calls no tier holds
+    "300.0,-1,0,0,0.5,0,0,3.0,0,0,0,-1,0,12.5,0",  # negative and fractional calls
+    "300.0,1,0,0,0,0,0,3.0,0,0.5,0,1,0,12.5,0",  # fractional f9
+    "300.0,1,0,0,0,0,0,3.0,0,0,-1,1,0,12.5,0",   # negative f10
+    "300.0,1,0,0,0,1,0,3.0,3.0,0,0,1,0,12.5,0",  # f12 = 0 but f5 = 1
+    "300.0,1,0,0,0,0,0,-3.0,0,0,0,1,0,12.5,0",   # negative f7
+    "300.0,0,0,0,1,0,0,0,-3.0,0,0,0,1,12.5,0",   # negative f8
+    "300.0,1,0,0,0,0,0,3.0,0,1,0,1,0,-2.0,0"])   # negative awt_s
 def test_read_dataset_csv_rejects_bad_rows(tmp_path, bad):
     path = tmp_path / "Day1.csv"
     path.write_text(",".join(el.DATASET_HEADER) + "\n"
@@ -342,6 +389,17 @@ def test_read_dataset_csv_rejects_bad_rows(tmp_path, bad):
     with pytest.raises(ValidationError, match="row 3") as exc:
         el.read_dataset_csv(path)
     assert "Day1.csv" in str(exc.value)
+
+
+def test_read_dataset_csv_accepts_windows_left_out(tmp_path):
+    # f9 of the 600 s window is not the 0 s window's f11: the 300 s one is missing
+    path = tmp_path / "Day1.csv"
+    path.write_text(",".join(el.DATASET_HEADER) + "\n"
+                    "0.0,1,0,0,0,0,0,3.0,0,0,0,1,0,12.5,0\n"
+                    "600.0,0,0,0,0,0,1,0,9.0,0,2,0,1,4.0,0\n")
+    loaded = el.read_dataset_csv(path)
+    assert loaded.starts.tolist() == [0.0, 600.0]
+    assert loaded.empty.tolist() == [False, False]
 
 
 def test_dataset_csv_rejects_projected(tmp_path):
@@ -506,9 +564,9 @@ def reference_windowize(config, served, label="day"):
     buckets = [[] for _ in range(num_windows)]
     for p, wait in served:
         buckets[int(p.arrival_time // el.WINDOW_SECONDS)].append((p, wait))
-    windows = []
+    rows, awts = [], []
     prev_up = prev_down = 0.0
-    for i, bucket in enumerate(buckets):
+    for bucket in buckets:
         f = np.zeros(12)
         up_dist, down_dist, waits = [], [], []
         for p, wait in bucket:
@@ -526,12 +584,11 @@ def reference_windowize(config, served, label="day"):
         f[8], f[9] = prev_up, prev_down
         f[10] = f[0] + f[1] + f[2]
         f[11] = f[3] + f[4] + f[5]
-        awt = float(np.mean(waits)) if waits else 0.0
-        windows.append(el.FeatureWindow(float(i * el.WINDOW_SECONDS),
-                                        float(el.WINDOW_SECONDS), f, awt,
-                                        empty=not bucket))
+        rows.append(f)
+        awts.append(float(np.mean(waits)) if waits else 0.0)
         prev_up, prev_down = f[10], f[11]
-    return el.Dataset(label, windows)
+    starts = [float(i * el.WINDOW_SECONDS) for i in range(num_windows)]
+    return el.Dataset(label, starts, rows, awts, [not bucket for bucket in buckets])
 
 
 def passenger_fields(passengers):
@@ -542,12 +599,10 @@ def assert_same_days(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert (a.label, a.feature_names, len(a)) == (b.label, b.feature_names, len(b))
-        for x, y in zip(a.windows, b.windows):
-            assert (x.window_start, x.duration, x.awt, x.empty) == \
-                   (y.window_start, y.duration, y.awt, y.empty)
-            assert type(x.empty) is type(y.empty) and type(x.awt) is type(y.awt)
-            assert x.raw_features.dtype == y.raw_features.dtype
-            assert x.raw_features.tolist() == y.raw_features.tolist()
+        for column in ("starts", "features", "awt", "empty"):
+            x, y = getattr(a, column), getattr(b, column)
+            assert x.dtype == y.dtype == (bool if column == "empty" else np.float64)
+            assert x.tolist() == y.tolist()
 
 
 def assert_same_pipeline(config, passengers, start_floors=None, shuffle_seed=None):

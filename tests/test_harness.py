@@ -116,7 +116,7 @@ def test_generate_days_nonlinear_mode_changes_awt_only():
     bumped = harness.generate_days({"num_days": 1, "seed": 9, "awt": "nonlinear"})
     np.testing.assert_array_equal(plain[0].feature_matrix(),
                                   bumped[0].feature_matrix())
-    mask = np.array([not w.empty for w in plain[0].windows])
+    mask = ~plain[0].empty
     assert np.all(bumped[0].awt_values()[mask] >= plain[0].awt_values()[mask])
     assert np.any(bumped[0].awt_values()[mask] > plain[0].awt_values()[mask])
 
@@ -252,7 +252,8 @@ def test_cross_validate_deterministic(toy_days):
 
 def test_cross_validate_identical_datasets_reproduce_training_residual(toy_days):
     day = toy_days[0]
-    twin = elevator.Dataset("Twin", day.windows, day.feature_names)
+    twin = elevator.Dataset("Twin", day.starts, day.features, day.awt, day.empty,
+                            day.feature_names)
     cfg = toy_config(repetitions=1)
     runs = sweep_one([day, twin], cfg, "DHE_ISING")
     # train == test, so the test MSE equals the training residual MSE

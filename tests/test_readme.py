@@ -1,12 +1,12 @@
 """The README's examples still run: the library quickstart and the example
-experiment config."""
+experiment config, through the library and through `gen-data`."""
 import json
 import re
 from pathlib import Path
 
 import numpy as np
 
-from qelmkit import ExperimentConfig, Pipeline
+from qelmkit import ExperimentConfig, Pipeline, cli, elevator, harness
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -36,3 +36,19 @@ def test_example_config_builds():
     assert config.datasets == doc["datasets"]
     assert config.feature_sets == doc["feature_sets"]
     assert config.combinations == doc["combinations"]
+
+
+def test_example_config_gen_data_reads_back_exactly(tmp_path, monkeypatch):
+    # the reader's checks run on real generator output, and lose nothing of it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "config.json").write_text(readme_block("json"))
+    assert cli.main(["gen-data", "--config", "config.json"]) == 0
+    doc = json.loads(readme_block("json"))
+    days = harness.generate_days(doc["datasets"]["generate"])
+    written = sorted(p.name for p in (tmp_path / doc["output_dir"]).glob("*.csv"))
+    assert written == sorted(f"{day.label}.csv" for day in days)
+    for day in days:
+        loaded = elevator.read_dataset_csv(tmp_path / doc["output_dir"] / f"{day.label}.csv")
+        assert loaded.label == day.label
+        for column in ("starts", "features", "awt", "empty"):
+            np.testing.assert_array_equal(getattr(loaded, column), getattr(day, column))
