@@ -20,7 +20,7 @@ from .quantum import (GateOp, IsingParams, haar_unitary, ising_unitary,
                       sample_ising_params)
 from .stats import (ComparisonReport, RunResults, amse, cohens_d_one_sample,
                     fit_regression_tree, holm_bonferroni, kruskal_wallis,
-                    mann_whitney_u, mse, predict_tree, vargha_delaney_a12,
+                    mann_whitney_u, mse, vargha_delaney_a12,
                     wilcoxon_one_sample)
 
 __version__ = "0.1.0"

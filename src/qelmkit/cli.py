@@ -56,7 +56,7 @@ def _rq1_report(out, ranking) -> tuple[list[str], str]:
 
 
 def _rq2_report(config, combination, datasets, results) -> tuple[list[str], str]:
-    reports = harness.run_rq2_comparison(config, combination, datasets, results=results)
+    reports = harness.run_rq2_comparison(config, combination, datasets, results)
     payload = {"combination": combination,
                "datasets": {day: report.to_dict() for day, report in reports.items()}}
     text = "\n\n".join(f"== {day} ==\n{report.to_text()}"
@@ -65,8 +65,7 @@ def _rq2_report(config, combination, datasets, results) -> tuple[list[str], str]
 
 
 def _rq3_report(config, combination, datasets, results, baselines) -> tuple[list[str], str]:
-    report = harness.run_rq3_baseline(config, combination, datasets, results=results,
-                                      baselines=baselines)
+    report = harness.run_rq3_baseline(config, combination, datasets, results, baselines)
     text = report.to_text()
     return _write_report(_out_dir(config), "rq3_report", report.to_dict(), text), text
 

@@ -87,10 +87,6 @@ class Passenger:
         if not 0 <= self.arrival_time < DAY_SECONDS:
             raise ValidationError("arrival_time must lie within one day")
 
-    @property
-    def goes_up(self) -> bool:
-        return self.dest_floor > self.origin_floor
-
 
 @dataclass
 class TrafficSegment:
@@ -348,9 +344,11 @@ class Dataset:
     empty: np.ndarray      # no calls, so no training target
     feature_names: tuple[str, ...] = FEATURE_NAMES
 
+    _COLUMNS = ("starts", "features", "awt", "empty")
+
     def __post_init__(self):
-        columns = ("starts", "features", "awt", "empty")
-        for name in columns:
+        self.feature_names = tuple(self.feature_names)
+        for name in self._COLUMNS:
             column = np.asarray(getattr(self, name), bool if name == "empty" else float).view()
             column.flags.writeable = False   # on a view: the caller's array keeps its flags
             setattr(self, name, column)
@@ -359,7 +357,14 @@ class Dataset:
                 and self.features.shape == (rows, len(self.feature_names))):
             raise ShapeError(f"dataset {self.label!r} needs one entry per window in each "
                              f"column and {len(self.feature_names)} feature columns, got "
-                             f"shapes {[getattr(self, name).shape for name in columns]}")
+                             f"shapes {[getattr(self, name).shape for name in self._COLUMNS]}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (self.label == other.label and self.feature_names == other.feature_names
+                and all(np.array_equal(getattr(self, name), getattr(other, name))
+                        for name in self._COLUMNS))
 
     def __len__(self) -> int:
         return len(self.starts)

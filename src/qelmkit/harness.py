@@ -425,13 +425,10 @@ def build_ranking(results: list[RunResults]) -> RankingTable:
 
 
 def run_rq1_sweep(config: ExperimentConfig,
-                  datasets: list[Dataset] | None = None
-                  ) -> tuple[RankingTable, list[RunResults]]:
+                  datasets: list[Dataset]) -> tuple[RankingTable, list[RunResults]]:
     """AMSE for every (combination, feature set, fold) plus the ranking.
 
     A single-combination config degenerates to rank 1 everywhere."""
-    if datasets is None:
-        datasets = load_datasets(config)
     results = _sweep(config, datasets, config.combinations)
     return build_ranking(results), results
 
@@ -457,15 +454,13 @@ def _collect_results(config: ExperimentConfig, combination: str,
 
 
 def run_rq2_comparison(config: ExperimentConfig, combination: str,
-                       datasets: list[Dataset] | None = None,
+                       datasets: list[Dataset],
                        results: list[RunResults] | None = None
                        ) -> dict[str, ComparisonReport]:
     """Per dataset: Kruskal-Wallis over the feature sets, then (only when the
     omnibus fires) pairwise Mann-Whitney with Holm correction and A12."""
     if len(config.feature_sets) < 2:
         raise ConfigurationError("RQ2 needs at least 2 feature sets")
-    if datasets is None:
-        datasets = load_datasets(config)
     table = _collect_results(config, combination, datasets, results)
     reports = {}
     for day in datasets:
@@ -532,30 +527,32 @@ class Rq3Report:
         return "\n".join(lines)
 
 
-def baseline_tree_mse(datasets: list[Dataset], max_splits: int = 25) -> dict[str, float]:
-    """Regression-tree baseline trained on the 10-feature set of the training
-    days of each fold; one fixed MSE per held-out day."""
+BASELINE_SPLITS = 25
+BASELINE_FEATURE_SET = "FS10"
+
+
+def baseline_tree_mse(datasets: list[Dataset]) -> dict[str, float]:
+    """Regression tree of BASELINE_SPLITS splits trained on the
+    BASELINE_FEATURE_SET windows of the training days of each fold; one
+    fixed MSE per held-out day."""
     out = {}
     for train_days, test_day in _leave_one_day_out(datasets):
-        features, targets, test = _fold_windows(train_days, test_day, "FS10")
-        tree = stats.fit_regression_tree(features, targets, max_splits=max_splits)
+        features, targets, test = _fold_windows(train_days, test_day, BASELINE_FEATURE_SET)
+        tree = stats.fit_regression_tree(features, targets, max_splits=BASELINE_SPLITS)
         predictions = stats.predict_tree_batch(tree, test.feature_matrix())
         out[test_day.label] = stats.mse(predictions, test.awt_values())
     return out
 
 
 def run_rq3_baseline(config: ExperimentConfig, combination: str,
-                     datasets: list[Dataset] | None = None,
-                     results: list[RunResults] | None = None,
-                     baselines: dict[str, float] | None = None) -> Rq3Report:
+                     datasets: list[Dataset], results: list[RunResults] | None,
+                     baselines: dict[str, float]) -> Rq3Report:
     """One-sample Wilcoxon of the repetition MSEs against the fixed baseline
-    MSE of each fold, with Cohen's d and the count of runs above baseline."""
-    if datasets is None:
-        datasets = load_datasets(config)
-    if baselines is None:
-        baselines = baseline_tree_mse(datasets)
+    MSE of each fold (`baseline_tree_mse`), with Cohen's d and the count of
+    runs above baseline."""
     table = _collect_results(config, combination, datasets, results)
-    report = Rq3Report(combination, "regression tree (25 splits, FS10)")
+    report = Rq3Report(combination, f"regression tree ({BASELINE_SPLITS} splits, "
+                                    f"{BASELINE_FEATURE_SET})")
     for fs in config.feature_sets:
         for day in datasets:
             sample = table[(day.label, fs)]

@@ -707,7 +707,7 @@ def _as_training_arrays(train) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(features, dtype=float), np.asarray(targets, dtype=float)
 
 
-def qelm_train(train, encoder: EncoderSpec, reservoir: ReservoirSpec | Reservoir,
+def qelm_train(train, encoder: EncoderSpec, reservoir: ReservoirSpec,
                ridge_lambda: float = 0.0, include_intercept: bool = False) -> Pipeline:
     """Fit the full pipeline on training windows.
 
@@ -721,7 +721,7 @@ def qelm_train(train, encoder: EncoderSpec, reservoir: ReservoirSpec | Reservoir
     if features.shape[1] != encoder.num_features:
         raise ShapeError("encoder width does not match dataset feature count")
     norm = fit_normalization(features)
-    built = build_reservoir(reservoir) if isinstance(reservoir, ReservoirSpec) else reservoir
+    built = build_reservoir(reservoir)
     angles = apply_normalization(norm, features)
     observations = run_circuit_batch(encoder, built, angles)
     readout = fit_readout(observations, targets, ridge_lambda, include_intercept)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
@@ -47,24 +46,12 @@ def amse(mse_values) -> float:
 # rank helpers and distribution tails
 # ---------------------------------------------------------------------------
 
-def _rankdata(values: np.ndarray) -> np.ndarray:
-    """Fractional ranks (1-based); tied values share the mean of their ranks."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
-def _tie_term(values: np.ndarray) -> float:
-    """sum(t^3 - t) over groups of tied values."""
-    counts = [len(list(g)) for _, g in groupby(np.sort(values))]
-    return float(sum(c ** 3 - c for c in counts))
+def _ranks(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """Fractional ranks (1-based; tied values share the mean of their ranks)
+    and the tie term sum(t^3 - t) over groups of t tied values."""
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ranks = np.cumsum(counts) - (counts - 1) / 2.0
+    return ranks[group], float(np.sum(counts ** 3 - counts))
 
 
 def _normal_sf(z: float) -> float:
@@ -110,7 +97,7 @@ def kruskal_wallis(groups) -> tuple[float, float]:
     pooled = np.concatenate(samples)
     require_finite("groups", pooled)
     n = len(pooled)
-    ranks = _rankdata(pooled)
+    ranks, ties = _ranks(pooled)
     h = 0.0
     start = 0
     for g in samples:
@@ -118,7 +105,7 @@ def kruskal_wallis(groups) -> tuple[float, float]:
         h += r * r / len(g)
         start += len(g)
     h = 12.0 / (n * (n + 1)) * h - 3.0 * (n + 1)
-    correction = 1.0 - _tie_term(pooled) / (n ** 3 - n)
+    correction = 1.0 - ties / (n ** 3 - n)
     if correction <= 0:
         return 0.0, 1.0  # every pooled value identical
     h /= correction
@@ -139,11 +126,11 @@ def mann_whitney_u(a, b) -> tuple[float, float]:
     require_finite("a/b", x, y)
     n1, n2 = len(x), len(y)
     pooled = np.concatenate([x, y])
-    ranks = _rankdata(pooled)
+    ranks, ties = _ranks(pooled)
     u = float(ranks[:n1].sum() - n1 * (n1 + 1) / 2.0)
     mu = n1 * n2 / 2.0
     n = n1 + n2
-    var = n1 * n2 / 12.0 * ((n + 1) - _tie_term(pooled) / (n * (n - 1)))
+    var = n1 * n2 / 12.0 * ((n + 1) - ties / (n * (n - 1)))
     return u, _two_sided_p(u, mu, var)
 
 
@@ -206,10 +193,10 @@ def wilcoxon_one_sample(sample, reference: float) -> tuple[float, float]:
     if len(d) == 0:
         raise DegenerateInputError("every value equals the reference")
     n = len(d)
-    ranks = _rankdata(np.abs(d))
+    ranks, ties = _ranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
     mu = n * (n + 1) / 4.0
-    var = n * (n + 1) * (2 * n + 1) / 24.0 - _tie_term(np.abs(d)) / 48.0
+    var = n * (n + 1) * (2 * n + 1) / 24.0 - ties / 48.0
     return w_plus, _two_sided_p(w_plus, mu, var)
 
 
@@ -249,6 +236,7 @@ class TreeNode:
     threshold: float | None = None
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
+    num_features: int | None = None   # the training width, on the root only
 
     @property
     def is_leaf(self) -> bool:
@@ -293,7 +281,7 @@ def fit_regression_tree(features, targets, max_splits: int = 25) -> TreeNode:
     if len(y) != len(x) or len(y) == 0:
         raise ValidationError("features and targets must be non-empty and aligned")
     require_finite("features/targets", x, y)
-    root = TreeNode(value=float(np.mean(y)))
+    root = TreeNode(value=float(np.mean(y)), num_features=x.shape[1])
     # leaves as (creation_id, node, row indices, cached best split)
     leaves = [(0, root, np.arange(len(y)), _best_split(x, y) if len(y) > 1 else None)]
     next_id = 1
@@ -319,14 +307,13 @@ def fit_regression_tree(features, targets, max_splits: int = 25) -> TreeNode:
     return root
 
 
-def predict_tree(model: TreeNode, x) -> float:
-    """`predict_tree_batch` for one feature vector."""
-    return float(predict_tree_batch(model, [x])[0])
-
-
 def predict_tree_batch(model: TreeNode, features) -> np.ndarray:
-    """Follow each row's splits (x[f] <= threshold goes left) to a leaf mean."""
+    """Follow each row's splits (x[f] <= threshold goes left) to a leaf mean.
+    `features` must be a matrix as wide as the training features."""
     x = np.asarray(features, dtype=float)
+    if x.ndim != 2 or x.shape[1] != model.num_features:
+        raise ShapeError(f"features must be a (rows, {model.num_features}) matrix, "
+                         f"got shape {x.shape}")
     require_finite("features", x)   # a NaN compares false, so it would go right at every split
     values = []
     for row in x:

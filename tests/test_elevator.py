@@ -3,7 +3,7 @@ feature windowing, the dataset CSV format and profile documents."""
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -300,6 +300,32 @@ def test_dataset_columns_are_read_only():
     awt[0] = 1.0
 
 
+def test_datasets_compare_by_columns():
+    # the generated __eq__ compared arrays as a tuple and raised numpy's
+    # "truth value is ambiguous" for two distinct objects
+    cfg = el.BuildingConfig()
+    served = el.simulate(cfg, el.generate_traffic(cfg, el.office_day_profile(), seed=3))
+    a, b = el.windowize(cfg, served, label="Day1"), el.windowize(cfg, served, label="Day1")
+    assert a is not b and a.features is not b.features
+    assert a == b
+    assert not a != b
+    assert a != replace(b, awt=b.awt + 1.0)
+    assert a != replace(b, label="Day2")
+    assert el.select_features(a, "FS2") != el.select_features(a, "FS3a")
+    assert a != "Day1"
+
+
+def test_feature_names_given_as_a_list_are_stored_as_a_tuple(tmp_path):
+    day = el.simulate_day(el.BuildingConfig(), el.office_day_profile(), seed=3,
+                          label="Day1")
+    listed = replace(day, feature_names=list(el.FEATURE_NAMES))
+    assert listed.feature_names == el.FEATURE_NAMES and listed == day
+    np.testing.assert_array_equal(el.select_features(listed, "FS2").features,
+                                  el.select_features(day, "FS2").features)
+    el.write_dataset_csv(tmp_path / "Day1.csv", listed)
+    assert el.read_dataset_csv(tmp_path / "Day1.csv") == day
+
+
 def test_feature_consistency_on_generated_day():
     cfg = el.BuildingConfig()
     ds = el.simulate_day(cfg, el.office_day_profile(), seed=2)
@@ -515,11 +541,11 @@ def reference_simulate(config, passengers, start_floors=None):
         head = passengers[car.pending[0]]
         floor = head.origin_floor
         car.floor = floor
-        up = head.goes_up
+        up = head.dest_floor > head.origin_floor
         boarded = []
         for pid in list(car.pending):
             p = passengers[pid]
-            if (p.origin_floor == floor and p.goes_up == up
+            if (p.origin_floor == floor and (p.dest_floor > p.origin_floor) == up
                     and p.arrival_time <= now and len(boarded) < config.capacity):
                 boarded.append(pid)
         for pid in boarded:
@@ -572,7 +598,7 @@ def reference_windowize(config, served, label="day"):
         for p, wait in bucket:
             tier = 0 if p.origin_floor in low else (2 if p.origin_floor in high else 1)
             dist = abs(p.dest_floor - p.origin_floor) * config.floor_height
-            if p.goes_up:
+            if p.dest_floor > p.origin_floor:
                 f[tier] += 1
                 up_dist.append(dist)
             else:

@@ -1,6 +1,7 @@
 """Statistics tests: metrics, rank tests against scipy and hand-enumerated
 oracles, effect sizes, Holm correction, and the regression-tree baseline."""
 import math
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -59,6 +60,53 @@ def test_amse_matches_pairwise_sum_oracle():
     rng = np.random.default_rng(0)
     values = rng.uniform(0, 50, size=30)
     assert stats.amse(values) == pytest.approx(math.fsum(values) / 30, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# ranks and tie term
+# ---------------------------------------------------------------------------
+
+def oracle_rankdata(values: np.ndarray) -> np.ndarray:
+    """Fractional ranks (1-based); tied values share the mean of their ranks."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def oracle_tie_term(values: np.ndarray) -> float:
+    """sum(t^3 - t) over groups of tied values."""
+    counts = [len(list(g)) for _, g in groupby(np.sort(values))]
+    return float(sum(c ** 3 - c for c in counts))
+
+
+# few distinct values, so most draws hold ties; -0.0 and 0.0 are one value
+tied_values = st.lists(st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -2.5, 3.0]),
+                                 st.floats(-1e6, 1e6, allow_nan=False)),
+                       min_size=1, max_size=200)
+
+
+@given(tied_values)
+def test_ranks_match_the_loop_oracle_exactly(values):
+    x = np.array(values)
+    ranks, ties = stats._ranks(x)
+    np.testing.assert_array_equal(ranks, oracle_rankdata(x))
+    assert ties == oracle_tie_term(x)
+
+
+def test_ranks_examples():
+    ranks, ties = stats._ranks(np.array([0.0, -0.0, 5.0, 1.0, 1.0, 1.0]))
+    np.testing.assert_array_equal(ranks, [1.5, 1.5, 6.0, 4.0, 4.0, 4.0])
+    assert ties == (2 ** 3 - 2) + (3 ** 3 - 3)
+    ranks, ties = stats._ranks(np.array([7.0]))
+    np.testing.assert_array_equal(ranks, [1.0])
+    assert ties == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +368,7 @@ def count_splits(model: stats.TreeNode) -> int:
 def test_tree_constant_targets():
     tree = stats.fit_regression_tree(np.arange(6.0).reshape(-1, 1), np.full(6, 3.0))
     assert count_splits(tree) == 0
-    assert stats.predict_tree(tree, [2.5]) == 3.0
+    np.testing.assert_array_equal(stats.predict_tree_batch(tree, [[2.5]]), [3.0])
 
 
 def test_tree_step_function_single_split():
@@ -335,7 +383,7 @@ def test_tree_zero_splits_predicts_mean():
     x = np.arange(10.0).reshape(-1, 1)
     y = x[:, 0] * 2.0
     tree = stats.fit_regression_tree(x, y, max_splits=0)
-    assert stats.predict_tree(tree, [9.0]) == pytest.approx(y.mean())
+    assert stats.predict_tree_batch(tree, [[9.0]])[0] == pytest.approx(y.mean())
 
 
 def test_tree_split_budget_respected():
@@ -375,9 +423,24 @@ def test_tree_prediction_rejects_non_finite_rows(bad):
     x = rng.uniform(0, 10, size=(40, 3))
     tree = stats.fit_regression_tree(x, 3.0 * x[:, 0] + rng.normal(size=40))
     with pytest.raises(ValidationError, match="finite"):
-        stats.predict_tree(tree, [bad, 0.0, 0.0])
+        stats.predict_tree_batch(tree, [[bad, 0.0, 0.0]])
     with pytest.raises(ValidationError, match="finite"):
         stats.predict_tree_batch(tree, [[1.0, 2.0, 3.0], [0.0, bad, 0.0]])
+
+
+@pytest.mark.parametrize("batch", [
+    np.zeros((4, 1)),      # narrower than the training features
+    np.zeros((4, 5)),      # wider
+    np.zeros(3),           # one row, not a batch
+    np.zeros((2, 4, 3)),   # three-dimensional
+], ids=["narrow", "wide", "1-D", "3-D"])
+def test_tree_prediction_rejects_a_batch_of_the_wrong_shape(batch):
+    # a (4, 1) batch on a 3-feature tree used to be scored silently
+    rng = np.random.default_rng(15)
+    x = rng.uniform(0, 10, size=(40, 3))
+    tree = stats.fit_regression_tree(x, x[:, 0] + x[:, 2])
+    with pytest.raises(ShapeError, match=r"\(rows, 3\)"):
+        stats.predict_tree_batch(tree, batch)
 
 
 def test_tree_validation():
