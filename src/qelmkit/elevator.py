@@ -504,7 +504,7 @@ def read_csv_rows(path, header: list[str], numeric: int):
             yield row, values
 
 
-def read_dataset_csv(path, label: str | None = None) -> Dataset:
+def read_dataset_csv(path) -> Dataset:
     """The windows of a dataset CSV. Each row must be consistent: the call
     counts f1..f6 and f9..f12 are non-negative integers with f11 = f1 + f2 +
     f3 and f12 = f4 + f5 + f6, the distances f7, f8 and awt_s are >= 0,
@@ -512,7 +512,8 @@ def read_dataset_csv(path, label: str | None = None) -> Dataset:
     empty window's awt_s is 0, and window starts strictly increase; a
     violation names the file and the row. f9 and f10 are not checked against
     the previous row's f11 and f12: a file may leave windows out, so the
-    previous row need not be the previous window."""
+    previous row need not be the previous window. The label is the file name
+    without `.csv`."""
     rows = list(read_csv_rows(path, DATASET_HEADER, len(DATASET_HEADER)))
     table = np.array([values for _, values in rows]).reshape(-1, len(DATASET_HEADER))
     starts, f, awt = table[:, 0], table[:, 1:13], table[:, 13]
@@ -535,6 +536,4 @@ def read_dataset_csv(path, label: str | None = None) -> Dataset:
     reject(empty != (f[:, 10] + f[:, 11] == 0), "has an empty flag that contradicts f11 + f12")
     reject(empty & (awt != 0), "is empty but has a nonzero awt_s")
     reject(np.diff(starts, prepend=-math.inf) <= 0, "does not start after the previous row")
-    if label is None:
-        label = str(path).rsplit("/", 1)[-1].removesuffix(".csv")
-    return Dataset(label, starts, f, awt, empty)
+    return Dataset(str(path).rsplit("/", 1)[-1].removesuffix(".csv"), starts, f, awt, empty)

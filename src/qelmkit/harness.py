@@ -291,7 +291,7 @@ def _cell_mse(fold: _FoldCache, encoder: qelm.EncoderSpec, reservoir_kind: str,
     obs = qelm.run_circuit_batch(encoder, reservoir, fold.angles, encoded=encoded)
     num_train = len(fold.train_targets)
     readout = qelm.fit_readout(obs[:num_train], fold.train_targets, config.ridge_lambda)
-    predictions = obs[num_train:] @ readout.weights + readout.intercept
+    predictions = obs[num_train:] @ readout.weights
     return stats.mse(predictions, fold.test_targets)
 
 
@@ -303,29 +303,29 @@ def _fold_mses(fold: _FoldCache, combinations: list[str], config: ExperimentConf
     the order of their encoder's axis assignment, the only encoder field
     `qelm.encode_batch` reads: each run of equal assignments encodes the
     fold's angles once and shares the batch, which keeps one encoded batch
-    alive at a time."""
-    cells = []     # (combination index, reps covered, encoder, reservoir kind, seed parts)
+    alive at a time. A CNOT reservoir has no parameters, so one run per
+    assignment covers every CNOT cell of the fold that drew it."""
+    cells = {}   # key -> ([index * reps + rep covered], encoder, reservoir kind, seed parts)
     for index, combination in enumerate(combinations):
         enc, res = combination.split("_")
-        # DHE + CNOT has no random parameters at all: one run covers every rep
-        covers = [slice(None)] if combination == "DHE_CNOT" else range(reps)
-        for rep, covered in enumerate(covers):
+        for rep in range(reps):
             seed_parts = (config.master_seed, fold.fold_label, combination,
                           fold.feature_set, rep)
             encoder = qelm.EncoderSpec(enc, fold.angles.shape[1],
                                        depth=config.encoder_depth,
                                        seed=derive_seed(*seed_parts, "encoder"))
-            cells.append((index, covered, encoder, res, seed_parts))
+            key = (res, encoder.axis_assignment) if res == "CNOT" else seed_parts
+            cells.setdefault(key, ([], encoder, res, seed_parts))[0].append(index * reps + rep)
     share = _shares_encoded_batch(fold)
-    values = [np.empty(reps) for _ in combinations]
+    values = np.empty(len(combinations) * reps)
     key = encoded = None
-    for index, covered, encoder, res, seed_parts in sorted(
-            cells, key=lambda cell: cell[2].axis_assignment):
+    for covered, encoder, res, seed_parts in sorted(
+            cells.values(), key=lambda cell: cell[1].axis_assignment):
         if share and key != encoder.axis_assignment:
             key = encoder.axis_assignment
             encoded = qelm.encode_batch(encoder, fold.angles)
-        values[index][covered] = _cell_mse(fold, encoder, res, config, seed_parts, encoded)
-    return values
+        values[covered] = _cell_mse(fold, encoder, res, config, seed_parts, encoded)
+    return list(values.reshape(-1, reps))
 
 
 def _leave_one_day_out(datasets: list[Dataset]) -> list[tuple[list[Dataset], Dataset]]:
@@ -467,7 +467,7 @@ def run_rq2_comparison(config: ExperimentConfig, combination: str,
         groups = [table[(day.label, fs)] for fs in config.feature_sets]
         h, p = stats.kruskal_wallis(groups)
         report = ComparisonReport(list(config.feature_sets), h, p)
-        if p < report.alpha:
+        if p < stats.ALPHA:
             pairs = list(iter_pairs(range(len(config.feature_sets)), 2))
             raw = []
             details = []
@@ -481,7 +481,7 @@ def run_rq2_comparison(config: ExperimentConfig, combination: str,
             for (first, second, u, p_raw, a12), p_corr in zip(details, corrected):
                 report.pairwise.append(PairwiseResult(
                     first, second, u, p_raw, p_corr, a12,
-                    stats.a12_magnitude(a12), p_corr < report.alpha))
+                    stats.a12_magnitude(a12), p_corr < stats.ALPHA))
         reports[day.label] = report
     return reports
 

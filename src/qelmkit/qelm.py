@@ -610,22 +610,19 @@ def run_circuit_batch(encoder: EncoderSpec, reservoir: Reservoir,
 
 @dataclass
 class ReadoutModel:
-    """Linear readout t_pre = W . V (+ optional intercept)."""
+    """Linear readout t_pre = W . V on the 3M expectations V, with no intercept."""
 
     weights: np.ndarray
-    include_intercept: bool = False
-    intercept: float = 0.0
     ridge_lambda: float = 0.0
 
 
 def fit_readout(observations: np.ndarray, targets: np.ndarray,
-                ridge_lambda: float = 0.0,
-                include_intercept: bool = False) -> ReadoutModel:
+                ridge_lambda: float = 0.0) -> ReadoutModel:
     """Least-squares weights minimizing sum (W.V_j - t_j)^2 (+ lambda |W|^2).
 
-    Solved by SVD-based lstsq on the (optionally ridge-augmented) system,
-    which returns the minimum-norm solution for rank-deficient matrices.
-    The intercept column, when enabled, is never penalized.
+    One SVD-based lstsq on the observations themselves, stacked over
+    sqrt(lambda) I with zero targets when lambda > 0; it returns the
+    minimum-norm solution for rank-deficient matrices.
     """
     obs = np.asarray(observations, dtype=float)
     t = np.asarray(targets, dtype=float)
@@ -638,19 +635,12 @@ def fit_readout(observations: np.ndarray, targets: np.ndarray,
     require_finite("observations/targets", obs, t)
     if check_number("ridge_lambda", ridge_lambda, error=ValidationError) < 0:
         raise ValidationError(f"field 'ridge_lambda' must be >= 0, got {ridge_lambda!r}")
-    k = obs.shape[1]
-    design = np.hstack([obs, np.ones((obs.shape[0], 1))]) if include_intercept else obs
-    rhs = t
     if ridge_lambda > 0:
-        penalty = np.sqrt(ridge_lambda) * np.eye(k)
-        if include_intercept:
-            penalty = np.hstack([penalty, np.zeros((k, 1))])
-        design = np.vstack([design, penalty])
-        rhs = np.concatenate([t, np.zeros(k)])
-    solution, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    intercept = float(solution[-1]) if include_intercept else 0.0
-    weights = solution[:k]
-    return ReadoutModel(weights, include_intercept, intercept, float(ridge_lambda))
+        k = obs.shape[1]
+        obs = np.vstack([obs, np.sqrt(ridge_lambda) * np.eye(k)])
+        t = np.concatenate([t, np.zeros(k)])
+    weights, *_ = np.linalg.lstsq(obs, t, rcond=None)
+    return ReadoutModel(weights, float(ridge_lambda))
 
 
 # ---------------------------------------------------------------------------
@@ -673,7 +663,7 @@ class Pipeline:
         feats = np.atleast_2d(np.asarray(features, dtype=float))
         angles = apply_normalization(self.normalization, feats)
         obs = run_circuit_batch(self.encoder, self.reservoir, angles)
-        return obs @ self.readout.weights + self.readout.intercept
+        return obs @ self.readout.weights
 
     def predict(self, features: np.ndarray) -> float:
         row = np.asarray(features)
@@ -699,33 +689,27 @@ class Pipeline:
             return cls.from_json(fh.read())
 
 
-def _as_training_arrays(train) -> tuple[np.ndarray, np.ndarray]:
-    if hasattr(train, "feature_matrix"):
-        return (np.asarray(train.feature_matrix(), dtype=float),
-                np.asarray(train.awt_values(), dtype=float))
-    features, targets = train
-    return np.asarray(features, dtype=float), np.asarray(targets, dtype=float)
-
-
 def qelm_train(train, encoder: EncoderSpec, reservoir: ReservoirSpec,
-               ridge_lambda: float = 0.0, include_intercept: bool = False) -> Pipeline:
+               ridge_lambda: float = 0.0) -> Pipeline:
     """Fit the full pipeline on training windows.
 
     `train` is either a dataset object exposing feature_matrix()/awt_values()
-    or a (features, targets) pair. Normalization is fit on the training data
-    only.
+    or a (features, targets) pair: a 2-D matrix of at least one row and its
+    targets, finite real numbers only (else a ValidationError naming the
+    field). Normalization is fit on the training data only.
     """
-    features, targets = _as_training_arrays(train)
-    if features.shape[0] < 1:
-        raise ValidationError("training set is empty")
+    if hasattr(train, "feature_matrix"):
+        train = train.feature_matrix(), train.awt_values()
+    features, targets = train
+    features, targets = number_array("features", features), number_array("targets", targets)
+    norm = fit_normalization(features)   # a 2-D matrix of at least one row
     if features.shape[1] != encoder.num_features:
         raise ShapeError("encoder width does not match dataset feature count")
-    norm = fit_normalization(features)
     built = build_reservoir(reservoir)
     angles = apply_normalization(norm, features)
     observations = run_circuit_batch(encoder, built, angles)
-    readout = fit_readout(observations, targets, ridge_lambda, include_intercept)
-    residuals = observations @ readout.weights + readout.intercept - targets
+    readout = fit_readout(observations, targets, ridge_lambda)
+    residuals = observations @ readout.weights - targets
     return Pipeline(norm, encoder, built, readout,
                     training_rss=float(residuals @ residuals))
 
@@ -763,8 +747,6 @@ def _pipeline_to_dict(p: Pipeline) -> dict:
         "normalization": {"mins": p.normalization.mins.tolist(),
                           "maxs": p.normalization.maxs.tolist()},
         "readout": {"weights": p.readout.weights.tolist(),
-                    "include_intercept": p.readout.include_intercept,
-                    "intercept": p.readout.intercept,
                     "ridge_lambda": p.readout.ridge_lambda},
     }
     if not np.isnan(p.training_rss):   # an unknown RSS is left out, as the loader reads it
@@ -773,7 +755,7 @@ def _pipeline_to_dict(p: Pipeline) -> dict:
 
 
 def _pipeline_from_dict(doc: dict) -> Pipeline:
-    if _section("document", doc).get("format") != "qelm-pipeline-v1":
+    if _section("document", doc, _DOCUMENT_KEYS).get("format") != "qelm-pipeline-v1":
         raise ConfigurationError("unrecognized pipeline document format")
     try:
         pipeline = _pipeline_fields(doc)
@@ -791,10 +773,13 @@ def _pipeline_from_dict(doc: dict) -> Pipeline:
     readout = pipeline.readout
     if readout.weights.shape != (3 * m,):
         raise ValidationError(f"readout needs {3 * m} weights, got {readout.weights.shape}")
-    if type(readout.include_intercept) is not bool:
-        raise ValidationError("field 'include_intercept' must be true or false, "
-                              f"got {readout.include_intercept!r}")
-    check_number("intercept", readout.intercept, error=ValidationError)
+    legacy = doc["readout"]   # keys written while the readout could hold an intercept
+    if legacy.get("include_intercept", False) is not False:
+        raise ValidationError("field 'include_intercept' must be false (the readout has no "
+                              f"intercept), got {legacy['include_intercept']!r}")
+    if check_number("intercept", legacy.get("intercept", 0), error=ValidationError) != 0:
+        raise ValidationError("field 'intercept' must be 0 (the readout has no intercept), "
+                              f"got {legacy['intercept']!r}")
     if check_number("ridge_lambda", readout.ridge_lambda, error=ValidationError) < 0:
         raise ValidationError("field 'ridge_lambda' must be >= 0")
     if "training_rss" in doc and check_number("training_rss", pipeline.training_rss,
@@ -803,11 +788,22 @@ def _pipeline_from_dict(doc: dict) -> Pipeline:
     return pipeline
 
 
-def _section(name: str, value) -> dict:
-    """`value`, which a pipeline document must hold as a JSON object."""
+# the keys the writer emits: per section, and in a reservoir per kind (HAAR per form)
+_DOCUMENT_KEYS = ("format", "encoder", "reservoir", "normalization", "readout", "training_rss")
+_RESERVOIR_KEYS = {"CNOT": (), "ISING": ("ising",), "ROTATION": ("rotation_layers",),
+                   "HAAR": ("unitary_re", "unitary_im"),
+                   "reflectors": ("reflectors_re", "reflectors_im", "tau_re", "tau_im")}
+
+
+def _section(name: str, value, keys: tuple[str, ...] | None) -> dict:
+    """`value`, which a pipeline document must hold as a JSON object whose
+    keys are all among `keys` (left unchecked when None)."""
     if not isinstance(value, dict):
         raise ValidationError(f"pipeline {name} must be a JSON object, "
                               f"got {type(value).__name__}")
+    unknown = [key for key in value if keys is not None and key not in keys]
+    if unknown:
+        raise ValidationError(f"pipeline {name} has unknown key {unknown[0]!r}")
     return value
 
 
@@ -823,29 +819,31 @@ def _complex_field(res: dict, name: str) -> np.ndarray:
 
 
 def _pipeline_fields(doc: dict) -> Pipeline:
-    enc = _section("encoder", doc["encoder"])
+    enc = _section("encoder", doc["encoder"], ("kind", "num_features", "depth",
+                                               "axis_assignment"))
     encoder = EncoderSpec(enc["kind"], enc["num_features"], enc["depth"],
                           axis_assignment=enc["axis_assignment"])
-    res = _section("reservoir", doc["reservoir"])
+    res = _section("reservoir", doc["reservoir"], None)   # its keys depend on its kind
     kind, d, params = res["kind"], res["num_qubits"], None
+    if kind not in RESERVOIR_KINDS:
+        raise ValidationError(f"unknown reservoir kind {kind!r}")
+    form = "reflectors" if kind == "HAAR" and "reflectors_re" in res else kind
+    _section("reservoir", res, ("kind", "num_qubits", "depth") + _RESERVOIR_KEYS[form])
     if kind == "ISING":
-        ising = _section("reservoir.ising", res["ising"])
+        ising = _section("reservoir.ising", res["ising"], ("couplings", "fields", "time_step"))
         params = IsingParams(d, ising["couplings"], ising["fields"], ising["time_step"])
     elif kind == "ROTATION":
         params = _tuples("rotation_layers", res["rotation_layers"], 3)
-    elif kind == "HAAR" and "reflectors_re" in res:
+    elif form == "reflectors":
         params = (_complex_field(res, "reflectors"), _complex_field(res, "tau"))
     elif kind == "HAAR":
         params = _complex_field(res, "unitary")
-    elif kind != "CNOT":
-        raise ValidationError(f"unknown reservoir kind {kind!r}")
     reservoir = build_reservoir(ReservoirSpec(kind, d, res["depth"], params=params))
-    bounds = _section("normalization", doc["normalization"])
+    bounds = _section("normalization", doc["normalization"], ("mins", "maxs"))
     norm = NormalizationParams(*(number_array(f"normalization.{key}", bounds[key])
                                  for key in ("mins", "maxs")))
-    ro = _section("readout", doc["readout"])
-    readout = ReadoutModel(number_array("readout.weights", ro["weights"]),
-                           ro["include_intercept"], ro["intercept"],
-                           ro["ridge_lambda"])
+    ro = _section("readout", doc["readout"], ("weights", "ridge_lambda",
+                                              "include_intercept", "intercept"))
+    readout = ReadoutModel(number_array("readout.weights", ro["weights"]), ro["ridge_lambda"])
     return Pipeline(norm, encoder, reservoir, readout,
                     training_rss=doc.get("training_rss", float("nan")))

@@ -297,8 +297,8 @@ def ising_unitary(params: IsingParams) -> np.ndarray:
     return entries
 
 
-def sample_ising_params(num_qubits: int, seed: int, time_step: float = 1.0) -> IsingParams:
-    """Couplings and fields drawn i.i.d. uniform on [-1, 1], J symmetrized."""
+def sample_ising_params(num_qubits: int, seed: int) -> IsingParams:
+    """Couplings and fields drawn i.i.d. uniform on [-1, 1], J symmetrized; dt = 1."""
     if num_qubits < 1:
         raise ConfigurationError("num_qubits must be >= 1")
     rng = np.random.default_rng(seed)
@@ -307,4 +307,4 @@ def sample_ising_params(num_qubits: int, seed: int, time_step: float = 1.0) -> I
     couplings[upper] = rng.uniform(-1.0, 1.0, size=len(upper[0]))
     couplings = couplings + couplings.T
     fields = rng.uniform(-1.0, 1.0, size=num_qubits)
-    return IsingParams(num_qubits, couplings, fields, time_step)
+    return IsingParams(num_qubits, couplings, fields)

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, ShapeError, ValidationError, require_finite
+from .errors import (DegenerateInputError, ShapeError, ValidationError, check_number,
+                     require_finite)
 
 ALPHA = 0.05
 
@@ -272,8 +273,10 @@ def _best_split(x: np.ndarray, y: np.ndarray):
 
 def fit_regression_tree(features, targets, max_splits: int = 25) -> TreeNode:
     """Greedy best-first CART: at each step split the leaf whose best split
-    removes the most squared error, until `max_splits` splits or no split
-    helps. Leaves predict their node mean."""
+    removes the most squared error, until `max_splits` (an integer >= 0)
+    splits or no split helps. Leaves predict their node mean."""
+    if check_number("max_splits", max_splits, integer=True, error=ValidationError) < 0:
+        raise ValidationError(f"field 'max_splits' must be >= 0, got {max_splits}")
     x = np.asarray(features, dtype=float)
     y = np.asarray(targets, dtype=float)
     if x.ndim != 2:
@@ -366,14 +369,13 @@ class ComparisonReport:
     labels: list[str]
     omnibus_h: float
     omnibus_p: float
-    alpha: float = ALPHA
     pairwise: list[PairwiseResult] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
             "labels": self.labels,
             "omnibus": {"h": self.omnibus_h, "p": self.omnibus_p},
-            "alpha": self.alpha,
+            "alpha": ALPHA,
             "pairwise": [vars(p) for p in self.pairwise],
         }
 
@@ -381,7 +383,7 @@ class ComparisonReport:
         lines = [f"omnibus Kruskal-Wallis: H={self.omnibus_h:.4f} p={self.omnibus_p:.4g}"]
         if not self.pairwise:
             lines.append("no pairwise tests (omnibus not significant)"
-                         if self.omnibus_p >= self.alpha else "no pairwise tests")
+                         if self.omnibus_p >= ALPHA else "no pairwise tests")
             return "\n".join(lines)
         cell: dict[tuple[str, str], str] = {}
         for pw in self.pairwise:
@@ -395,5 +397,5 @@ class ComparisonReport:
             cells = "".join(f"{cell.get((row, col), '-'):>{width}}" for col in self.labels)
             lines.append(f"{row:<{width}}" + cells)
         lines.append("cells: A12 of row vs column; * significant at "
-                     f"alpha={self.alpha} after Holm correction; < 0.5 favors the row")
+                     f"alpha={ALPHA} after Holm correction; < 0.5 favors the row")
         return "\n".join(lines)

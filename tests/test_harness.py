@@ -303,14 +303,20 @@ def test_shared_encoding_sweep_matches_per_cell_circuits(monkeypatch):
     days = harness.generate_days({"num_days": 3, "seed": 5, "rate_jitter": 0.1})
     cfg = toy_config(feature_sets=["FS2", "FS3a"],
                      combinations=list(harness.ALL_COMBINATIONS))
-    encodings = []
-    original = qelm.encode_batch
+    encodings, cnot_runs = [], []
+    original, run = qelm.encode_batch, qelm.run_circuit_batch
     monkeypatch.setattr(qelm, "encode_batch",
                         lambda enc, angles: encodings.append(enc) or original(enc, angles))
+
+    def spy_run(enc, reservoir, angles, encoded=None):
+        if reservoir.kind == "CNOT":
+            cnot_runs.append(enc.axis_assignment)
+        return run(enc, reservoir, angles, encoded)
+    monkeypatch.setattr(qelm, "run_circuit_batch", spy_run)
     _, results = harness.run_rq1_sweep(cfg, days)
     monkeypatch.undo()
     assert len(results) == 2 * 3 * 8
-    distinct = set()
+    distinct, distinct_cnot = set(), set()
     for r in results:
         test_day = next(d for d in days if d.label == r.dataset)
         train = [elevator.select_features(d, r.feature_set).drop_empty()
@@ -321,7 +327,7 @@ def test_shared_encoding_sweep_matches_per_cell_circuits(monkeypatch):
         angles = np.vstack([qelm.apply_normalization(norm, features),
                             qelm.apply_normalization(norm, test.feature_matrix())])
         expected = []
-        for rep in range(1 if r.combination == "DHE_CNOT" else cfg.repetitions):
+        for rep in range(cfg.repetitions):
             parts = (cfg.master_seed, r.dataset, r.combination, r.feature_set, rep)
             enc = qelm.EncoderSpec(r.encoder, angles.shape[1],
                                    seed=harness.derive_seed(*parts, "encoder"))
@@ -333,12 +339,15 @@ def test_shared_encoding_sweep_matches_per_cell_circuits(monkeypatch):
             expected.append(stats.mse(obs[len(features):] @ readout.weights,
                                       test.awt_values()))
             distinct.add((r.dataset, r.feature_set, enc.axis_assignment))
-        if r.combination == "DHE_CNOT":
-            expected *= cfg.repetitions
+            if r.reservoir == "CNOT":
+                distinct_cnot.add((r.dataset, r.feature_set, enc.axis_assignment))
         assert r.mse_values.tobytes() == np.array(expected).tobytes()
     # one encoding per distinct (fold, axis assignment), not one per cell:
     # an all-X RHE cell shares its fold's DHE batch
     assert len(encodings) == len(distinct)
+    # a CNOT reservoir has no parameters: one circuit run per distinct (fold,
+    # axis assignment) covers every CNOT cell of both encoders that drew it
+    assert len(cnot_runs) == len(distinct_cnot)
 
 
 def test_encoded_batch_sharing_rule(toy_days):

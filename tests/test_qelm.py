@@ -919,14 +919,6 @@ def test_fit_readout_validation():
         qelm.fit_readout(np.eye(2), [1.0, 2.0, 3.0])
 
 
-def test_intercept_flag():
-    rng = np.random.default_rng(8)
-    v = rng.normal(size=(30, 4))
-    t = v @ rng.normal(size=4) + 7.0
-    model = qelm.fit_readout(v, t, include_intercept=True)
-    assert model.intercept == pytest.approx(7.0, abs=1e-8)
-
-
 # ---------------------------------------------------------------------------
 # end-to-end pipeline
 # ---------------------------------------------------------------------------
@@ -984,6 +976,21 @@ def test_qelm_train_shape_guard():
     with pytest.raises(ShapeError):
         qelm.qelm_train((features, targets), EncoderSpec("DHE", 4),
                         ReservoirSpec("CNOT", 4))
+
+
+@pytest.mark.parametrize("features,targets,error,fragment", [
+    # a raw IndexError "tuple index out of range"
+    (np.arange(4.0), np.arange(4.0), ShapeError, "2-D"),
+    (np.ones((2, 2, 3)), np.arange(2.0), ShapeError, "2-D"),
+    (np.empty((0, 3)), np.empty(0), ValidationError, "at least one row"),
+    # numpy's raw ValueError "could not convert string to float"
+    (np.ones((3, 3)), ["1.0", "2.0", "x"], ValidationError, "'targets'"),
+    ([[1.0, 2.0, "a"]] * 3, np.arange(3.0), ValidationError, "'features'"),
+    (np.ones((3, 3)), [1.0, np.nan, 2.0], ValidationError, "'targets'"),
+], ids=["1-D", "3-D", "no-rows", "string-targets", "string-features", "nan-target"])
+def test_qelm_train_checks_its_inputs(features, targets, error, fragment):
+    with pytest.raises(error, match=fragment):
+        qelm.qelm_train((features, targets), EncoderSpec("DHE", 3), ReservoirSpec("CNOT", 3))
 
 
 @pytest.mark.parametrize("kind,m", [("CNOT", 3), ("HAAR", 3), ("ISING", 3), ("ROTATION", 3),
@@ -1119,9 +1126,18 @@ def string_entry(*path):
     ("HAAR", set_field("readout", "ridge_lambda", float("inf")), ValidationError,
      "ridge_lambda"),
     ("ROTATION", invert_normalization, ValidationError, "normalization"),
+    # earlier documents hold "include_intercept": false and "intercept": 0.0;
+    # the readout has no intercept, so any other value is refused
     ("CNOT", set_field("readout", "include_intercept", "yes"), ValidationError,
      "include_intercept"),
     ("CNOT", set_field("readout", "intercept", True), ValidationError, "intercept"),
+    ("CNOT", set_field("readout", "include_intercept", True), ValidationError,
+     "'include_intercept' must be false"),
+    ("CNOT", set_field("readout", "include_intercept", 0), ValidationError,
+     "'include_intercept' must be false"),
+    ("CNOT", set_field("readout", "intercept", 0.5), ValidationError, "'intercept' must be 0"),
+    ("CNOT", set_field("readout", "intercept", False), ValidationError, "'intercept'"),
+    ("CNOT", set_field("readout", "intercept", "0"), ValidationError, "'intercept'"),
     # "x" was a raw TypeError and true read as 1.0
     ("ISING", set_field("reservoir", "ising", "time_step", "x"), ValidationError,
      "time_step"),
@@ -1153,6 +1169,17 @@ def string_entry(*path):
     ("ROTATION", set_field("training_rss", "x"), ValidationError, "'training_rss'"),
     ("ROTATION", set_field("training_rss", float("nan")), ValidationError, "'training_rss'"),
     ("ROTATION", set_field("training_rss", -1.0), ValidationError, "'training_rss' must be >= 0"),
+    # a key the writer does not emit, one per section: each was ignored, and
+    # a misspelled training_rss left the RSS NaN
+    ("CNOT", set_field("training_rs", 1.0), ValidationError, "unknown key 'training_rs'"),
+    ("CNOT", set_field("encoder", "seed", 1), ValidationError, "unknown key 'seed'"),
+    ("CNOT", set_field("reservoir", "seed", 1), ValidationError, "unknown key 'seed'"),
+    ("CNOT", set_field("reservoir", "ising", {}), ValidationError, "unknown key 'ising'"),
+    ("HAAR", set_field("reservoir", "tau_re", [1.0]), ValidationError, "unknown key 'tau_re'"),
+    ("ISING", set_field("reservoir", "ising", "seed", 1), ValidationError, "unknown key 'seed'"),
+    ("CNOT", set_field("normalization", "means", [0.0]), ValidationError,
+     "unknown key 'means'"),
+    ("CNOT", set_field("readout", "wieghts", [0.0]), ValidationError, "unknown key 'wieghts'"),
 ])
 def test_pipeline_from_json_rejects_inconsistent_documents(kind, corrupt, error, fragment):
     doc = pipeline_doc(kind)
@@ -1174,6 +1201,19 @@ def test_pipeline_from_json_rejects_non_object_sections(section, value):
         set_field(*section.split("."), value)(doc)
     with pytest.raises(ValidationError, match=f"pipeline {section} must be a JSON object"):
         qelm.Pipeline.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("intercept", [0.0, 0, -0.0])
+def test_documents_with_the_earlier_readout_keys_load(intercept):
+    # documents written while the readout could hold an intercept carry
+    # "include_intercept": false and "intercept": 0.0; they predict as before
+    doc = pipeline_doc("ROTATION")
+    current = qelm.Pipeline.from_json(json.dumps(doc))
+    doc["readout"].update(include_intercept=False, intercept=intercept)
+    earlier = qelm.Pipeline.from_json(json.dumps(doc))
+    probe = np.array([[0.0, 5.0, 20.0], [3.3, 1.1, 7.7]])
+    assert earlier.predict_batch(probe).tobytes() == current.predict_batch(probe).tobytes()
+    assert set(json.loads(earlier.to_json())["readout"]) == {"weights", "ridge_lambda"}
 
 
 def test_pipeline_documents_without_training_rss_load():

@@ -386,6 +386,14 @@ def test_tree_zero_splits_predicts_mean():
     assert stats.predict_tree_batch(tree, [[9.0]])[0] == pytest.approx(y.mean())
 
 
+@pytest.mark.parametrize("max_splits", [-1, True, 2.5, "3", None])
+def test_tree_rejects_bad_max_splits(max_splits):
+    # -1 returned a stump, True counted as 1 split, the others were raw TypeErrors
+    x = np.arange(10.0).reshape(-1, 1)
+    with pytest.raises(ValidationError, match="'max_splits'"):
+        stats.fit_regression_tree(x, x[:, 0], max_splits=max_splits)
+
+
 def test_tree_split_budget_respected():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(300, 5))
@@ -477,6 +485,7 @@ def test_comparison_report_render():
     doc = report.to_dict()
     assert doc["pairwise"][0]["a12"] == 0.2
     assert doc["omnibus"]["p"] == 0.002
+    assert doc["alpha"] == stats.ALPHA and f"alpha={stats.ALPHA}" in text
 
 
 def test_run_results_container():
