@@ -40,7 +40,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, ShapeError, ValidationError, check_number
+from .errors import (ConfigurationError, ShapeError, ValidationError, check_keys, check_number,
+                     read_only)
 
 DAY_SECONDS = 86400
 WINDOW_SECONDS = 300
@@ -126,10 +127,7 @@ class TrafficProfile:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "TrafficProfile":
-        unknown = sorted(set(doc) - {"segments"})
-        if unknown:
-            raise ValidationError(f"unknown profile key(s) {unknown}; "
-                                  "a profile holds only 'segments'")
+        check_keys("profile", doc, ("segments",))
         return cls([TrafficSegment(**seg) for seg in doc["segments"]])
 
 
@@ -349,9 +347,8 @@ class Dataset:
     def __post_init__(self):
         self.feature_names = tuple(self.feature_names)
         for name in self._COLUMNS:
-            column = np.asarray(getattr(self, name), bool if name == "empty" else float).view()
-            column.flags.writeable = False   # on a view: the caller's array keeps its flags
-            setattr(self, name, column)
+            column = np.asarray(getattr(self, name), bool if name == "empty" else float)
+            setattr(self, name, read_only(column))   # the caller's array keeps its flags
         rows = self.starts.size
         if not (self.starts.shape == self.awt.shape == self.empty.shape == (rows,)
                 and self.features.shape == (rows, len(self.feature_names))):

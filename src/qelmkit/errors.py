@@ -6,9 +6,10 @@ from data problems detected at runtime.
 
 `check_number` accepts one scalar field (a finite real number, optionally
 an integer, never a bool), `number_array` one array field of finite real
-numbers, and `require_finite` one or more arrays with no NaN or infinity.
-Each raises the error type the caller names and builds its message only
-when the check fails.
+numbers, `require_finite` one or more arrays with no NaN or infinity, and
+`check_keys` a JSON object's keys. Each raises the error type the caller
+names and builds its message only when the check fails. `read_only` freezes
+array fields without copying them.
 """
 import math
 import numbers
@@ -50,17 +51,17 @@ def check_number(name: str, value, *, integer: bool = False, error=Configuration
 
 
 def number_array(name: str, value, *, error=ValidationError) -> np.ndarray:
-    """`value` (a nested list or an array) as a float array when it holds
-    finite real numbers only; otherwise raise `error` naming field `name`.
-    Arrays of strings, bools, complex numbers or other objects, and ragged
-    nesting, are refused rather than converted."""
+    """`value` (a nested list or an array) as a read-only float array (see
+    `read_only`) when it holds finite real numbers only; otherwise raise
+    `error` naming field `name`. Arrays of strings, bools, complex numbers
+    or other objects, and ragged nesting, are refused rather than converted."""
     try:
         values = np.asarray(value)
     except ValueError:   # ragged nesting
         values = None
     if values is None or values.dtype.kind not in "iuf":
         raise error(f"field '{name}' must hold real numbers only")
-    values = values.astype(float, copy=False)
+    values = read_only(values.astype(float, copy=False))
     require_finite(name, values, error=error)
     return values
 
@@ -72,3 +73,28 @@ def require_finite(name: str, *arrays, error=ValidationError) -> None:
     for values in arrays:
         if not np.all(np.isfinite(values)):
             raise error(f"field '{name}' must be finite (no NaN or infinity)")
+
+
+def read_only(values):
+    """`values` with each array in it, however nested in tuples, a read-only
+    view: nothing is copied, and an array that is read-only already, or a
+    tuple of such, comes back as it is. The caller's arrays keep their flags."""
+    if isinstance(values, tuple):
+        views = tuple(map(read_only, values))
+        return values if all(a is b for a, b in zip(views, values)) else views
+    if isinstance(values, np.ndarray) and values.flags.writeable:
+        values = values.view()
+        values.flags.writeable = False
+    return values
+
+
+def check_keys(name: str, doc, keys, *, error=ValidationError) -> dict:
+    """`doc` when it is a JSON object (a dict) whose keys are all among
+    `keys`; otherwise raise `error`. `name` is the object's dotted path."""
+    if not isinstance(doc, dict):
+        raise error(f"{name} must be a JSON object, got {type(doc).__name__}")
+    for key in doc:
+        if key not in keys:
+            raise error(f"{name} has unknown key {key!r} (field '{name}.{key}'); it may "
+                        f"hold only {', '.join(map(repr, keys))}")
+    return doc

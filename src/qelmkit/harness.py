@@ -33,7 +33,8 @@ import numpy as np
 
 from . import elevator, qelm, stats
 from .elevator import BuildingConfig, Dataset, TrafficProfile
-from .errors import ConfigurationError, DegenerateInputError, ValidationError, check_number
+from .errors import (ConfigurationError, DegenerateInputError, ValidationError, check_keys,
+                     check_number)
 from .stats import ComparisonReport, PairwiseResult, RunResults
 
 ALL_COMBINATIONS = tuple(f"{e}_{r}" for e in qelm.ENCODER_KINDS for r in qelm.RESERVOIR_KINDS)
@@ -89,9 +90,8 @@ class ExperimentConfig:
         elif not (isinstance(self.datasets, dict) and "generate" in self.datasets):
             raise ConfigurationError(
                 "field 'datasets' must be a list of CSV paths or a {'generate': ...} spec")
-        elif len(self.datasets) > 1:
-            raise ConfigurationError("unknown field(s) " + ", ".join(
-                f"'datasets.{k}'" for k in sorted(self.datasets) if k != "generate"))
+        else:
+            check_keys("datasets", self.datasets, ("generate",), error=ConfigurationError)
         for name in ("repetitions", "fs10_repetitions", "encoder_depth",
                      "reservoir_depth", "master_seed"):
             value = getattr(self, name)
@@ -116,11 +116,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"config file not found: {path}")
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config file is not valid JSON: {exc}")
-        if not isinstance(doc, dict):
-            raise ConfigurationError("config file must hold a JSON object")
-        unknown = set(doc) - set(_CONFIG_FIELDS)
-        if unknown:
-            raise ConfigurationError(f"unknown config field(s): {', '.join(sorted(unknown))}")
+        check_keys("config", doc, _CONFIG_FIELDS, error=ConfigurationError)
         for required in ("datasets", "feature_sets", "combinations"):
             if required not in doc:
                 raise ConfigurationError(f"missing config field '{required}'")
@@ -149,12 +145,7 @@ def generate_days(spec: dict) -> list[Dataset]:
     ('office' or a segments dict), rate_jitter (number in [0, 1]), awt
     ('simulated' or 'nonlinear').
     """
-    if not isinstance(spec, dict):
-        raise ConfigurationError("field 'datasets.generate' must be an object")
-    unknown = sorted(set(spec) - set(_GENERATE_KEYS))
-    if unknown:
-        raise ConfigurationError("unknown field(s) "
-                                 + ", ".join(f"'datasets.generate.{k}'" for k in unknown))
+    check_keys("datasets.generate", spec, _GENERATE_KEYS, error=ConfigurationError)
     num_days = spec.get("num_days", 4)
     seed = spec.get("seed", 0)
     check_number("datasets.generate.seed", seed, integer=True)

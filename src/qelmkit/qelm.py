@@ -58,20 +58,22 @@ A reservoir is its sampled parameters, `params`, carried unchanged from the
 Ising couplings, fields and time step, the rotation layers, or for HAAR the
 dense unitary (`unitary_re`/`unitary_im`) below HAAR_REFLECTOR_QUBITS qubits
 and the raw QR and tau (`reflectors_re`/`reflectors_im`, `tau_re`/`tau_im`)
-from there. The loader passes a document's parameters back through
-`ReservoirSpec`, which checks them, and `build_reservoir`, which compiles
-them as the build did, so predictions round-trip bit-identically.
+from there. The loader only maps a document's keys to constructor
+arguments: `ReservoirSpec` checks the parameters and `build_reservoir`
+compiles them as the build did, so predictions round-trip bit-identically.
+Every object here that holds arrays is a frozen dataclass whose arrays are
+read-only views, and its constructor checks the invariants it holds.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import quantum
-from .errors import (ConfigurationError, ShapeError, ValidationError, check_number,
-                     number_array, require_finite)
+from .errors import (ConfigurationError, ShapeError, ValidationError, check_keys, check_number,
+                     number_array, read_only, require_finite)
 from .quantum import GateOp, IsingParams
 
 ENCODER_KINDS = ("DHE", "RHE")
@@ -102,12 +104,22 @@ BLOCK_AMPLITUDES = 1 << 17
 # normalization
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NormalizationParams:
-    """Per-feature training min/max defining the linear map onto [0, pi]."""
+    """Per-feature training min/max defining the linear map onto [0, pi]:
+    finite, read-only, equal-length 1-D bounds with no min above its max."""
 
     mins: np.ndarray
     maxs: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "mins", number_array("normalization.mins", self.mins))
+        object.__setattr__(self, "maxs", number_array("normalization.maxs", self.maxs))
+        if self.mins.ndim != 1 or self.mins.shape != self.maxs.shape:
+            raise ValidationError("field 'normalization' needs 1-D mins and maxs of equal "
+                                  f"length, got shapes {self.mins.shape} and {self.maxs.shape}")
+        if np.any(self.mins > self.maxs):
+            raise ValidationError("field 'normalization' has a min above its max")
 
     @property
     def num_features(self) -> int:
@@ -121,7 +133,7 @@ def fit_normalization(training_features: np.ndarray) -> NormalizationParams:
         raise ShapeError("training features must be a 2-D (windows x features) matrix")
     if feats.shape[0] < 1:
         raise ValidationError("training features must contain at least one row")
-    require_finite("training_features", feats)
+    # a NaN or infinite feature gives a bound that NormalizationParams refuses
     return NormalizationParams(feats.min(axis=0), feats.max(axis=0))
 
 
@@ -148,13 +160,14 @@ def apply_normalization(params: NormalizationParams, features: np.ndarray) -> np
 
 def _tuples(name: str, value, levels: int):
     """`value`, lists or tuples nested `levels` deep (as a pipeline document
-    holds them), as tuples nested alike; anything else where a list belongs
-    raises ValidationError naming field `name`."""
+    holds them), as tuples nested alike (`value` itself if it is so already);
+    anything else where a list belongs raises ValidationError naming `name`."""
     if levels == 0:
         return value
     if not isinstance(value, (list, tuple)):
         raise ValidationError(f"field '{name}' needs a list where it holds {value!r}")
-    return tuple(_tuples(name, item, levels - 1) for item in value)
+    items = tuple(_tuples(name, item, levels - 1) for item in value)
+    return value if items == value else items
 
 
 def _check_seed(seed) -> None:
@@ -163,12 +176,13 @@ def _check_seed(seed) -> None:
         raise ConfigurationError(f"field 'seed' must be >= 0, got {seed}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EncoderSpec:
     """Hardware-efficient encoder: per-qubit rotations then a cyclic CZ ring.
 
     DHE rotates every qubit around X; RHE draws each qubit's axis uniformly
-    from {X, Y, Z} (per layer, from `seed`). One qubit per feature.
+    from {X, Y, Z} (per layer, from `seed`). One qubit per feature. Frozen,
+    with the axis assignment as nested tuples.
     """
 
     kind: str
@@ -187,17 +201,17 @@ class EncoderSpec:
         if check_number("depth", self.depth, integer=True) < 1:
             raise ConfigurationError("field 'depth' must be >= 1")
         _check_seed(self.seed)
-        if self.axis_assignment is None:
+        axes = self.axis_assignment
+        if axes is None:
             if self.kind == "DHE":
-                self.axis_assignment = (("X",) * width,) * self.depth
+                axes = (("X",) * width,) * self.depth
             elif self.seed is None:
                 raise ConfigurationError("RHE encoder requires a seed")
             else:
                 rng = np.random.default_rng(self.seed)
-                self.axis_assignment = tuple(
-                    tuple(quantum.PAULI_KINDS[i] for i in rng.integers(0, 3, size=width))
-                    for _ in range(self.depth))
-        self.axis_assignment = _tuples("axis_assignment", self.axis_assignment, 2)
+                axes = tuple(tuple(quantum.PAULI_KINDS[i] for i in rng.integers(0, 3, size=width))
+                             for _ in range(self.depth))
+        object.__setattr__(self, "axis_assignment", _tuples("axis_assignment", axes, 2))
         if len(self.axis_assignment) != self.depth:
             raise ConfigurationError(
                 f"field 'axis_assignment' must hold {self.depth} layers (the depth), "
@@ -222,13 +236,14 @@ RotationLayers = tuple[tuple[tuple[str, float], ...], ...]
 ReservoirParams = IsingParams | RotationLayers | np.ndarray | tuple[np.ndarray, ...] | None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReservoirSpec:
     """Which fixed reservoir to build. `params` holds its sampled parameters
     when they are known, and `build_reservoir` draws them from `seed`
     otherwise: for ISING an `IsingParams`, for ROTATION one rotation layer
-    per unit of depth, for HAAR one dense unitary or the (qr, tau) of
-    `quantum.haar_reflectors` (checked in O(4^M)), and for CNOT none."""
+    per unit of depth (held as nested tuples), for HAAR one dense unitary
+    or the (qr, tau) of `quantum.haar_reflectors` (checked in O(4^M), and
+    held as read-only arrays), and for CNOT none. Frozen."""
 
     kind: str
     num_qubits: int
@@ -263,9 +278,11 @@ class ReservoirSpec:
             self._check_rotation_layers()
         else:
             self._check_haar()
+            object.__setattr__(self, "params", read_only(self.params))
 
     def _check_rotation_layers(self) -> None:
-        layers = _tuples("rotation_layers", self.params, 3)   # params stays as given
+        object.__setattr__(self, "params", _tuples("rotation_layers", self.params, 3))
+        layers = self.params
         if len(layers) != self.depth:
             raise ConfigurationError(
                 f"field 'rotation_layers' must hold {self.depth} layers (the depth), "
@@ -321,7 +338,7 @@ class Stage:
     (see `_reflector_stage`); `low` acts on the low qubits (the last axis of
     the amplitudes reshaped to (..., len(low))), `high` on the remaining
     high qubits, and `perm` gathers amplitude i from index perm[i]. A dense
-    stage is a `low` matrix over all M qubits.
+    stage is a `low` matrix over all M qubits. Every array is read-only.
     """
 
     low: np.ndarray | None = None
@@ -330,6 +347,10 @@ class Stage:
     parity: tuple[np.ndarray, np.ndarray] | None = None
     # (phases, ((start, W, V^T), ...))
     reflectors: tuple[np.ndarray, tuple[tuple, ...]] | None = None
+
+    def __post_init__(self):
+        for name in ("low", "high", "perm", "parity", "reflectors"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         rows, dim = amps.shape
@@ -376,17 +397,22 @@ class Stage:
         return cost + sum(dim * len(mat) for mat in (self.low, self.high) if mat is not None)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Reservoir:
     """Built reservoir: its compiled stages, and the sampled `params` they
-    were compiled from (as in `ReservoirSpec`), so it serializes without the
-    seed."""
+    were compiled from (as in `ReservoirSpec`, and not checked again), so it
+    serializes without the seed. Frozen; HAAR params are read-only arrays."""
 
     kind: str
     num_qubits: int
     depth: int = 10
     stages: tuple[Stage, ...] = ()
     params: ReservoirParams = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "stages", tuple(self.stages))
+        if self.kind == "HAAR":   # the one kind whose params are arrays
+            object.__setattr__(self, "params", read_only(self.params))
 
 
 def _sample_rotation_layers(num_qubits: int, depth: int, seed: int) -> RotationLayers:
@@ -472,9 +498,9 @@ def build_reservoir(spec: ReservoirSpec) -> Reservoir:
     if kind == "CNOT":
         stages = (Stage(perm=_ring_permutation(d, spec.depth)),)
     elif kind == "HAAR":
-        if params is None:
-            params = (quantum.haar_unitary(1 << d, spec.seed) if d < HAAR_REFLECTOR_QUBITS
-                      else quantum.haar_reflectors(1 << d, spec.seed))
+        if params is None:   # read-only here, so a dense stage shares the array
+            params = read_only((quantum.haar_unitary if d < HAAR_REFLECTOR_QUBITS
+                                else quantum.haar_reflectors)(1 << d, spec.seed))
         stages = (_reflector_stage(*params) if isinstance(params, tuple) else Stage(params),)
     elif kind == "ISING":
         if params is None:
@@ -487,8 +513,9 @@ def build_reservoir(spec: ReservoirSpec) -> Reservoir:
     else:
         if params is None:
             params = _sample_rotation_layers(d, spec.depth, spec.seed)
-        ring = _ring_permutation(d, 1)
-        low, high = _rotation_factors(params, d - d // 2)
+        # frozen here once: each layer's slice of a read-only array is read-only
+        ring = read_only(_ring_permutation(d, 1))
+        low, high = read_only(_rotation_factors(params, d - d // 2))
         stages = tuple(Stage(low[k], high[k], ring) for k in range(spec.depth))
     return Reservoir(kind, d, spec.depth, stages, params)
 
@@ -608,12 +635,21 @@ def run_circuit_batch(encoder: EncoderSpec, reservoir: Reservoir,
 # readout
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ReadoutModel:
-    """Linear readout t_pre = W . V on the 3M expectations V, with no intercept."""
+    """Linear readout t_pre = W . V on the 3M expectations V, with no
+    intercept: finite, read-only 1-D weights and the finite ridge_lambda >= 0
+    they were fit with."""
 
     weights: np.ndarray
     ridge_lambda: float = 0.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", number_array("readout.weights", self.weights))
+        if self.weights.ndim != 1:
+            raise ValidationError(f"field 'readout.weights' must be 1-D, got {self.weights.shape}")
+        if check_number("ridge_lambda", self.ridge_lambda, error=ValidationError) < 0:
+            raise ValidationError(f"field 'ridge_lambda' must be >= 0, got {self.ridge_lambda!r}")
 
 
 def fit_readout(observations: np.ndarray, targets: np.ndarray,
@@ -633,8 +669,7 @@ def fit_readout(observations: np.ndarray, targets: np.ndarray,
     if obs.shape[0] < 1:
         raise ValidationError("need at least one training row")
     require_finite("observations/targets", obs, t)
-    if check_number("ridge_lambda", ridge_lambda, error=ValidationError) < 0:
-        raise ValidationError(f"field 'ridge_lambda' must be >= 0, got {ridge_lambda!r}")
+    ReadoutModel(np.zeros(0), ridge_lambda)   # the model's check of lambda, before np.sqrt
     if ridge_lambda > 0:
         k = obs.shape[1]
         obs = np.vstack([obs, np.sqrt(ridge_lambda) * np.eye(k)])
@@ -647,17 +682,33 @@ def fit_readout(observations: np.ndarray, targets: np.ndarray,
 # end-to-end pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Pipeline:
     """Trained QELM: normalization + encoder + built reservoir + readout.
 
-    Immutable after training; prediction is pure."""
+    Frozen, with frozen parts and read-only arrays, so it predicts as it was
+    trained; prediction is pure. The parts must fit: reservoir and
+    normalization as wide as the encoder, 3M readout weights, and a training
+    RSS that is NaN (unknown) or >= 0."""
 
     normalization: NormalizationParams
     encoder: EncoderSpec
     reservoir: Reservoir
     readout: ReadoutModel
-    training_rss: float = field(default=float("nan"))
+    training_rss: float = float("nan")
+
+    def __post_init__(self):
+        m, rss = self.encoder.num_features, self.training_rss
+        widths = (self.reservoir.num_qubits, self.normalization.num_features)
+        if widths != (m, m):
+            raise ValidationError(f"reservoir and normalization widths {widths} must match "
+                                  f"the encoder's width {m}")
+        if self.readout.weights.shape != (3 * m,):
+            raise ValidationError(f"readout needs {3 * m} weights, got "
+                                  f"{len(self.readout.weights)}")
+        # NaN (rss != rss) is an unknown RSS
+        if rss == rss and check_number("training_rss", rss, error=ValidationError) < 0:
+            raise ValidationError(f"field 'training_rss' must be >= 0, got {rss!r}")
 
     def predict_batch(self, features: np.ndarray) -> np.ndarray:
         feats = np.atleast_2d(np.asarray(features, dtype=float))
@@ -677,7 +728,10 @@ class Pipeline:
 
     @classmethod
     def from_json(cls, text: str) -> "Pipeline":
-        return _pipeline_from_dict(json.loads(text))
+        try:
+            return _pipeline_from_dict(json.loads(text))
+        except KeyError as exc:
+            raise ValidationError(f"pipeline document is missing key {exc.args[0]!r}") from None
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -705,6 +759,8 @@ def qelm_train(train, encoder: EncoderSpec, reservoir: ReservoirSpec,
     norm = fit_normalization(features)   # a 2-D matrix of at least one row
     if features.shape[1] != encoder.num_features:
         raise ShapeError("encoder width does not match dataset feature count")
+    if targets.shape != (len(features),):   # checked before the circuit runs
+        raise ShapeError(f"targets must hold one entry per feature row, got {targets.shape}")
     built = build_reservoir(reservoir)
     angles = apply_normalization(norm, features)
     observations = run_circuit_batch(encoder, built, angles)
@@ -754,57 +810,12 @@ def _pipeline_to_dict(p: Pipeline) -> dict:
     return doc
 
 
-def _pipeline_from_dict(doc: dict) -> Pipeline:
-    if _section("document", doc, _DOCUMENT_KEYS).get("format") != "qelm-pipeline-v1":
-        raise ConfigurationError("unrecognized pipeline document format")
-    try:
-        pipeline = _pipeline_fields(doc)
-    except KeyError as exc:
-        raise ValidationError(f"pipeline document is missing key {exc.args[0]!r}") from None
-    m = pipeline.encoder.num_features
-    if pipeline.reservoir.num_qubits != m:
-        raise ValidationError(f"reservoir width {pipeline.reservoir.num_qubits} "
-                              f"does not match encoder width {m}")
-    norm = pipeline.normalization
-    if not norm.mins.shape == norm.maxs.shape == (m,):
-        raise ValidationError(f"normalization must hold {m} mins and maxs")
-    if np.any(norm.mins > norm.maxs):
-        raise ValidationError("field 'normalization' has a min above its max")
-    readout = pipeline.readout
-    if readout.weights.shape != (3 * m,):
-        raise ValidationError(f"readout needs {3 * m} weights, got {readout.weights.shape}")
-    legacy = doc["readout"]   # keys written while the readout could hold an intercept
-    if legacy.get("include_intercept", False) is not False:
-        raise ValidationError("field 'include_intercept' must be false (the readout has no "
-                              f"intercept), got {legacy['include_intercept']!r}")
-    if check_number("intercept", legacy.get("intercept", 0), error=ValidationError) != 0:
-        raise ValidationError("field 'intercept' must be 0 (the readout has no intercept), "
-                              f"got {legacy['intercept']!r}")
-    if check_number("ridge_lambda", readout.ridge_lambda, error=ValidationError) < 0:
-        raise ValidationError("field 'ridge_lambda' must be >= 0")
-    if "training_rss" in doc and check_number("training_rss", pipeline.training_rss,
-                                              error=ValidationError) < 0:
-        raise ValidationError("field 'training_rss' must be >= 0")
-    return pipeline
-
-
 # the keys the writer emits: per section, and in a reservoir per kind (HAAR per form)
 _DOCUMENT_KEYS = ("format", "encoder", "reservoir", "normalization", "readout", "training_rss")
 _RESERVOIR_KEYS = {"CNOT": (), "ISING": ("ising",), "ROTATION": ("rotation_layers",),
                    "HAAR": ("unitary_re", "unitary_im"),
                    "reflectors": ("reflectors_re", "reflectors_im", "tau_re", "tau_im")}
-
-
-def _section(name: str, value, keys: tuple[str, ...] | None) -> dict:
-    """`value`, which a pipeline document must hold as a JSON object whose
-    keys are all among `keys` (left unchecked when None)."""
-    if not isinstance(value, dict):
-        raise ValidationError(f"pipeline {name} must be a JSON object, "
-                              f"got {type(value).__name__}")
-    unknown = [key for key in value if keys is not None and key not in keys]
-    if unknown:
-        raise ValidationError(f"pipeline {name} has unknown key {unknown[0]!r}")
-    return value
+_ANY_RESERVOIR_KEYS = ("kind", "num_qubits", "depth") + sum(_RESERVOIR_KEYS.values(), ())
 
 
 def _complex_field(res: dict, name: str) -> np.ndarray:
@@ -818,32 +829,45 @@ def _complex_field(res: dict, name: str) -> np.ndarray:
     return values
 
 
-def _pipeline_fields(doc: dict) -> Pipeline:
-    enc = _section("encoder", doc["encoder"], ("kind", "num_features", "depth",
-                                               "axis_assignment"))
+def _pipeline_from_dict(doc: dict) -> Pipeline:
+    """The pipeline a document holds. The constructors check every field and
+    how the parts fit; this reader checks only the document's own format: its
+    tag, its keys, the readout keys of earlier documents, the HAAR form and a
+    present `training_rss`, which must be a number."""
+    if check_keys("pipeline document", doc, _DOCUMENT_KEYS).get("format") != "qelm-pipeline-v1":
+        raise ConfigurationError("unrecognized pipeline document format")
+    enc = check_keys("pipeline encoder", doc["encoder"],
+                     ("kind", "num_features", "depth", "axis_assignment"))
     encoder = EncoderSpec(enc["kind"], enc["num_features"], enc["depth"],
                           axis_assignment=enc["axis_assignment"])
-    res = _section("reservoir", doc["reservoir"], None)   # its keys depend on its kind
+    res = check_keys("pipeline reservoir", doc["reservoir"], _ANY_RESERVOIR_KEYS)
     kind, d, params = res["kind"], res["num_qubits"], None
     if kind not in RESERVOIR_KINDS:
         raise ValidationError(f"unknown reservoir kind {kind!r}")
     form = "reflectors" if kind == "HAAR" and "reflectors_re" in res else kind
-    _section("reservoir", res, ("kind", "num_qubits", "depth") + _RESERVOIR_KEYS[form])
+    check_keys("pipeline reservoir", res, ("kind", "num_qubits", "depth") + _RESERVOIR_KEYS[form])
     if kind == "ISING":
-        ising = _section("reservoir.ising", res["ising"], ("couplings", "fields", "time_step"))
+        ising = check_keys("pipeline reservoir.ising", res["ising"],
+                           ("couplings", "fields", "time_step"))
         params = IsingParams(d, ising["couplings"], ising["fields"], ising["time_step"])
     elif kind == "ROTATION":
-        params = _tuples("rotation_layers", res["rotation_layers"], 3)
+        params = res["rotation_layers"]
     elif form == "reflectors":
         params = (_complex_field(res, "reflectors"), _complex_field(res, "tau"))
     elif kind == "HAAR":
         params = _complex_field(res, "unitary")
     reservoir = build_reservoir(ReservoirSpec(kind, d, res["depth"], params=params))
-    bounds = _section("normalization", doc["normalization"], ("mins", "maxs"))
-    norm = NormalizationParams(*(number_array(f"normalization.{key}", bounds[key])
-                                 for key in ("mins", "maxs")))
-    ro = _section("readout", doc["readout"], ("weights", "ridge_lambda",
-                                              "include_intercept", "intercept"))
-    readout = ReadoutModel(number_array("readout.weights", ro["weights"]), ro["ridge_lambda"])
-    return Pipeline(norm, encoder, reservoir, readout,
-                    training_rss=doc.get("training_rss", float("nan")))
+    bounds = check_keys("pipeline normalization", doc["normalization"], ("mins", "maxs"))
+    ro = check_keys("pipeline readout", doc["readout"],
+                    ("weights", "ridge_lambda", "include_intercept", "intercept"))
+    # keys written while the readout could hold an intercept
+    if ro.get("include_intercept", False) is not False:
+        raise ValidationError("field 'include_intercept' must be false (the readout has no "
+                              f"intercept), got {ro['include_intercept']!r}")
+    if check_number("intercept", ro.get("intercept", 0), error=ValidationError) != 0:
+        raise ValidationError("field 'intercept' must be 0 (the readout has no intercept), "
+                              f"got {ro['intercept']!r}")
+    rss = (check_number("training_rss", doc["training_rss"], error=ValidationError)
+           if "training_rss" in doc else float("nan"))   # left out: unknown
+    return Pipeline(NormalizationParams(bounds["mins"], bounds["maxs"]), encoder, reservoir,
+                    ReadoutModel(ro["weights"], ro["ridge_lambda"]), rss)

@@ -93,10 +93,11 @@ def unitarity_defect(entries: np.ndarray) -> float:
     return float(np.max(np.abs(entries.conj().T @ entries - np.eye(dim))))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class IsingParams:
     """Couplings J (symmetric, zero diagonal), transverse fields a, step dt
-    for the Hamiltonian H = sum_{k<j} J[k,j] Z_k Z_j + sum_j a[j] X_j."""
+    for the Hamiltonian H = sum_{k<j} J[k,j] Z_k Z_j + sum_j a[j] X_j.
+    Frozen, with read-only arrays."""
 
     num_qubits: int
     couplings: np.ndarray
@@ -104,9 +105,9 @@ class IsingParams:
     time_step: float = 1.0
 
     def __post_init__(self):
-        d = self.num_qubits
-        self.couplings = number_array("couplings", self.couplings)
-        self.fields = number_array("fields", self.fields)
+        d = check_number("num_qubits", self.num_qubits, integer=True, error=ValidationError)
+        object.__setattr__(self, "couplings", number_array("couplings", self.couplings))
+        object.__setattr__(self, "fields", number_array("fields", self.fields))
         if self.couplings.shape != (d, d):
             raise ShapeError(f"couplings must be {d}x{d}")
         if self.fields.shape != (d,):
@@ -276,9 +277,7 @@ def ising_parity_blocks(params: IsingParams) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigurationError(
             f"dense exponential needs 1 to {MAX_DENSE_QUBITS} qubits"
         )
-    h = ising_hamiltonian(params)
-    if not np.array_equal(h, h.T):   # symmetric by construction, so exactly
-        raise ValidationError("Hamiltonian is not symmetric")
+    h = ising_hamiltonian(params)   # symmetric by construction, so exactly
     n = h.shape[0] // 2
     a_block, b_reversed = h[:n, :n], h[:n, ::-1][:, :n]
     return (_real_symmetric_exponential(a_block + b_reversed, params.time_step),

@@ -3,8 +3,11 @@
 The rank-based tests are implemented directly (fractional ranks, tie
 corrections, normal / chi-square approximations) so the unit tests can
 check them against an independent reference implementation. p-values use
-the large-sample approximations throughout; the experiment protocol runs
-30 repetitions per setting, squarely in the approximation regime.
+the large-sample approximations throughout. Most settings run 30
+repetitions, but the acceptance instance runs FS10 at 10 and its criterion
+5 allows 5, where the normal approximation can flip a decision at alpha;
+exact small-sample p-values are an open item in ROADMAP.md ("Exact p-values
+for small samples").
 """
 from __future__ import annotations
 
@@ -210,7 +213,7 @@ def cohens_d_one_sample(sample, reference: float) -> float:
         raise ValidationError("need at least two values")
     require_finite("sample/reference", x, reference)
     sd = float(np.std(x, ddof=1))
-    if sd == 0:
+    if sd == 0 or np.all(x == x[0]):   # np.std of equal values can round to ~1e-15
         raise DegenerateInputError("sample has zero variance")
     return float((np.mean(x) - reference) / sd)
 

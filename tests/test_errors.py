@@ -8,8 +8,8 @@ import pytest
 
 import qelmkit
 from qelmkit import qelm
-from qelmkit.errors import (ConfigurationError, ValidationError, check_number, number_array,
-                            require_finite)
+from qelmkit.errors import (ConfigurationError, ValidationError, check_keys, check_number,
+                            number_array, read_only, require_finite)
 
 
 @pytest.mark.parametrize("value,integer", [
@@ -82,6 +82,31 @@ def test_require_finite_checks_every_array():
             require_finite("x/y", np.zeros(3), np.array([[1.0], [bad]]))
     with pytest.raises(ConfigurationError, match="'x'"):
         require_finite("x", [np.nan], error=ConfigurationError)
+
+
+def test_check_keys_names_the_object_and_the_key():
+    doc = {"seed": 1, "num_days": 2}
+    assert check_keys("datasets.generate", doc, ("seed", "num_days")) is doc
+    with pytest.raises(ConfigurationError, match=r"datasets.generate has unknown key 'sede' "
+                                                 r"\(field 'datasets.generate.sede'\)"):
+        check_keys("datasets.generate", {"seed": 1, "sede": 3}, ("seed", "num_days"),
+                   error=ConfigurationError)
+    with pytest.raises(ValidationError, match="pipeline readout must be a JSON object, got list"):
+        check_keys("pipeline readout", [], ("weights",))
+
+
+def test_read_only_views_without_copying():
+    base = np.arange(4.0)
+    view = read_only(base)
+    assert np.shares_memory(view, base) and not view.flags.writeable
+    assert base.flags.writeable   # the caller's array keeps its flags
+    assert read_only(view) is view
+    pair = (view, read_only(np.zeros(2)))
+    assert read_only(pair) is pair   # read-only already: nothing new
+    nested = read_only((base, (1, base), None))
+    assert not nested[0].flags.writeable and not nested[1][1].flags.writeable
+    assert nested[1][0] == 1 and nested[2] is None
+    assert not number_array("f", base).flags.writeable
 
 
 def test_field_checks_live_only_in_errors_module():

@@ -3,6 +3,7 @@ execution, least-squares readout against a normal-equation oracle, and
 pipeline serialization."""
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -993,6 +994,88 @@ def test_qelm_train_checks_its_inputs(features, targets, error, fragment):
         qelm.qelm_train((features, targets), EncoderSpec("DHE", 3), ReservoirSpec("CNOT", 3))
 
 
+def test_qelm_train_checks_target_length_before_the_circuit(monkeypatch):
+    # the check sat in fit_readout, after the reservoir was built and the circuit run
+    built = []
+    monkeypatch.setattr(qelm, "build_reservoir", lambda spec: built.append(spec))
+    features, targets = make_training_data()
+    for short in (targets[:-1], targets[:, None]):
+        with pytest.raises(ShapeError, match="one entry per feature row"):
+            qelm.qelm_train((features, short), EncoderSpec("DHE", 3),
+                            ReservoirSpec("HAAR", 3, seed=1))
+    assert built == []
+
+
+@pytest.mark.parametrize("kind", ["ISING", "HAAR", "ROTATION"])
+def test_trained_pipelines_are_frozen(kind):
+    features, targets = make_training_data()
+    pipe = qelm.qelm_train((features, targets), EncoderSpec("DHE", 3),
+                           ReservoirSpec(kind, 3, seed=2))
+    probe = pipe.predict_batch(features)
+    arrays = [pipe.normalization.mins, pipe.normalization.maxs, pipe.readout.weights]
+    arrays += [a for stage in pipe.reservoir.stages for a in (stage.low, stage.high, stage.perm)
+               if a is not None]
+    arrays += ([pipe.reservoir.params.couplings, pipe.reservoir.params.fields]
+               if kind == "ISING" else [pipe.reservoir.params] if kind == "HAAR" else [])
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 99
+    for part, name in [(pipe, "training_rss"), (pipe, "readout"), (pipe.encoder, "depth"),
+                       (pipe.reservoir, "params"), (pipe.normalization, "mins"),
+                       (pipe.readout, "ridge_lambda"), (pipe.reservoir.stages[0], "low")]:
+        with pytest.raises(AttributeError):
+            setattr(part, name, None)
+    assert pipe.predict_batch(features).tobytes() == probe.tobytes()
+
+
+def test_frozen_arrays_are_views_of_the_callers():
+    # read-only views, not copies; the caller's arrays stay writeable
+    mins, maxs, weights = np.zeros(3), np.ones(3), np.arange(9.0)
+    norm = qelm.NormalizationParams(mins, maxs)
+    readout = qelm.ReadoutModel(weights)
+    for given, held in ((mins, norm.mins), (maxs, norm.maxs), (weights, readout.weights)):
+        assert np.shares_memory(given, held) and not held.flags.writeable
+        assert given.flags.writeable
+
+
+def test_pipeline_checks_that_its_parts_fit():
+    features, targets = make_training_data()
+    pipe = qelm.qelm_train((features, targets), EncoderSpec("DHE", 3),
+                           ReservoirSpec("CNOT", 3))
+    parts = dict(normalization=pipe.normalization, encoder=pipe.encoder,
+                 reservoir=pipe.reservoir, readout=pipe.readout)
+    for change, fragment in [
+            (dict(encoder=EncoderSpec("DHE", 2)), "width"),
+            (dict(normalization=qelm.NormalizationParams([0.0, 0.0], [1.0, 1.0])), "width"),
+            (dict(reservoir=qelm.build_reservoir(ReservoirSpec("CNOT", 4))), "width"),
+            (dict(readout=qelm.ReadoutModel(np.zeros(8))), "needs 9 weights"),
+            (dict(training_rss=-5.0), "'training_rss' must be >= 0"),
+            (dict(training_rss=float("inf")), "'training_rss'"),
+            (dict(training_rss="x"), "'training_rss'")]:
+        with pytest.raises(ValidationError, match=fragment):
+            qelm.Pipeline(**{**parts, **change})
+    assert math.isnan(qelm.Pipeline(**parts).training_rss)   # NaN: unknown
+
+
+@pytest.mark.parametrize("build,fragment", [
+    (lambda: qelm.NormalizationParams([0.0, 2.0], [1.0, 1.0]), "min above its max"),
+    (lambda: qelm.NormalizationParams([0.0, 0.0], [1.0]), "equal length"),
+    (lambda: qelm.NormalizationParams([[0.0]], [[1.0]]), "1-D"),
+    (lambda: qelm.NormalizationParams([0.0, np.nan], [1.0, 1.0]), "'normalization.mins'"),
+    (lambda: qelm.ReadoutModel(np.zeros(3), ridge_lambda=-1.0), "'ridge_lambda' must be >= 0"),
+    (lambda: qelm.ReadoutModel(np.zeros(3), ridge_lambda=np.nan), "'ridge_lambda'"),
+    (lambda: qelm.ReadoutModel(np.zeros((3, 1))), "1-D"),
+    (lambda: qelm.ReadoutModel([0.0, np.inf]), "'readout.weights'"),
+    # each was a ShapeError "couplings must be 3x3" or "TruexTrue"
+    (lambda: quantum.IsingParams("3", np.zeros((3, 3)), np.zeros(3)), "'num_qubits'"),
+    (lambda: quantum.IsingParams(True, np.zeros((1, 1)), np.zeros(1)), "'num_qubits'"),
+], ids=["min-above-max", "lengths", "2-D-bounds", "nan-bound", "negative-lambda",
+        "nan-lambda", "2-D-weights", "inf-weight", "ising-width-string", "ising-width-bool"])
+def test_parts_check_their_own_fields(build, fragment):
+    with pytest.raises(ValidationError, match=fragment):
+        build()
+
+
 @pytest.mark.parametrize("kind,m", [("CNOT", 3), ("HAAR", 3), ("ISING", 3), ("ROTATION", 3),
                                     ("ISING", 7),   # the parity-block stage
                                     ("HAAR", 9)],   # the reflector stage
@@ -1298,6 +1381,21 @@ def test_wide_dense_haar_documents_still_load():
     np.testing.assert_allclose(dense.predict_batch(features), pipe.predict_batch(features),
                                rtol=1e-12)
     assert json.loads(dense.to_json())["reservoir"].keys() == doc["reservoir"].keys()
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["cnot", "haar_dense", "haar_reflectors", "ising", "rotation"])
+def test_golden_documents_predict_as_recorded(name):
+    # committed qelm-pipeline-v1 documents and the bytes of their predictions on
+    # fixed probe rows, recorded when they were written: a writer and a loader
+    # that change together still have to read these
+    recorded = json.loads((GOLDEN / "predictions.json").read_text())
+    pipe = qelm.Pipeline.load(GOLDEN / f"pipeline_{name}.json")
+    got = pipe.predict_batch(np.array(recorded["probe"]))
+    assert got.tobytes().hex() == recorded["predictions"][name]
+    assert ("reflectors_re" in pipe.to_json()) == (name == "haar_reflectors")
 
 
 def test_dhe_family_mse_spread_finite():

@@ -355,6 +355,15 @@ def test_cohens_d_errors_and_magnitude():
     assert stats.cohens_d_magnitude(-1.2) == "large"
 
 
+def test_cohens_d_refuses_equal_values_whose_std_rounds_above_zero():
+    # np.std of 30 copies of this value is 9e-16, not 0, and d came out as
+    # -1.1e15, reported as a "large" effect
+    sample = np.full(30, 5.118216247002567)
+    assert np.std(sample, ddof=1) > 0
+    with pytest.raises(DegenerateInputError):
+        stats.cohens_d_one_sample(sample, 5.2)
+
+
 # ---------------------------------------------------------------------------
 # regression tree
 # ---------------------------------------------------------------------------
