@@ -141,8 +141,9 @@ def cmd_report(args) -> int:
     written, _ = _rq1_report(out, harness.build_ranking(results))
     datasets = harness.load_datasets(config)
     covered = {r.combination for r in results}
-    if args.combination in covered and len(config.feature_sets) >= 2:
-        written += _rq2_report(config, args.combination, datasets, results)[0]
+    if args.combination in covered:
+        if len(config.feature_sets) >= 2:   # RQ2 compares feature sets; RQ3 needs one
+            written += _rq2_report(config, args.combination, datasets, results)[0]
         baseline_path = os.path.join(out, harness.BASELINES_CSV)
         if os.path.exists(baseline_path):
             written += _rq3_report(config, args.combination, datasets, results,

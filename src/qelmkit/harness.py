@@ -7,6 +7,10 @@ derived with a stable hash over (master_seed, fold, combination, feature
 set, repetition), so any cell can be reproduced in isolation and two full
 runs emit byte-identical result payloads.
 
+A fold holds out one day under one feature set: `_folds` projects each day
+once, drops its empty windows and stacks the other days' rows as training
+rows, which the QELM sweep normalises into angles and the tree fits on.
+
 Because each cell is a pure function of its seeds, a fold's cells run in
 the order of their encoder's axis assignment, and each run of equal
 assignments shares one `qelm.encode_batch` of the fold's angles: all-X
@@ -25,6 +29,7 @@ import csv
 import hashlib
 import json
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from itertools import combinations as iter_pairs
@@ -220,108 +225,25 @@ def load_datasets(config: ExperimentConfig) -> list[Dataset]:
 # leave-one-day-out sweep
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _FoldCache:
-    """Everything about one (held-out day, feature set) that does not depend
-    on the encoder/reservoir draw. `angles` holds the training rows first,
-    then the test rows, so one circuit batch serves both."""
+@dataclass(frozen=True)
+class _Fold:
+    """One leave-one-day-out split under one feature set, empty windows
+    dropped: the training days' rows stacked in day order, and the held-out
+    day's rows. Results are keyed by the held-out day's `label`."""
 
-    fold_label: str
+    label: str
     feature_set: str
-    angles: np.ndarray
+    train_features: np.ndarray
     train_targets: np.ndarray
+    test_features: np.ndarray
     test_targets: np.ndarray
 
 
-def _fold_windows(train_days: list[Dataset], test_day: Dataset,
-                  feature_set: str) -> tuple[np.ndarray, np.ndarray, Dataset]:
-    """Training features and targets stacked over `train_days`, and the
-    held-out day, all restricted to `feature_set` with empty windows dropped.
-    The held-out day, and the training days together, must keep a window."""
-    train_parts = [elevator.select_features(d, feature_set).drop_empty()
-                   for d in train_days]
-    test = elevator.select_features(test_day, feature_set).drop_empty()
-    if not len(test):
-        raise ValidationError(f"held-out day {test_day.label!r} has no non-empty window")
-    if not any(len(p) for p in train_parts):
-        labels = ", ".join(repr(d.label) for d in train_days)
-        raise ValidationError(f"training days {labels} (held-out day {test_day.label!r}) "
-                              "have no non-empty window")
-    return (np.vstack([p.feature_matrix() for p in train_parts]),
-            np.concatenate([p.awt_values() for p in train_parts]), test)
-
-
-def _prepare_fold(train_days: list[Dataset], test_day: Dataset,
-                  feature_set: str) -> _FoldCache:
-    train_features, train_targets, test = _fold_windows(train_days, test_day, feature_set)
-    norm = qelm.fit_normalization(train_features)
-    return _FoldCache(
-        fold_label=test_day.label,
-        feature_set=feature_set,
-        angles=np.vstack([qelm.apply_normalization(norm, train_features),
-                          qelm.apply_normalization(norm, test.feature_matrix())]),
-        train_targets=train_targets,
-        test_targets=test.awt_values(),
-    )
-
-
-def _shares_encoded_batch(fold: _FoldCache) -> bool:
-    """Whether a fold's cells may share one encoded batch: only while
-    `qelm.run_circuit_batch` runs it as one block, so holding it across
-    cells never stacks a large batch on a reservoir build's peak."""
-    rows, width = fold.angles.shape
-    return rows << width <= qelm.BLOCK_AMPLITUDES
-
-
-def _cell_mse(fold: _FoldCache, encoder: qelm.EncoderSpec, reservoir_kind: str,
-              config: ExperimentConfig, seed_parts: tuple,
-              encoded: np.ndarray | None) -> float:
-    reservoir = qelm.build_reservoir(qelm.ReservoirSpec(
-        reservoir_kind, encoder.num_features, depth=config.reservoir_depth,
-        seed=derive_seed(*seed_parts, "reservoir")))
-    obs = qelm.run_circuit_batch(encoder, reservoir, fold.angles, encoded=encoded)
-    num_train = len(fold.train_targets)
-    readout = qelm.fit_readout(obs[:num_train], fold.train_targets, config.ridge_lambda)
-    predictions = obs[num_train:] @ readout.weights
-    return stats.mse(predictions, fold.test_targets)
-
-
-def _fold_mses(fold: _FoldCache, combinations: list[str], config: ExperimentConfig,
-               reps: int) -> list[np.ndarray]:
-    """Repetition MSEs of one fold for each combination, in order.
-
-    Every cell is a pure function of its derived seeds, so the cells run in
-    the order of their encoder's axis assignment, the only encoder field
-    `qelm.encode_batch` reads: each run of equal assignments encodes the
-    fold's angles once and shares the batch, which keeps one encoded batch
-    alive at a time. A CNOT reservoir has no parameters, so one run per
-    assignment covers every CNOT cell of the fold that drew it."""
-    cells = {}   # key -> ([index * reps + rep covered], encoder, reservoir kind, seed parts)
-    for index, combination in enumerate(combinations):
-        enc, res = combination.split("_")
-        for rep in range(reps):
-            seed_parts = (config.master_seed, fold.fold_label, combination,
-                          fold.feature_set, rep)
-            encoder = qelm.EncoderSpec(enc, fold.angles.shape[1],
-                                       depth=config.encoder_depth,
-                                       seed=derive_seed(*seed_parts, "encoder"))
-            key = (res, encoder.axis_assignment) if res == "CNOT" else seed_parts
-            cells.setdefault(key, ([], encoder, res, seed_parts))[0].append(index * reps + rep)
-    share = _shares_encoded_batch(fold)
-    values = np.empty(len(combinations) * reps)
-    key = encoded = None
-    for covered, encoder, res, seed_parts in sorted(
-            cells.values(), key=lambda cell: cell[1].axis_assignment):
-        if share and key != encoder.axis_assignment:
-            key = encoder.axis_assignment
-            encoded = qelm.encode_batch(encoder, fold.angles)
-        values[covered] = _cell_mse(fold, encoder, res, config, seed_parts, encoded)
-    return list(values.reshape(-1, reps))
-
-
-def _leave_one_day_out(datasets: list[Dataset]) -> list[tuple[list[Dataset], Dataset]]:
-    """(training days, held-out day) per fold, holding out each day in order.
-    Results are keyed by the held-out day's label, so labels must differ."""
+def _folds(datasets: list[Dataset], feature_set: str) -> Iterator[_Fold]:
+    """One fold per day, holding out each day in order, each built as the
+    caller reaches it. Each day is projected onto `feature_set` once; the
+    labels must differ, and the held-out day, and the training days
+    together, must keep a window."""
     if len(datasets) < 2:
         raise ConfigurationError("leave-one-day-out needs at least 2 datasets")
     labels = [d.label for d in datasets]
@@ -329,23 +251,87 @@ def _leave_one_day_out(datasets: list[Dataset]) -> list[tuple[list[Dataset], Dat
         if label in labels[:i]:
             raise ConfigurationError(f"field 'datasets' holds two days labelled {label!r}; "
                                      "each fold needs its own label")
-    return [([d for j, d in enumerate(datasets) if j != i], test_day)
-            for i, test_day in enumerate(datasets)]
+    days = [elevator.select_features(d, feature_set).drop_empty() for d in datasets]
+    for i, test in enumerate(days):
+        train = days[:i] + days[i + 1:]
+        if not len(test):
+            raise ValidationError(f"held-out day {test.label!r} has no non-empty window")
+        if not any(len(d) for d in train):
+            names = ", ".join(repr(d.label) for d in train)
+            raise ValidationError(f"training days {names} (held-out day {test.label!r}) "
+                                  "have no non-empty window")
+        yield _Fold(test.label, feature_set, np.vstack([d.feature_matrix() for d in train]),
+                    np.concatenate([d.awt_values() for d in train]),
+                    test.feature_matrix(), test.awt_values())
+
+
+def _shares_encoded_batch(angles: np.ndarray) -> bool:
+    """Whether a fold's cells may share one encoded batch of its `angles`:
+    only while `qelm.run_circuit_batch` runs it as one block, so holding it
+    across cells never stacks a large batch on a reservoir build's peak."""
+    rows, width = angles.shape
+    return rows << width <= qelm.BLOCK_AMPLITUDES
+
+
+def _cell_mse(fold: _Fold, angles: np.ndarray, encoder: qelm.EncoderSpec,
+              reservoir_kind: str, config: ExperimentConfig, seed_parts: tuple,
+              encoded: np.ndarray | None) -> float:
+    reservoir = qelm.build_reservoir(qelm.ReservoirSpec(
+        reservoir_kind, encoder.num_features, depth=config.reservoir_depth,
+        seed=derive_seed(*seed_parts, "reservoir")))
+    obs = qelm.run_circuit_batch(encoder, reservoir, angles, encoded=encoded)
+    num_train = len(fold.train_targets)
+    readout = qelm.fit_readout(obs[:num_train], fold.train_targets, config.ridge_lambda)
+    return stats.mse(obs[num_train:] @ readout.weights, fold.test_targets)
+
+
+def _fold_mses(fold: _Fold, combinations: list[str], config: ExperimentConfig,
+               reps: int) -> list[np.ndarray]:
+    """Repetition MSEs of one fold for each combination, in order.
+
+    The angles are the fold's features normalised by its training rows,
+    the training rows first, so one circuit batch serves both. Every cell
+    is a pure function of its derived seeds, so the cells run in the order
+    of their encoder's axis assignment, the only encoder field
+    `qelm.encode_batch` reads: each run of equal assignments encodes the
+    angles once and shares the batch, which keeps one encoded batch alive
+    at a time. A CNOT reservoir has no parameters, so one run per
+    assignment covers every CNOT cell of the fold that drew it."""
+    norm = qelm.fit_normalization(fold.train_features)
+    angles = np.vstack([qelm.apply_normalization(norm, fold.train_features),
+                        qelm.apply_normalization(norm, fold.test_features)])
+    cells = {}   # key -> ([index * reps + rep covered], encoder, reservoir kind, seed parts)
+    for index, combination in enumerate(combinations):
+        enc, res = combination.split("_")
+        for rep in range(reps):
+            seed_parts = (config.master_seed, fold.label, combination, fold.feature_set, rep)
+            encoder = qelm.EncoderSpec(enc, angles.shape[1], depth=config.encoder_depth,
+                                       seed=derive_seed(*seed_parts, "encoder"))
+            key = (res, encoder.axis_assignment) if res == "CNOT" else seed_parts
+            cells.setdefault(key, ([], encoder, res, seed_parts))[0].append(index * reps + rep)
+    share = _shares_encoded_batch(angles)
+    values = np.empty(len(combinations) * reps)
+    key = encoded = None
+    for covered, encoder, res, seed_parts in sorted(
+            cells.values(), key=lambda cell: cell[1].axis_assignment):
+        if share and key != encoder.axis_assignment:
+            key = encoder.axis_assignment
+            encoded = qelm.encode_batch(encoder, angles)
+        values[covered] = _cell_mse(fold, angles, encoder, res, config, seed_parts, encoded)
+    return list(values.reshape(-1, reps))
 
 
 def _sweep(config: ExperimentConfig, datasets: list[Dataset],
            combinations: list[str]) -> list[RunResults]:
     """Repetition MSEs for every (feature set, fold, combination), in that order."""
-    folds = _leave_one_day_out(datasets)
     results = []
     for feature_set in config.feature_sets:
         reps = config.repetitions_for(feature_set)
-        for train_days, test_day in folds:
-            fold = _prepare_fold(train_days, test_day, feature_set)
+        for fold in _folds(datasets, feature_set):
             mses = _fold_mses(fold, combinations, config, reps)
             for combination, values in zip(combinations, mses):
                 enc, res = combination.split("_")
-                results.append(RunResults(test_day.label, feature_set, enc, res, values))
+                results.append(RunResults(fold.label, feature_set, enc, res, values))
     return results
 
 
@@ -449,27 +435,25 @@ def run_rq2_comparison(config: ExperimentConfig, combination: str,
                        results: list[RunResults] | None = None
                        ) -> dict[str, ComparisonReport]:
     """Per dataset: Kruskal-Wallis over the feature sets, then (only when the
-    omnibus fires) pairwise Mann-Whitney with Holm correction and A12."""
+    omnibus fires) pairwise Mann-Whitney with Holm correction and A12. A day
+    where any feature set's repetitions hold one distinct value gets no test."""
     if len(config.feature_sets) < 2:
         raise ConfigurationError("RQ2 needs at least 2 feature sets")
     table = _collect_results(config, combination, datasets, results)
     reports = {}
     for day in datasets:
         groups = [table[(day.label, fs)] for fs in config.feature_sets]
-        h, p = stats.kruskal_wallis(groups)
-        report = ComparisonReport(list(config.feature_sets), h, p)
-        if p < stats.ALPHA:
-            pairs = list(iter_pairs(range(len(config.feature_sets)), 2))
-            raw = []
-            details = []
-            for i, j in pairs:
-                u, p_raw = stats.mann_whitney_u(groups[i], groups[j])
-                a12 = stats.vargha_delaney_a12(groups[i], groups[j])
-                raw.append(p_raw)
-                details.append((config.feature_sets[i], config.feature_sets[j],
-                                u, p_raw, a12))
-            corrected = stats.holm_bonferroni(raw)
-            for (first, second, u, p_raw, a12), p_corr in zip(details, corrected):
+        distinct = {fs: len(set(g.tolist())) for fs, g in zip(config.feature_sets, groups)}
+        h = p = None
+        if min(distinct.values()) > 1:   # a one-value sample is one draw: nothing to rank
+            h, p = stats.kruskal_wallis(groups)
+        report = ComparisonReport(list(config.feature_sets), h, p, distinct_values=distinct)
+        if p is not None and p < stats.ALPHA:
+            pairs = list(iter_pairs(zip(config.feature_sets, groups), 2))
+            tests = [stats.mann_whitney_u(a, b) for (_, a), (_, b) in pairs]
+            corrected = stats.holm_bonferroni([p_raw for _, p_raw in tests])
+            for ((first, a), (second, b)), (u, p_raw), p_corr in zip(pairs, tests, corrected):
+                a12 = stats.vargha_delaney_a12(a, b)
                 report.pairwise.append(PairwiseResult(
                     first, second, u, p_raw, p_corr, a12,
                     stats.a12_magnitude(a12), p_corr < stats.ALPHA))
@@ -492,6 +476,7 @@ class BaselineCell:
     d_magnitude: str
     runs_above_baseline: int
     n_runs: int
+    distinct_values: int   # distinct repetition MSEs; one gets no W, p or d
 
 
 @dataclass
@@ -507,13 +492,13 @@ class Rq3Report:
     def to_text(self) -> str:
         lines = [f"RQ3: {self.combination} vs {self.baseline}",
                  f"{'dataset':<8} {'fs':<5} {'baseline':>10} {'p':>10} "
-                 f"{'d':>8} {'magnitude':<10} {'above':>5}"]
+                 f"{'d':>8} {'magnitude':<10} {'above':>5} {'distinct':>8}"]
         for c in self.cells:
             p = "n/a" if c.p_value is None else f"{c.p_value:.3g}"
             d = "n/a" if c.cohens_d is None else f"{c.cohens_d:.3f}"
             lines.append(f"{c.dataset:<8} {c.feature_set:<5} {c.baseline_mse:>10.4g} "
                          f"{p:>10} {d:>8} {c.d_magnitude:<10} "
-                         f"{c.runs_above_baseline:>3}/{c.n_runs}")
+                         f"{c.runs_above_baseline:>3}/{c.n_runs} {c.distinct_values:>8}")
         lines.append("d < 0 means the quantum model has lower error than the baseline")
         return "\n".join(lines)
 
@@ -527,11 +512,11 @@ def baseline_tree_mse(datasets: list[Dataset]) -> dict[str, float]:
     BASELINE_FEATURE_SET windows of the training days of each fold; one
     fixed MSE per held-out day."""
     out = {}
-    for train_days, test_day in _leave_one_day_out(datasets):
-        features, targets, test = _fold_windows(train_days, test_day, BASELINE_FEATURE_SET)
-        tree = stats.fit_regression_tree(features, targets, max_splits=BASELINE_SPLITS)
-        predictions = stats.predict_tree_batch(tree, test.feature_matrix())
-        out[test_day.label] = stats.mse(predictions, test.awt_values())
+    for fold in _folds(datasets, BASELINE_FEATURE_SET):
+        tree = stats.fit_regression_tree(fold.train_features, fold.train_targets,
+                                         max_splits=BASELINE_SPLITS)
+        predictions = stats.predict_tree_batch(tree, fold.test_features)
+        out[fold.label] = stats.mse(predictions, fold.test_targets)
     return out
 
 
@@ -540,7 +525,8 @@ def run_rq3_baseline(config: ExperimentConfig, combination: str,
                      baselines: dict[str, float]) -> Rq3Report:
     """One-sample Wilcoxon of the repetition MSEs against the fixed baseline
     MSE of each fold (`baseline_tree_mse`), with Cohen's d and the count of
-    runs above baseline."""
+    runs above baseline. A setting whose repetitions hold one distinct value
+    gets neither test nor effect size."""
     table = _collect_results(config, combination, datasets, results)
     report = Rq3Report(combination, f"regression tree ({BASELINE_SPLITS} splits, "
                                     f"{BASELINE_FEATURE_SET})")
@@ -548,18 +534,18 @@ def run_rq3_baseline(config: ExperimentConfig, combination: str,
         for day in datasets:
             sample = table[(day.label, fs)]
             base = baselines[day.label]
-            try:
+            distinct = len(set(sample.tolist()))
+            w = p = d = None
+            if distinct > 1:   # a one-value sample is one draw: nothing to test
                 w, p = stats.wilcoxon_one_sample(sample, base)
-            except DegenerateInputError:
-                w, p = None, None
-            try:
-                d = stats.cohens_d_one_sample(sample, base)
-                magnitude = stats.cohens_d_magnitude(d)
-            except (DegenerateInputError, ValidationError):
-                d, magnitude = None, "n/a"
+                try:
+                    d = stats.cohens_d_one_sample(sample, base)
+                except DegenerateInputError:   # a spread below ~1e-154 underflows the sd to 0
+                    pass
             report.cells.append(BaselineCell(
-                day.label, fs, base, w, p, d, magnitude,
-                int(np.sum(sample > base)), len(sample)))
+                day.label, fs, base, w, p, d,
+                "n/a" if d is None else stats.cohens_d_magnitude(d),
+                int(np.sum(sample > base)), len(sample), distinct))
     return report
 
 

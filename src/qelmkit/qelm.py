@@ -759,8 +759,11 @@ def qelm_train(train, encoder: EncoderSpec, reservoir: ReservoirSpec,
     norm = fit_normalization(features)   # a 2-D matrix of at least one row
     if features.shape[1] != encoder.num_features:
         raise ShapeError("encoder width does not match dataset feature count")
-    if targets.shape != (len(features),):   # checked before the circuit runs
+    if targets.shape != (len(features),):   # checked before the reservoir is built
         raise ShapeError(f"targets must hold one entry per feature row, got {targets.shape}")
+    if reservoir.num_qubits != encoder.num_features:
+        raise ShapeError("reservoir size does not match encoder width")
+    ReadoutModel(np.zeros(0), ridge_lambda)   # the readout's check of ridge_lambda
     built = build_reservoir(reservoir)
     angles = apply_normalization(norm, features)
     observations = run_circuit_batch(encoder, built, angles)

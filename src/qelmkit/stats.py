@@ -367,12 +367,14 @@ class PairwiseResult:
 
 @dataclass
 class ComparisonReport:
-    """Omnibus test plus (when it fires) Holm-corrected pairwise comparisons."""
+    """Omnibus test plus (when it fires) Holm-corrected pairwise comparisons;
+    no test (H, p None) when a label's sample holds one distinct value."""
 
     labels: list[str]
-    omnibus_h: float
-    omnibus_p: float
+    omnibus_h: float | None
+    omnibus_p: float | None
     pairwise: list[PairwiseResult] = field(default_factory=list)
+    distinct_values: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -380,13 +382,19 @@ class ComparisonReport:
             "omnibus": {"h": self.omnibus_h, "p": self.omnibus_p},
             "alpha": ALPHA,
             "pairwise": [vars(p) for p in self.pairwise],
+            "distinct_values": self.distinct_values,
         }
 
     def to_text(self) -> str:
-        lines = [f"omnibus Kruskal-Wallis: H={self.omnibus_h:.4f} p={self.omnibus_p:.4g}"]
+        lines = ["omnibus Kruskal-Wallis: n/a (a sample holds one distinct value)"
+                 if self.omnibus_p is None else
+                 f"omnibus Kruskal-Wallis: H={self.omnibus_h:.4f} p={self.omnibus_p:.4g}"]
+        if self.distinct_values:
+            lines.append("distinct values: " + " ".join(
+                f"{label}={n}" for label, n in self.distinct_values.items()))
         if not self.pairwise:
-            lines.append("no pairwise tests (omnibus not significant)"
-                         if self.omnibus_p >= ALPHA else "no pairwise tests")
+            lines.append("no pairwise tests" if self.omnibus_p is None or self.omnibus_p < ALPHA
+                         else "no pairwise tests (omnibus not significant)")
             return "\n".join(lines)
         cell: dict[tuple[str, str], str] = {}
         for pw in self.pairwise:

@@ -352,13 +352,29 @@ def test_shared_encoding_sweep_matches_per_cell_circuits(monkeypatch):
 
 def test_encoded_batch_sharing_rule(toy_days):
     # shared only while rows * 2^M fits one row block of run_circuit_batch
-    fs5 = harness._prepare_fold(toy_days[:1], toy_days[1], "FS5")
-    fs10 = harness._prepare_fold(toy_days[:1], toy_days[1], "FS10")
-    assert harness._shares_encoded_batch(fs5)
-    assert not harness._shares_encoded_batch(fs10)
+    for feature_set, shared in (("FS5", True), ("FS10", False)):
+        fold = list(harness._folds(toy_days, feature_set))[1]
+        angles = np.vstack([fold.train_features, fold.test_features])
+        assert harness._shares_encoded_batch(angles) is shared
     limit = qelm.BLOCK_AMPLITUDES
-    assert harness._shares_encoded_batch(replace(fs5, angles=np.zeros((limit >> 5, 5))))
-    assert not harness._shares_encoded_batch(replace(fs5, angles=np.zeros(((limit >> 5) + 1, 5))))
+    assert harness._shares_encoded_batch(np.zeros((limit >> 5, 5)))
+    assert not harness._shares_encoded_batch(np.zeros(((limit >> 5) + 1, 5)))
+
+
+def test_folds_project_each_day_once(monkeypatch):
+    # each fold used to project every day again: 96 projections per
+    # sweep-small pass for 24 distinct (day, feature set) pairs
+    days = harness.generate_days({"num_days": 4, "seed": 5, "rate_jitter": 0.1})
+    calls, original = [], elevator.select_features
+    monkeypatch.setattr(elevator, "select_features",
+                        lambda day, fs: calls.append((day.label, fs)) or original(day, fs))
+    feature_sets = ["FS2", "FS3a", "FS3b", "FS4", "FS5"]
+    cfg = toy_config(feature_sets=feature_sets, combinations=["DHE_CNOT"], repetitions=1)
+    harness.run_rq1_sweep(cfg, days)
+    harness.baseline_tree_mse(days)
+    assert len(calls) == 24
+    assert sorted(calls) == sorted((d.label, fs) for d in days
+                                   for fs in feature_sets + ["FS10"])
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +389,11 @@ def empty_day(label):
 
 def test_fold_windows_skip_an_empty_training_day(toy_days):
     # a (0,)-shaped feature matrix used to break np.vstack with a raw ValueError
-    plain = harness._fold_windows([toy_days[1]], toy_days[0], "FS2")
-    padded = harness._fold_windows([empty_day("Empty"), toy_days[1]], toy_days[0], "FS2")
-    np.testing.assert_array_equal(padded[0], plain[0])
-    np.testing.assert_array_equal(padded[1], plain[1])
+    plain = next(harness._folds([toy_days[0], toy_days[1]], "FS2"))
+    padded = next(harness._folds([toy_days[0], empty_day("Empty"), toy_days[1]], "FS2"))
+    assert padded.label == plain.label == "Day1"
+    for name in ("train_features", "train_targets", "test_features", "test_targets"):
+        np.testing.assert_array_equal(getattr(padded, name), getattr(plain, name))
 
 
 @pytest.mark.parametrize("run", [
@@ -535,6 +552,57 @@ def test_rq3_degenerate_sample_handled():
     day1 = [c for c in report.cells if c.dataset == "Day1"][0]
     assert day1.p_value is None and day1.cohens_d is None
     assert "n/a" in report.to_text()
+
+
+def spy_on(monkeypatch, names):
+    """Record each call of the named stats functions by name."""
+    calls = []
+    for name in names:
+        original = getattr(stats, name)
+        monkeypatch.setattr(stats, name, lambda *a, _n=name, _f=original:
+                            calls.append(_n) or _f(*a))
+    return calls
+
+
+def test_rq3_one_value_setting_gets_no_test(monkeypatch):
+    # 30 equal MSEs are one draw; they used to report p = 4.6e-8 (30 reps),
+    # or W = 1 and p = 1 (1 rep), against any other baseline
+    days = two_fake_days()
+    cfg = toy_config(feature_sets=["FS2", "FS5"], combinations=["DHE_CNOT"])
+    results = [RunResults(day, fs, "DHE", "CNOT", np.full(reps, 5.0))
+               for fs, reps in (("FS2", 30), ("FS5", 1)) for day in ("Day1", "Day2")]
+    results[1] = replace(results[1], mse_values=np.array([5.0] * 29 + [6.0]))
+    calls = spy_on(monkeypatch, ["wilcoxon_one_sample", "cohens_d_one_sample"])
+    report = harness.run_rq3_baseline(cfg, "DHE_CNOT", days, results,
+                                      {"Day1": 9.0, "Day2": 9.0})
+    assert calls == ["wilcoxon_one_sample", "cohens_d_one_sample"]   # Day2 FS2 only
+    assert [c.distinct_values for c in report.cells] == [1, 2, 1, 1]
+    for cell in report.cells[:1] + report.cells[2:]:
+        assert (cell.wilcoxon_w, cell.p_value, cell.cohens_d) == (None, None, None)
+        assert cell.d_magnitude == "n/a"
+    assert report.cells[1].p_value < 0.05 and report.cells[1].cohens_d < 0
+    assert report.to_dict()["cells"][0]["distinct_values"] == 1
+    rows = report.to_text().splitlines()[2:6]
+    assert all(row.split()[-1] == str(n) for row, n in zip(rows, [1, 2, 1, 1]))
+    assert rows[0].split()[3:6] == ["n/a", "n/a", "n/a"]
+
+
+def test_rq2_day_with_a_one_value_sample_gets_no_test(monkeypatch):
+    # five equal-valued samples used to report H = 149, p = 3.3e-31
+    days = two_fake_days()
+    cfg = toy_config(feature_sets=["FS2", "FS5"], combinations=["DHE_CNOT"])
+    results = fake_results(["Day1", "Day2"], ["FS2", "FS5"], "DHE_CNOT", 5.0)
+    results[0] = replace(results[0], mse_values=np.full(30, 4.0))   # Day1, FS2
+    calls = spy_on(monkeypatch, ["kruskal_wallis", "mann_whitney_u"])
+    reports = harness.run_rq2_comparison(cfg, "DHE_CNOT", days, results)
+    assert calls == ["kruskal_wallis", "mann_whitney_u"]   # Day2 only
+    day1, day2 = reports["Day1"], reports["Day2"]
+    assert (day1.omnibus_h, day1.omnibus_p, day1.pairwise) == (None, None, [])
+    assert day1.to_dict()["distinct_values"] == {"FS2": 1, "FS5": 30}
+    assert day1.to_dict()["omnibus"] == {"h": None, "p": None}
+    assert "n/a" in day1.to_text() and "FS2=1 FS5=30" in day1.to_text()
+    assert day2.omnibus_p < 0.05 and len(day2.pairwise) == 1
+    assert day2.distinct_values == {"FS2": 30, "FS5": 30}
 
 
 def test_baseline_tree_deterministic(toy_days):
@@ -705,6 +773,21 @@ def test_cli_rq2_rq3_recompute_matches_stored_results(tmp_path, capsys, combinat
     for name in REPORT_FILES[2:] + ["baselines.csv"]:
         assert (stored / name).read_bytes() == (empty / name).read_bytes()
     capsys.readouterr()
+
+
+def test_cli_report_keeps_rq3_for_one_feature_set(tmp_path, capsys):
+    # report used to drop RQ3 whenever the config listed one feature set
+    path = write_cli_config(tmp_path, combinations=["DHE_CNOT"])
+    out = tmp_path / "out"
+    assert cli.main(["run-rq1", "--config", str(path)]) == 0
+    for command in ("run-rq3", "report"):
+        assert cli.main([command, "--config", str(path), "--combination", "DHE_CNOT"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "regenerated: rq1_ranking.json, rq1_ranking.txt, rq3_report.json, rq3_report.txt")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["files"] == sorted(REPORT_FILES[:2] + REPORT_FILES[4:])
+    assert not (out / "rq2_report.json").exists()
+    assert "n/a" in (out / "rq3_report.txt").read_text()   # DHE_CNOT repeats one value
 
 
 def test_cli_exit_code_2_on_config_errors(tmp_path, capsys):

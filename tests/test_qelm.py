@@ -1006,6 +1006,19 @@ def test_qelm_train_checks_target_length_before_the_circuit(monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("lam,spec,error,fragment", [
+    (-1.0, ReservoirSpec("HAAR", 3, seed=1), ValidationError, "ridge_lambda"),
+    (0.0, ReservoirSpec("HAAR", 4, seed=1), ShapeError, "reservoir size")])
+def test_qelm_train_checks_lambda_and_width_before_the_build(monkeypatch, lam, spec,
+                                                             error, fragment):
+    # both were refused only after one reservoir build
+    built = []
+    monkeypatch.setattr(qelm, "build_reservoir", lambda spec: built.append(spec))
+    with pytest.raises(error, match=fragment):
+        qelm.qelm_train(make_training_data(), EncoderSpec("DHE", 3), spec, ridge_lambda=lam)
+    assert built == []
+
+
 @pytest.mark.parametrize("kind", ["ISING", "HAAR", "ROTATION"])
 def test_trained_pipelines_are_frozen(kind):
     features, targets = make_training_data()
