@@ -71,7 +71,7 @@ def require_finite(name: str, *arrays, error=ValidationError) -> None:
     compares unequal to everything, so ranks, splits and fits computed over
     it come out silently wrong rather than NaN."""
     for values in arrays:
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise error(f"field '{name}' must be finite (no NaN or infinity)")
 
 

@@ -17,11 +17,15 @@ assignments shares one `qelm.encode_batch` of the fold's angles: all-X
 (every DHE cell, and any RHE cell that drew it) is one batch per fold, the
 other RHE draws at most 3^(M * depth) - 1 more. A batch is shared only
 while `qelm.run_circuit_batch` runs it as one block, that is while it holds
-at most `qelm.BLOCK_AMPLITUDES` amplitudes (rows * 2^M): an FS2-FS5 fold of
-about 1,064 rows holds at most 34k. Larger ones, such as a 10-qubit fold of
-about 1.09M, are encoded per cell so they never sit on top of a reservoir
-build's memory peak. Results are still reported in (feature set, fold,
-combination, repetition) order.
+at most `qelm.BLOCK_AMPLITUDES` amplitudes (rows * 2^M). Such a batch holds
+only the fold's distinct angle rows: the elevator features are small
+counts, so an FS2-FS5 fold of about 1,064 rows holds about 265-886
+distinct ones at seed 18, at most 28k amplitudes, and each cell gathers
+every row's observations back from them before its fit. Larger folds,
+such as a 10-qubit fold of about 1.09M amplitudes, keep all their rows and
+are encoded per cell, so they never sit on top of a reservoir build's
+memory peak, and their row blocks group the rows as they stand. Results
+are still reported in (feature set, fold, combination, repetition) order.
 """
 from __future__ import annotations
 
@@ -38,8 +42,7 @@ import numpy as np
 
 from . import elevator, qelm, stats
 from .elevator import BuildingConfig, Dataset, TrafficProfile
-from .errors import (ConfigurationError, DegenerateInputError, ValidationError, check_keys,
-                     check_number)
+from .errors import ConfigurationError, ValidationError, check_keys, check_number
 from .stats import ComparisonReport, PairwiseResult, RunResults
 
 ALL_COMBINATIONS = tuple(f"{e}_{r}" for e in qelm.ENCODER_KINDS for r in qelm.RESERVOIR_KINDS)
@@ -273,13 +276,15 @@ def _shares_encoded_batch(angles: np.ndarray) -> bool:
     return rows << width <= qelm.BLOCK_AMPLITUDES
 
 
-def _cell_mse(fold: _Fold, angles: np.ndarray, encoder: qelm.EncoderSpec,
-              reservoir_kind: str, config: ExperimentConfig, seed_parts: tuple,
-              encoded: np.ndarray | None) -> float:
+def _cell_mse(fold: _Fold, batch: np.ndarray, inverse: np.ndarray,
+              encoder: qelm.EncoderSpec, reservoir_kind: str, config: ExperimentConfig,
+              seed_parts: tuple, encoded: np.ndarray | None) -> float:
+    """One cell's test MSE: its circuit runs on the angle rows of `batch`,
+    and `inverse` gathers each fold row's observations back from them."""
     reservoir = qelm.build_reservoir(qelm.ReservoirSpec(
         reservoir_kind, encoder.num_features, depth=config.reservoir_depth,
         seed=derive_seed(*seed_parts, "reservoir")))
-    obs = qelm.run_circuit_batch(encoder, reservoir, angles, encoded=encoded)
+    obs = qelm.run_circuit_batch(encoder, reservoir, batch, encoded=encoded)[inverse]
     num_train = len(fold.train_targets)
     readout = qelm.fit_readout(obs[:num_train], fold.train_targets, config.ridge_lambda)
     return stats.mse(obs[num_train:] @ readout.weights, fold.test_targets)
@@ -290,34 +295,46 @@ def _fold_mses(fold: _Fold, combinations: list[str], config: ExperimentConfig,
     """Repetition MSEs of one fold for each combination, in order.
 
     The angles are the fold's features normalised by its training rows,
-    the training rows first, so one circuit batch serves both. Every cell
-    is a pure function of its derived seeds, so the cells run in the order
-    of their encoder's axis assignment, the only encoder field
-    `qelm.encode_batch` reads: each run of equal assignments encodes the
-    angles once and shares the batch, which keeps one encoded batch alive
-    at a time. A CNOT reservoir has no parameters, so one run per
-    assignment covers every CNOT cell of the fold that drew it."""
+    the training rows first, so one circuit batch serves both. A circuit
+    maps each row on its own, so where the fold's distinct angle rows fit
+    one shared block every cell runs only those, and gathers each row's
+    observations back before the fit; a wider fold keeps its rows as they
+    stand, since regrouping the rows of its row blocks moves the last bits
+    of their GEMMs. Every cell is a pure function of its derived seeds, so
+    the cells run in the order of their encoder's axis assignment, the only
+    encoder field `qelm.encode_batch` reads: each run of equal assignments
+    encodes the shared batch once, which keeps one encoded batch alive at a
+    time. A DHE encoder draws nothing, so one spec serves every DHE cell of
+    the fold. A CNOT reservoir has no parameters, so one run per assignment
+    covers every CNOT cell of the fold that drew it."""
     norm = qelm.fit_normalization(fold.train_features)
     angles = np.vstack([qelm.apply_normalization(norm, fold.train_features),
                         qelm.apply_normalization(norm, fold.test_features)])
+    distinct, inverse = np.unique(angles, axis=0, return_inverse=True)
+    share = _shares_encoded_batch(distinct)
+    # ravelled: the inverse's shape differs across numpy 2.x releases
+    batch, inverse = (distinct, inverse.ravel()) if share else (angles, np.arange(len(angles)))
+    width = angles.shape[1]
+    dhe = qelm.EncoderSpec("DHE", width, depth=config.encoder_depth)
     cells = {}   # key -> ([index * reps + rep covered], encoder, reservoir kind, seed parts)
     for index, combination in enumerate(combinations):
         enc, res = combination.split("_")
         for rep in range(reps):
             seed_parts = (config.master_seed, fold.label, combination, fold.feature_set, rep)
-            encoder = qelm.EncoderSpec(enc, angles.shape[1], depth=config.encoder_depth,
-                                       seed=derive_seed(*seed_parts, "encoder"))
+            encoder = dhe if enc == "DHE" else qelm.EncoderSpec(
+                enc, width, depth=config.encoder_depth,
+                seed=derive_seed(*seed_parts, "encoder"))
             key = (res, encoder.axis_assignment) if res == "CNOT" else seed_parts
             cells.setdefault(key, ([], encoder, res, seed_parts))[0].append(index * reps + rep)
-    share = _shares_encoded_batch(angles)
     values = np.empty(len(combinations) * reps)
     key = encoded = None
     for covered, encoder, res, seed_parts in sorted(
             cells.values(), key=lambda cell: cell[1].axis_assignment):
         if share and key != encoder.axis_assignment:
             key = encoder.axis_assignment
-            encoded = qelm.encode_batch(encoder, angles)
-        values[covered] = _cell_mse(fold, angles, encoder, res, config, seed_parts, encoded)
+            encoded = qelm.encode_batch(encoder, batch)
+        values[covered] = _cell_mse(fold, batch, inverse, encoder, res, config,
+                                    seed_parts, encoded)
     return list(values.reshape(-1, reps))
 
 
@@ -538,10 +555,7 @@ def run_rq3_baseline(config: ExperimentConfig, combination: str,
             w = p = d = None
             if distinct > 1:   # a one-value sample is one draw: nothing to test
                 w, p = stats.wilcoxon_one_sample(sample, base)
-                try:
-                    d = stats.cohens_d_one_sample(sample, base)
-                except DegenerateInputError:   # a spread below ~1e-154 underflows the sd to 0
-                    pass
+                d = stats.cohens_d_one_sample(sample, base)
             report.cells.append(BaselineCell(
                 day.label, fs, base, w, p, d,
                 "n/a" if d is None else stats.cohens_d_magnitude(d),

@@ -13,15 +13,18 @@ each block through the whole circuit before the next, and no gate is
 applied one at a time.
 
 - Encoder: `encode_batch`. The first rotation layer acts on |0...0>, so it
-  is built as a product state by M outer products; the CZ ring is one +-1
-  sign vector. Re-uploading layers (depth > 1) rotate each qubit with its
-  row's matrix. The batch depends only on the angles and the encoder's axis
-  assignment, so `run_circuit_batch` accepts a precomputed one (`encoded`)
-  and only reads it: the sweep encodes each fold's angles once per distinct
-  assignment and shares the batch among that assignment's cells, while the
-  batch holds at most BLOCK_AMPLITUDES amplitudes (see `harness`). A qubit
-  whose axis is Z in every layer stays exactly in |0>, so every encoded row
-  is exactly 0 off the 2^(M-f) indices where those f frozen qubits are 0.
+  is built as a product state by M outer products, the first
+  LONG_SLICE_QUBITS of them in a (2^q, P) array whose every step runs over
+  all P rows, transposed once into the (P, 2^M) batch; the CZ ring is one
+  +-1 sign vector. Re-uploading layers (depth > 1) rotate each qubit with
+  its row's matrix. The batch depends only on the angles and the encoder's
+  axis assignment, so `run_circuit_batch` accepts a precomputed one
+  (`encoded`) and only reads it: the sweep encodes each fold's distinct
+  angle rows once per distinct assignment and shares the batch among that
+  assignment's cells, while the batch holds at most BLOCK_AMPLITUDES
+  amplitudes (see `harness`). A qubit whose axis is Z in every layer stays
+  exactly in |0>, so every encoded row is exactly 0 off the 2^(M-f)
+  indices where those f frozen qubits are 0.
 - Reservoir: `build_reservoir` compiles the reservoir into `Stage`s, each an
   optional pair of spin-flip parity blocks, set of Householder reflectors,
   low-qubit matrix, high-qubit matrix and index permutation. HAAR is one
@@ -98,6 +101,13 @@ WY_BLOCK = 64
 # 382 vs 242/252/238 ms, ISING 175 vs 168/154/154 ms, CNOT 79 vs 45/44/44 ms,
 # HAAR reflectors 354 vs 356/329/315 ms.
 BLOCK_AMPLITUDES = 1 << 17
+# `encode_batch` builds the product state's first qubits over all rows at
+# once: a row-major step over 2^q-amplitude slices pays a loop per row.
+# Product state of 886 rows at 5 qubits (x86-64): 136 us against 354 us
+# row-major. At 10 qubits and 128 rows a whole (2^M, P) build and its
+# transpose took about 2x the row-major time, so the qubits from here on,
+# whose slices hold at least 32 amplitudes, stay row-major (as fast as before).
+LONG_SLICE_QUBITS = 5
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +219,8 @@ class EncoderSpec:
                 raise ConfigurationError("RHE encoder requires a seed")
             else:
                 rng = np.random.default_rng(self.seed)
-                axes = tuple(tuple(quantum.PAULI_KINDS[i] for i in rng.integers(0, 3, size=width))
+                axes = tuple(tuple(quantum.PAULI_KINDS[i]
+                                   for i in rng.integers(0, 3, size=width).tolist())
                              for _ in range(self.depth))
         object.__setattr__(self, "axis_assignment", _tuples("axis_assignment", axes, 2))
         if len(self.axis_assignment) != self.depth:
@@ -419,9 +430,9 @@ def _sample_rotation_layers(num_qubits: int, depth: int, seed: int) -> RotationL
     rng = np.random.default_rng(seed)
     layers = []
     for _ in range(depth):
-        axes = [quantum.PAULI_KINDS[i] for i in rng.integers(0, 3, size=num_qubits)]
-        angles = rng.uniform(0.0, 2.0 * np.pi, size=num_qubits)
-        layers.append(tuple((a, float(t)) for a, t in zip(axes, angles)))
+        axes = [quantum.PAULI_KINDS[i] for i in rng.integers(0, 3, size=num_qubits).tolist()]
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=num_qubits).tolist()
+        layers.append(tuple(zip(axes, angles)))
     return tuple(layers)
 
 
@@ -539,20 +550,33 @@ def encode_batch(encoder: EncoderSpec, angles: np.ndarray) -> np.ndarray:
     """Encoded (P, 2^M) batch for a batch of angle vectors (P, M).
 
     One `quantum.rotation_matrix` call per layer gives every row's and
-    qubit's rotation. The first layer acts on |0...0>, so it is built in
-    place as the product of each qubit's R|0> (column 0); re-uploaded layers
-    go through `quantum.apply_single_qubit` with one matrix per row. The CZ
-    ring on the pairs (k, k + 1 mod M) is one +-1 sign vector. The batch
-    depends only on the angles and the axis assignment (see `harness`)."""
+    qubit's rotation. The first layer acts on |0...0>, so it is built as
+    the product of each qubit's R|0> (column 0), one qubit at a time: qubit
+    q doubles the 2^q amplitudes built so far. A row-major step runs over
+    P slices of 2^q amplitudes, too short below LONG_SLICE_QUBITS qubits, so
+    those first qubits are built in a (2^q, P) array whose steps each run
+    over all P rows, transposed once into the batch; the later qubits double
+    it in place. Re-uploaded layers go through `quantum.apply_single_qubit`
+    with one matrix per row. The CZ ring on the pairs (k, k + 1 mod M) is one
+    +-1 sign vector. The batch depends only on the angles and the axis
+    assignment (see `harness`)."""
     angles = _angle_batch(encoder, angles)
     m = encoder.num_features
     bits = quantum.basis_bits(m)
     ring_signs = 1.0 - 2.0 * ((bits & np.roll(bits, -1, axis=1)).sum(axis=1) & 1)
     layers = [quantum.rotation_matrix(axes, angles) for axes in encoder.axis_assignment]
     on_zero = layers[0][..., 0]   # (P, M, 2): each qubit's R|0>
+    low = min(m, LONG_SLICE_QUBITS)
+    by_qubit = np.ascontiguousarray(on_zero[:, :low].transpose(1, 2, 0))   # (low, 2, P)
+    columns = np.empty((1 << low, len(angles)), dtype=complex)
+    columns[:2] = by_qubit[0]
+    for q in range(1, low):
+        half = 1 << q
+        np.multiply(by_qubit[q, 1], columns[:half], out=columns[half:2 * half])
+        columns[:half] *= by_qubit[q, 0]
     amps = np.empty((len(angles), 1 << m), dtype=complex)
-    amps[:, 0], amps[:, 1] = on_zero[:, 0, 0], on_zero[:, 0, 1]
-    for q in range(1, m):
+    amps[:, :1 << low] = columns.T
+    for q in range(low, m):
         half = 1 << q
         np.multiply(on_zero[:, q, 1, None], amps[:, :half], out=amps[:, half:2 * half])
         amps[:, :half] *= on_zero[:, q, 0, None]
@@ -635,6 +659,12 @@ def run_circuit_batch(encoder: EncoderSpec, reservoir: Reservoir,
 # readout
 # ---------------------------------------------------------------------------
 
+def _check_ridge_lambda(value) -> None:
+    """A readout's `ridge_lambda`: a finite number >= 0."""
+    if check_number("ridge_lambda", value, error=ValidationError) < 0:
+        raise ValidationError(f"field 'ridge_lambda' must be >= 0, got {value!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class ReadoutModel:
     """Linear readout t_pre = W . V on the 3M expectations V, with no
@@ -648,8 +678,7 @@ class ReadoutModel:
         object.__setattr__(self, "weights", number_array("readout.weights", self.weights))
         if self.weights.ndim != 1:
             raise ValidationError(f"field 'readout.weights' must be 1-D, got {self.weights.shape}")
-        if check_number("ridge_lambda", self.ridge_lambda, error=ValidationError) < 0:
-            raise ValidationError(f"field 'ridge_lambda' must be >= 0, got {self.ridge_lambda!r}")
+        _check_ridge_lambda(self.ridge_lambda)
 
 
 def fit_readout(observations: np.ndarray, targets: np.ndarray,
@@ -669,7 +698,7 @@ def fit_readout(observations: np.ndarray, targets: np.ndarray,
     if obs.shape[0] < 1:
         raise ValidationError("need at least one training row")
     require_finite("observations/targets", obs, t)
-    ReadoutModel(np.zeros(0), ridge_lambda)   # the model's check of lambda, before np.sqrt
+    _check_ridge_lambda(ridge_lambda)   # before np.sqrt
     if ridge_lambda > 0:
         k = obs.shape[1]
         obs = np.vstack([obs, np.sqrt(ridge_lambda) * np.eye(k)])
@@ -763,7 +792,7 @@ def qelm_train(train, encoder: EncoderSpec, reservoir: ReservoirSpec,
         raise ShapeError(f"targets must hold one entry per feature row, got {targets.shape}")
     if reservoir.num_qubits != encoder.num_features:
         raise ShapeError("reservoir size does not match encoder width")
-    ReadoutModel(np.zeros(0), ridge_lambda)   # the readout's check of ridge_lambda
+    _check_ridge_lambda(ridge_lambda)
     built = build_reservoir(reservoir)
     angles = apply_normalization(norm, features)
     observations = run_circuit_batch(encoder, built, angles)

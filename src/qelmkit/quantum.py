@@ -39,19 +39,21 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
+_PAULI_STACK = np.array([PAULI_X, PAULI_Y, PAULI_Z])   # in PAULI_KINDS order
 
 
 def rotation_matrix(axis, angle) -> np.ndarray:
     """cos(t/2) I - i sin(t/2) P_axis for t = `angle` radians; `axis` ("X",
     "Y" or "Z") and `angle` may be arrays, broadcast into a (..., 2, 2) stack."""
-    names = np.ravel(axis).tolist()
+    axis = np.asarray(axis)
+    names = axis.ravel().tolist()
     unknown = [name for name in names if name not in PAULI]
     if unknown:
         raise ConfigurationError(f"unknown rotation axis {unknown[0]!r}")
-    paulis = np.array([PAULI[name] for name in names]).reshape(*np.shape(axis), 2, 2)
+    paulis = _PAULI_STACK[[PAULI_KINDS.index(name) for name in names]].reshape(axis.shape + (2, 2))
     half = np.asarray(angle, dtype=float) / 2.0
     minus_i_sin = -1j * np.sin(half)
-    rot = np.empty(np.broadcast_shapes(half.shape, np.shape(axis)) + (2, 2), dtype=complex)
+    rot = np.empty(np.broadcast_shapes(half.shape, axis.shape) + (2, 2), dtype=complex)
     for r in (0, 1):
         for c in (0, 1):
             np.multiply(minus_i_sin, paulis[..., r, c], out=rot[..., r, c])
@@ -112,8 +114,8 @@ class IsingParams:
             raise ShapeError(f"couplings must be {d}x{d}")
         if self.fields.shape != (d,):
             raise ShapeError(f"fields must have length {d}")
-        if not np.allclose(self.couplings, self.couplings.T, atol=1e-12):
-            raise ValidationError("couplings matrix must be symmetric")
+        if not (np.abs(self.couplings - self.couplings.T) <= 1e-12).all():
+            raise ValidationError("couplings matrix must be symmetric (|J - J^T| <= 1e-12)")
         if np.any(np.abs(np.diagonal(self.couplings)) > 1e-12):
             raise ValidationError("couplings diagonal must be zero")
         if check_number("time_step", self.time_step, error=ValidationError) <= 0:
@@ -230,6 +232,12 @@ def basis_bits(num_qubits: int) -> np.ndarray:
     return bits
 
 
+def _strict_upper(num_qubits: int) -> np.ndarray:
+    """(D, D) boolean mask of the pairs k < j."""
+    idx = np.arange(num_qubits)
+    return idx[:, None] < idx
+
+
 def ising_hamiltonian(params: IsingParams) -> np.ndarray:
     """Dense real 2^D x 2^D matrix of H = sum_{k<j} J[k,j] Z_k Z_j + sum_j a[j] X_j.
 
@@ -237,16 +245,16 @@ def ising_hamiltonian(params: IsingParams) -> np.ndarray:
     on the bit-j flip off-diagonals. Both are real, so H is real symmetric.
     """
     d = params.num_qubits
-    dim = 1 << d
-    idx = np.arange(dim)
+    idx = np.arange(1 << d)
     signs = 1.0 - 2.0 * basis_bits(d)
-    diag = np.zeros(dim)
-    for k in range(d):
-        for j in range(k + 1, d):
-            diag += params.couplings[k, j] * signs[:, k] * signs[:, j]
-    h = np.diag(diag)
-    for j in range(d):
-        h[idx ^ (1 << j), idx] += params.fields[j]
+    k, j = np.nonzero(_strict_upper(d))   # the pairs k < j in the pair loop's order
+    # a zero column, then one per pair: the running sum adds them left to
+    # right from 0.0, as the pair loop's `+=` does
+    terms = np.zeros((len(idx), len(k) + 1))
+    np.multiply(params.couplings[k, j] * signs[:, k], signs[:, j], out=terms[:, 1:])
+    h = np.diag(np.cumsum(terms, axis=1)[:, -1])
+    # each X_j fills its own off-diagonal entries: the flips never collide
+    h[idx ^ (1 << np.arange(d))[:, None], idx] += params.fields[:, None]
     return h
 
 
@@ -302,8 +310,8 @@ def sample_ising_params(num_qubits: int, seed: int) -> IsingParams:
         raise ConfigurationError("num_qubits must be >= 1")
     rng = np.random.default_rng(seed)
     couplings = np.zeros((num_qubits, num_qubits))
-    upper = np.triu_indices(num_qubits, k=1)
-    couplings[upper] = rng.uniform(-1.0, 1.0, size=len(upper[0]))
+    upper = _strict_upper(num_qubits)   # filled in row-major order, as np.triu_indices
+    couplings[upper] = rng.uniform(-1.0, 1.0, size=num_qubits * (num_qubits - 1) // 2)
     couplings = couplings + couplings.T
     fields = rng.uniform(-1.0, 1.0, size=num_qubits)
     return IsingParams(num_qubits, couplings, fields)

@@ -207,14 +207,20 @@ def wilcoxon_one_sample(sample, reference: float) -> tuple[float, float]:
 def cohens_d_one_sample(sample, reference: float) -> float:
     """(mean - reference) / sample standard deviation (n-1 denominator).
 
-    Negative d means the sample sits below the reference."""
+    Negative d means the sample sits below the reference. Equal values raise
+    DegenerateInputError; distinct values whose spread `np.std` underflows
+    to 0 take it from their deviations scaled by the largest one."""
     x = np.asarray(sample, dtype=float)
     if len(x) < 2:
         raise ValidationError("need at least two values")
     require_finite("sample/reference", x, reference)
-    sd = float(np.std(x, ddof=1))
-    if sd == 0 or np.all(x == x[0]):   # np.std of equal values can round to ~1e-15
+    if np.all(x == x[0]):   # np.std of equal values can round to ~1e-15
         raise DegenerateInputError("sample has zero variance")
+    sd = float(np.std(x, ddof=1))
+    if sd == 0:   # distinct values whose squared deviations underflow, as [0, 1e-170]
+        deviations = x - np.mean(x)
+        scale = np.max(np.abs(deviations))
+        sd = scale * float(np.std(deviations / scale, ddof=1))
     return float((np.mean(x) - reference) / sd)
 
 

@@ -303,20 +303,26 @@ def test_shared_encoding_sweep_matches_per_cell_circuits(monkeypatch):
     days = harness.generate_days({"num_days": 3, "seed": 5, "rate_jitter": 0.1})
     cfg = toy_config(feature_sets=["FS2", "FS3a"],
                      combinations=list(harness.ALL_COMBINATIONS))
-    encodings, cnot_runs = [], []
+    encodings, cnot_runs, batches = [], [], []
     original, run = qelm.encode_batch, qelm.run_circuit_batch
-    monkeypatch.setattr(qelm, "encode_batch",
-                        lambda enc, angles: encodings.append(enc) or original(enc, angles))
+
+    def spy_encode(enc, angles):
+        encodings.append(enc)
+        batches.append(angles)
+        return original(enc, angles)
+    monkeypatch.setattr(qelm, "encode_batch", spy_encode)
 
     def spy_run(enc, reservoir, angles, encoded=None):
         if reservoir.kind == "CNOT":
             cnot_runs.append(enc.axis_assignment)
+        batches.append(angles)
         return run(enc, reservoir, angles, encoded)
     monkeypatch.setattr(qelm, "run_circuit_batch", spy_run)
     _, results = harness.run_rq1_sweep(cfg, days)
     monkeypatch.undo()
     assert len(results) == 2 * 3 * 8
     distinct, distinct_cnot = set(), set()
+    fold_rows = {}   # (day, feature set) -> (the fold's distinct angle rows, its row count)
     for r in results:
         test_day = next(d for d in days if d.label == r.dataset)
         train = [elevator.select_features(d, r.feature_set).drop_empty()
@@ -326,6 +332,7 @@ def test_shared_encoding_sweep_matches_per_cell_circuits(monkeypatch):
         norm = qelm.fit_normalization(features)
         angles = np.vstack([qelm.apply_normalization(norm, features),
                             qelm.apply_normalization(norm, test.feature_matrix())])
+        fold_rows[r.dataset, r.feature_set] = np.unique(angles, axis=0), len(angles)
         expected = []
         for rep in range(cfg.repetitions):
             parts = (cfg.master_seed, r.dataset, r.combination, r.feature_set, rep)
@@ -342,12 +349,33 @@ def test_shared_encoding_sweep_matches_per_cell_circuits(monkeypatch):
             if r.reservoir == "CNOT":
                 distinct_cnot.add((r.dataset, r.feature_set, enc.axis_assignment))
         assert r.mse_values.tobytes() == np.array(expected).tobytes()
+    # every encoding and circuit run gets only its fold's distinct angle
+    # rows, in np.unique's order, and the folds hold repeated rows
+    assert {a.tobytes() for a in batches} == {rows.tobytes() for rows, _ in fold_rows.values()}
+    assert len(fold_rows) == 2 * 3 and all(len(rows) < n for rows, n in fold_rows.values())
     # one encoding per distinct (fold, axis assignment), not one per cell:
     # an all-X RHE cell shares its fold's DHE batch
     assert len(encodings) == len(distinct)
     # a CNOT reservoir has no parameters: one circuit run per distinct (fold,
     # axis assignment) covers every CNOT cell of both encoders that drew it
     assert len(cnot_runs) == len(distinct_cnot)
+
+
+def test_unshared_fold_runs_all_its_rows(monkeypatch, toy_days):
+    # a 10-qubit fold runs in row blocks, and regrouping its rows would move
+    # the last bits of a block's GEMMs, so each cell gets the fold's rows as
+    # they stand, repeats and all
+    fold = next(harness._folds(toy_days, "FS10"))
+    norm = qelm.fit_normalization(fold.train_features)
+    angles = np.vstack([qelm.apply_normalization(norm, fold.train_features),
+                        qelm.apply_normalization(norm, fold.test_features)])
+    assert not harness._shares_encoded_batch(np.unique(angles, axis=0))
+    batches, run = [], qelm.run_circuit_batch
+    monkeypatch.setattr(qelm, "run_circuit_batch", lambda enc, res, a, encoded=None:
+                        batches.append(a) or run(enc, res, a, encoded))
+    cfg = toy_config(feature_sets=["FS10"], combinations=["DHE_CNOT"], repetitions=1)
+    harness._fold_mses(fold, cfg.combinations, cfg, 1)
+    assert len(batches) == 1 and batches[0].tobytes() == angles.tobytes()
 
 
 def test_encoded_batch_sharing_rule(toy_days):
@@ -585,6 +613,19 @@ def test_rq3_one_value_setting_gets_no_test(monkeypatch):
     rows = report.to_text().splitlines()[2:6]
     assert all(row.split()[-1] == str(n) for row, n in zip(rows, [1, 2, 1, 1]))
     assert rows[0].split()[3:6] == ["n/a", "n/a", "n/a"]
+
+
+def test_rq3_reports_d_for_distinct_values_whose_std_underflows():
+    days = two_fake_days()
+    cfg = toy_config(feature_sets=["FS2"], combinations=["DHE_HAAR"])
+    results = [RunResults(day, "FS2", "DHE", "HAAR", np.array([0.0, 1e-170]))
+               for day in ("Day1", "Day2")]
+    report = harness.run_rq3_baseline(cfg, "DHE_HAAR", days, results,
+                                      {"Day1": 0.0, "Day2": 0.0})
+    for cell in report.cells:
+        assert cell.distinct_values == 2 and cell.p_value is not None
+        assert cell.cohens_d == pytest.approx(1 / np.sqrt(2), rel=1e-12)
+        assert cell.d_magnitude == "medium"
 
 
 def test_rq2_day_with_a_one_value_sample_gets_no_test(monkeypatch):

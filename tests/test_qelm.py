@@ -220,6 +220,43 @@ def test_encoder_depth_repeats_block():
                                block @ block @ zero_state(2), rtol=0, atol=1e-15)
 
 
+def row_major_encode(enc: EncoderSpec, angles: np.ndarray) -> np.ndarray:
+    """Oracle: the product state grown in the (P, 2^M) batch itself, one
+    qubit at a time, then the re-uploaded layers and the CZ ring signs."""
+    m = enc.num_features
+    bits = quantum.basis_bits(m)
+    ring_signs = 1.0 - 2.0 * ((bits & np.roll(bits, -1, axis=1)).sum(axis=1) & 1)
+    layers = [quantum.rotation_matrix(axes, angles) for axes in enc.axis_assignment]
+    on_zero = layers[0][..., 0]
+    amps = np.empty((len(angles), 1 << m), dtype=complex)
+    amps[:, 0], amps[:, 1] = on_zero[:, 0, 0], on_zero[:, 0, 1]
+    for q in range(1, m):
+        half = 1 << q
+        np.multiply(on_zero[:, q, 1, None], amps[:, :half], out=amps[:, half:2 * half])
+        amps[:, :half] *= on_zero[:, q, 0, None]
+    amps *= ring_signs
+    for rot in layers[1:]:
+        for k in range(m):
+            amps = quantum.apply_single_qubit(amps, m, k, rot[:, k])
+        amps *= ring_signs
+    return amps
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("m", range(2, 11))
+def test_encode_batch_matches_row_major_oracle(m, depth):
+    # below LONG_SLICE_QUBITS the product state is built over all rows at
+    # once and transposed: the same products, so the same bits
+    for seed in (0, 7, 18):
+        rows = 1 + (seed * 37) % 300 if m < 8 else 1 + seed % 40
+        angles = np.random.default_rng(seed).uniform(0.0, np.pi, (rows, m))
+        for enc in (EncoderSpec("RHE", m, depth=depth, seed=seed), EncoderSpec("DHE", m, depth)):
+            batch = qelm.encode_batch(enc, angles)
+            assert batch.flags.c_contiguous
+            assert np.array_equal(batch, row_major_encode(enc, angles))
+            assert batch.tobytes() == row_major_encode(enc, angles).tobytes()
+
+
 def test_encoder_rejects_single_qubit():
     # used to construct and fail only when run
     with pytest.raises(ConfigurationError, match="2 qubits"):

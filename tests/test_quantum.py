@@ -354,6 +354,59 @@ def test_ising_rejects_bad_couplings():
             q.IsingParams(2, np.zeros((2, 2)), np.zeros(2), time_step=step)
 
 
+def test_ising_symmetry_check_is_absolute():
+    # np.allclose's default rtol=1e-5 let this through, and the Hamiltonian,
+    # which reads the upper triangle, then differed from its transpose's
+    with pytest.raises(ValidationError, match="symmetric"):
+        q.IsingParams(2, np.array([[0.0, 1.0], [1.000005, 0.0]]), np.zeros(2))
+    with pytest.raises(ValidationError, match="symmetric"):
+        q.IsingParams(2, np.array([[0.0, 1e6], [1e6 + 1e-9, 0.0]]), np.zeros(2))
+    q.IsingParams(2, np.array([[0.0, 1.0], [1.0 + 1e-13, 0.0]]), np.zeros(2))
+    exact = q.sample_ising_params(4, seed=9).couplings
+    assert q.IsingParams(4, exact, np.zeros(4)).couplings.tobytes() == exact.tobytes()
+
+
+def loop_ising_hamiltonian(params: q.IsingParams) -> np.ndarray:
+    """Oracle: the Hamiltonian summed pair by pair, then field by field."""
+    d = params.num_qubits
+    idx = np.arange(1 << d)
+    signs = 1.0 - 2.0 * q.basis_bits(d)
+    diag = np.zeros(1 << d)
+    for k in range(d):
+        for j in range(k + 1, d):
+            diag += params.couplings[k, j] * signs[:, k] * signs[:, j]
+    h = np.diag(diag)
+    for j in range(d):
+        h[idx ^ (1 << j), idx] += params.fields[j]
+    return h
+
+
+def triu_ising_params(num_qubits: int, seed: int) -> q.IsingParams:
+    """Oracle: the draw that fills the couplings through np.triu_indices."""
+    rng = np.random.default_rng(seed)
+    couplings = np.zeros((num_qubits, num_qubits))
+    upper = np.triu_indices(num_qubits, k=1)
+    couplings[upper] = rng.uniform(-1.0, 1.0, size=len(upper[0]))
+    couplings = couplings + couplings.T
+    return q.IsingParams(num_qubits, couplings, rng.uniform(-1.0, 1.0, size=num_qubits))
+
+
+@pytest.mark.parametrize("num_qubits", range(1, 11))
+def test_ising_draw_and_hamiltonian_match_their_loop_oracles(num_qubits):
+    for seed in (0, 1, 18, 424242):
+        params = q.sample_ising_params(num_qubits, seed)
+        expected = triu_ising_params(num_qubits, seed)
+        assert params.couplings.tobytes() == expected.couplings.tobytes()
+        assert params.fields.tobytes() == expected.fields.tobytes()
+        h = q.ising_hamiltonian(params)
+        assert np.array_equal(h, loop_ising_hamiltonian(params))
+        assert h.tobytes() == loop_ising_hamiltonian(params).tobytes()
+    # zero couplings and a -0.0 field: the sums start from +0.0, as `+=` does
+    fields = np.full(num_qubits, -0.0)
+    params = q.IsingParams(num_qubits, np.zeros((num_qubits, num_qubits)), fields)
+    assert q.ising_hamiltonian(params).tobytes() == loop_ising_hamiltonian(params).tobytes()
+
+
 def test_sample_ising_params_contract():
     a = q.sample_ising_params(3, seed=4)
     b = q.sample_ising_params(3, seed=4)

@@ -364,6 +364,19 @@ def test_cohens_d_refuses_equal_values_whose_std_rounds_above_zero():
         stats.cohens_d_one_sample(sample, 5.2)
 
 
+def test_cohens_d_of_distinct_values_whose_std_underflows():
+    # the squared deviations of [0, 1e-170] underflow, so np.std reads 0
+    assert np.std([0.0, 1e-170], ddof=1) == 0.0
+    assert stats.cohens_d_one_sample([0.0, 1e-170], 0.0) == pytest.approx(1 / math.sqrt(2),
+                                                                         rel=1e-12)
+    assert stats.cohens_d_one_sample([1e-170, 0.0, 0.0], 1e-170) == pytest.approx(
+        stats.cohens_d_one_sample([1.0, 0.0, 0.0], 1.0), rel=1e-12)
+    # a spread np.std resolves keeps its value bit for bit
+    sample = np.array([0.3, 1.7, 2.2, 9.1])
+    assert stats.cohens_d_one_sample(sample, 1.0) == float(
+        (np.mean(sample) - 1.0) / float(np.std(sample, ddof=1)))
+
+
 # ---------------------------------------------------------------------------
 # regression tree
 # ---------------------------------------------------------------------------
