@@ -12,20 +12,30 @@ once, drops its empty windows and stacks the other days' rows as training
 rows, which the QELM sweep normalises into angles and the tree fits on.
 
 Because each cell is a pure function of its seeds, a fold's cells run in
-the order of their encoder's axis assignment, and each run of equal
-assignments shares one `qelm.encode_batch` of the fold's angles: all-X
-(every DHE cell, and any RHE cell that drew it) is one batch per fold, the
-other RHE draws at most 3^(M * depth) - 1 more. A batch is shared only
-while `qelm.run_circuit_batch` runs it as one block, that is while it holds
-at most `qelm.BLOCK_AMPLITUDES` amplitudes (rows * 2^M). Such a batch holds
+any order. Each combination's repetitions run in the order of their
+encoder's axis assignment, and each run of equal assignments shares one
+`qelm.encode_batch` of the fold's angles, encoded again only when the
+assignment changes: all-X (every DHE cell, and any RHE cell that drew it)
+is one batch per fold. A batch is shared only while
+`qelm.run_circuit_batch` runs it as one block, that is while it holds at
+most `qelm.BLOCK_AMPLITUDES` amplitudes (rows * 2^M). Such a batch holds
 only the fold's distinct angle rows: the elevator features are small
 counts, so an FS2-FS5 fold of about 1,064 rows holds about 265-886
 distinct ones at seed 18, at most 28k amplitudes, and each cell gathers
 every row's observations back from them before its fit. Larger folds,
 such as a 10-qubit fold of about 1.09M amplitudes, keep all their rows and
 are encoded per cell, so they never sit on top of a reservoir build's
-memory peak, and their row blocks group the rows as they stand. Results
-are still reported in (feature set, fold, combination, repetition) order.
+memory peak, and their row blocks group the rows as they stand.
+
+On a shared fold the repetitions of a combination are built as stacks of
+reservoir draws (`qelm.ReservoirSpec` with a tuple of seeds), and each
+stack runs in circuit chunks of equal-assignment draws, both held within
+STACK_AMPLITUDES amplitudes (`_stack_sizes`). At seed 18 that is all 30
+draws per stack at FS2-FS4 and 16 at FS5, and 15 draws per chunk at FS2,
+3 at FS3a, 5 at FS3b and one at FS4-FS5; 7-qubit and wider draws are
+never stacked, as their 4^M-amplitude matrices fill the budget alone.
+Every cell keeps its own readout fit and MSE. Results are still reported
+in (feature set, fold, combination, repetition) order.
 """
 from __future__ import annotations
 
@@ -49,6 +59,13 @@ ALL_COMBINATIONS = tuple(f"{e}_{r}" for e in qelm.ENCODER_KINDS for r in qelm.RE
 
 RESULTS_CSV = "results_raw.csv"
 BASELINES_CSV = "baselines.csv"
+# Amplitudes one stack of reservoir draws may hold in its draws' matrices,
+# and one circuit chunk of them in its amplitudes (draws * distinct rows *
+# 2^M); see `_stack_sizes`. The seed-18 sweep-small folds at 2^13/2^14/2^15/
+# 2^16 (x86-64, OpenBLAS at 1 thread, CPU time summed over FS2-FS5, medians
+# of 5): 2.52/2.45/2.41/2.56 s against 3.15 s before stacking, and the largest
+# tracemalloc peak of one fold 2.32/2.55/3.16/4.26 MB against 2.17 MB.
+STACK_AMPLITUDES = 1 << 14
 
 
 def derive_seed(*parts) -> int:
@@ -276,17 +293,23 @@ def _shares_encoded_batch(angles: np.ndarray) -> bool:
     return rows << width <= qelm.BLOCK_AMPLITUDES
 
 
-def _cell_mse(fold: _Fold, batch: np.ndarray, inverse: np.ndarray,
-              encoder: qelm.EncoderSpec, reservoir_kind: str, config: ExperimentConfig,
-              seed_parts: tuple, encoded: np.ndarray | None) -> float:
-    """One cell's test MSE: its circuit runs on the angle rows of `batch`,
-    and `inverse` gathers each fold row's observations back from them."""
-    reservoir = qelm.build_reservoir(qelm.ReservoirSpec(
-        reservoir_kind, encoder.num_features, depth=config.reservoir_depth,
-        seed=derive_seed(*seed_parts, "reservoir")))
-    obs = qelm.run_circuit_batch(encoder, reservoir, batch, encoded=encoded)[inverse]
+def _stack_sizes(rows: int, width: int) -> tuple[int, int]:
+    """(draws per stack, draws per circuit chunk) for a fold of `rows`
+    distinct angle rows at `width` qubits: as many draws of one reservoir
+    kind as keep their matrices (at most 4^M amplitudes each: a dense
+    unitary, Kronecker factors) within STACK_AMPLITUDES are built as one
+    stack, and as many as keep a chunk's amplitudes (rows * 2^M each, and a
+    transfer matrix of at most 4^M) within it run as one circuit; at least
+    one of each."""
+    return (max(1, STACK_AMPLITUDES >> 2 * width),
+            max(1, STACK_AMPLITUDES // (max(rows, 1 << width) << width)))
+
+
+def _readout_mse(fold: _Fold, obs: np.ndarray, ridge_lambda: float) -> float:
+    """One cell's test MSE from the observations of every fold row, the
+    training rows first."""
     num_train = len(fold.train_targets)
-    readout = qelm.fit_readout(obs[:num_train], fold.train_targets, config.ridge_lambda)
+    readout = qelm.fit_readout(obs[:num_train], fold.train_targets, ridge_lambda)
     return stats.mse(obs[num_train:] @ readout.weights, fold.test_targets)
 
 
@@ -300,13 +323,18 @@ def _fold_mses(fold: _Fold, combinations: list[str], config: ExperimentConfig,
     one shared block every cell runs only those, and gathers each row's
     observations back before the fit; a wider fold keeps its rows as they
     stand, since regrouping the rows of its row blocks moves the last bits
-    of their GEMMs. Every cell is a pure function of its derived seeds, so
-    the cells run in the order of their encoder's axis assignment, the only
-    encoder field `qelm.encode_batch` reads: each run of equal assignments
-    encodes the shared batch once, which keeps one encoded batch alive at a
-    time. A DHE encoder draws nothing, so one spec serves every DHE cell of
-    the fold. A CNOT reservoir has no parameters, so one run per assignment
-    covers every CNOT cell of the fold that drew it."""
+    of their GEMMs.
+
+    Every cell is a pure function of its derived seeds, so the cells run in
+    any order. A combination's repetitions, sorted by their encoder's axis
+    assignment (the only encoder field `qelm.encode_batch` reads), are built
+    as stacks of reservoir draws. Each run of equal assignments in a stack
+    runs on slices of at most a chunk (both sized by `_stack_sizes`) against
+    one encoded batch, encoded again only when the assignment changes, so
+    one encoded batch is alive at a time. A stack of one draw is a plain
+    reservoir. A DHE encoder draws nothing, so one spec serves every DHE
+    cell of the fold. A CNOT reservoir has no parameters, so one run per
+    assignment covers every CNOT cell of the fold that drew it."""
     norm = qelm.fit_normalization(fold.train_features)
     angles = np.vstack([qelm.apply_normalization(norm, fold.train_features),
                         qelm.apply_normalization(norm, fold.test_features)])
@@ -315,26 +343,54 @@ def _fold_mses(fold: _Fold, combinations: list[str], config: ExperimentConfig,
     # ravelled: the inverse's shape differs across numpy 2.x releases
     batch, inverse = (distinct, inverse.ravel()) if share else (angles, np.arange(len(angles)))
     width = angles.shape[1]
+    size, chunk = _stack_sizes(len(batch), width) if share else (1, 1)
     dhe = qelm.EncoderSpec("DHE", width, depth=config.encoder_depth)
-    cells = {}   # key -> ([index * reps + rep covered], encoder, reservoir kind, seed parts)
+    cnot = {}     # axis assignment -> [index * reps + rep covered]
+    stacks = []   # (reservoir kind, [(encoder, reservoir seed, [index * reps + rep])])
     for index, combination in enumerate(combinations):
         enc, res = combination.split("_")
+        draws = []
         for rep in range(reps):
             seed_parts = (config.master_seed, fold.label, combination, fold.feature_set, rep)
             encoder = dhe if enc == "DHE" else qelm.EncoderSpec(
                 enc, width, depth=config.encoder_depth,
                 seed=derive_seed(*seed_parts, "encoder"))
-            key = (res, encoder.axis_assignment) if res == "CNOT" else seed_parts
-            cells.setdefault(key, ([], encoder, res, seed_parts))[0].append(index * reps + rep)
+            if res == "CNOT":   # one entry per assignment, placed where it first occurs
+                if encoder.axis_assignment not in cnot:
+                    cnot[encoder.axis_assignment] = []
+                    stacks.append(("CNOT", [(encoder, None, cnot[encoder.axis_assignment])]))
+                cnot[encoder.axis_assignment].append(index * reps + rep)
+            else:
+                draws.append((encoder, derive_seed(*seed_parts, "reservoir"),
+                              [index * reps + rep]))
+        draws.sort(key=lambda draw: draw[0].axis_assignment)
+        stacks += [(res, draws[i:i + size]) for i in range(0, len(draws), size)]
     values = np.empty(len(combinations) * reps)
     key = encoded = None
-    for covered, encoder, res, seed_parts in sorted(
-            cells.values(), key=lambda cell: cell[1].axis_assignment):
-        if share and key != encoder.axis_assignment:
-            key = encoder.axis_assignment
-            encoded = qelm.encode_batch(encoder, batch)
-        values[covered] = _cell_mse(fold, batch, inverse, encoder, res, config,
-                                    seed_parts, encoded)
+    for res, draws in sorted(stacks, key=lambda stack: stack[1][0][0].axis_assignment):
+        seeds = tuple(seed for _, seed, _ in draws)
+        reservoir = qelm.build_reservoir(qelm.ReservoirSpec(
+            res, width, depth=config.reservoir_depth,
+            seed=seeds if len(seeds) > 1 else seeds[0]))
+        start = 0
+        while start < len(draws):
+            encoder = draws[start][0]
+            stop = start + 1   # the run of equal assignments, at most a chunk
+            while (stop < len(draws) and stop - start < chunk
+                   and draws[stop][0].axis_assignment == encoder.axis_assignment):
+                stop += 1
+            if share and key != encoder.axis_assignment:
+                key = encoder.axis_assignment
+                encoded = qelm.encode_batch(encoder, batch)
+            run = reservoir if reservoir.draws is None else reservoir[start:stop]
+            obs = qelm.run_circuit_batch(encoder, run, batch, encoded=encoded)
+            for (_, _, covered), draw_obs in zip(draws[start:stop],
+                                                 obs.reshape((-1,) + obs.shape[-2:])):
+                values[covered] = _readout_mse(fold, draw_obs.take(inverse, axis=0),
+                                               config.ridge_lambda)
+            start = stop
+        # nothing of a stack outlives it: the next build may be a 10-qubit one
+        del reservoir, run, obs, draw_obs
     return list(values.reshape(-1, reps))
 
 

@@ -20,8 +20,8 @@ applied one at a time.
   its row's matrix. The batch depends only on the angles and the encoder's
   axis assignment, so `run_circuit_batch` accepts a precomputed one
   (`encoded`) and only reads it: the sweep encodes each fold's distinct
-  angle rows once per distinct assignment and shares the batch among that
-  assignment's cells, while the batch holds at most BLOCK_AMPLITUDES
+  angle rows once per run of cells with equal assignments and shares the
+  batch among them, while the batch holds at most BLOCK_AMPLITUDES
   amplitudes (see `harness`). A qubit whose axis is Z in every layer stays
   exactly in |0>, so every encoded row is exactly 0 off the 2^(M-f)
   indices where those f frozen qubits are 0.
@@ -48,6 +48,19 @@ applied one at a time.
   * 2^M) < P * c, with c the stages' cost per row (`Stage.multiply_adds`).
   A single row or a CNOT reservoir (a pure permutation) never qualifies.
 - Readout: `quantum.pauli_expectations`, one GEMM for every qubit's <Z>.
+- Stacks: a `ReservoirSpec` whose `seed` is a tuple of R seeds builds R
+  draws of one kind as one `Reservoir` whose stage matrices carry a leading
+  draw axis: one stacked QR (`quantum.haar_unitary`), one stacked `eigh` per
+  parity block (`quantum.ising_unitary`), one broadcast of every draw's
+  ROTATION factors. `Stage.apply`, `_support_transfer`, `run_circuit_batch`
+  and `quantum.pauli_expectations` broadcast over that axis through the same
+  code as for one reservoir, slice by slice the same BLAS and LAPACK calls,
+  so each slice of a stacked build or run is that draw's alone bit for bit;
+  a stack returns (R, P, 3M). Dense HAAR and ISING (below
+  HAAR_REFLECTOR_QUBITS and ISING_PARITY_QUBITS qubits) and ROTATION stack;
+  CNOT, the reflector and the parity-block stages do not, and a `Pipeline`
+  holds one reservoir. A stack holds R times one draw's memory: its caller
+  sizes it (see `harness`).
 
 The compiled forms call `quantum`'s kernels: `rotation_matrix` for every
 rotation and `apply_single_qubit` for re-uploaded ones, `apply_gate_kernel`
@@ -71,6 +84,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -247,6 +261,15 @@ RotationLayers = tuple[tuple[tuple[str, float], ...], ...]
 ReservoirParams = IsingParams | RotationLayers | np.ndarray | tuple[np.ndarray, ...] | None
 
 
+def _stacks(kind: str, num_qubits: int) -> bool:
+    """Whether a reservoir of this kind and width compiles to stages that
+    can carry a leading draw axis: dense HAAR and ISING, and ROTATION's
+    Kronecker factors. CNOT has nothing to draw, and the reflector and
+    parity-block stages hold one draw each."""
+    return (kind == "ROTATION" or (kind == "HAAR" and num_qubits < HAAR_REFLECTOR_QUBITS)
+            or (kind == "ISING" and num_qubits < ISING_PARITY_QUBITS))
+
+
 @dataclass(frozen=True)
 class ReservoirSpec:
     """Which fixed reservoir to build. `params` holds its sampled parameters
@@ -254,12 +277,14 @@ class ReservoirSpec:
     otherwise: for ISING an `IsingParams`, for ROTATION one rotation layer
     per unit of depth (held as nested tuples), for HAAR one dense unitary
     or the (qr, tau) of `quantum.haar_reflectors` (checked in O(4^M), and
-    held as read-only arrays), and for CNOT none. Frozen."""
+    held as read-only arrays), and for CNOT none. A tuple of R seeds asks
+    for a stack of R draws (see `Reservoir`), drawn from the seeds only,
+    where the kind and width stack (`_stacks`). Frozen."""
 
     kind: str
     num_qubits: int
     depth: int = 10
-    seed: int | None = None
+    seed: int | tuple[int, ...] | None = None
     params: ReservoirParams = None
 
     def __post_init__(self):
@@ -274,7 +299,10 @@ class ReservoirSpec:
         # only the ring kinds stack layers, but every kind records its depth
         if check_number("depth", self.depth, integer=True) < ring:
             raise ConfigurationError(f"field 'depth' must be >= {ring}, got {self.depth}")
-        _check_seed(self.seed)
+        if isinstance(self.seed, tuple):
+            self._check_stack()
+        else:
+            _check_seed(self.seed)
         if self.params is None:
             if self.seed is None and self.kind != "CNOT":
                 raise ConfigurationError(f"{self.kind} reservoir requires a seed or params")
@@ -290,6 +318,21 @@ class ReservoirSpec:
         else:
             self._check_haar()
             object.__setattr__(self, "params", read_only(self.params))
+
+    def _check_stack(self) -> None:
+        """A tuple seed: at least one seed, each an integer >= 0, for a kind
+        and width that stack, with no params to take the draws from."""
+        if not self.seed:
+            raise ConfigurationError("field 'seed' must hold at least one seed, got ()")
+        for seed in self.seed:   # None too is refused here
+            if check_number("seed", seed, integer=True) < 0:
+                raise ConfigurationError(f"field 'seed' must hold seeds >= 0, got {seed}")
+        if not _stacks(self.kind, self.num_qubits):
+            raise ConfigurationError(f"field 'seed' holds {len(self.seed)} seeds, but {self.kind} "
+                                     f"at {self.num_qubits} qubits does not stack its draws")
+        if self.params is not None:
+            raise ConfigurationError("field 'params' must be None for a stack: its draws "
+                                     "come from field 'seed'")
 
     def _check_rotation_layers(self) -> None:
         object.__setattr__(self, "params", _tuples("rotation_layers", self.params, 3))
@@ -336,7 +379,8 @@ class ReservoirSpec:
 
 @dataclass(frozen=True, eq=False)
 class Stage:
-    """One compiled step of a reservoir acting on a (P, 2^M) batch.
+    """One compiled step of a reservoir acting on a (P, 2^M) batch, or on a
+    (R, P, 2^M) stack of batches.
 
     Applied in this order, each part optional: `parity` is (U+/2, U-/2), the
     halved spin-flip parity blocks of a matrix U = [[a, b R], [R b, R a R]]
@@ -346,10 +390,13 @@ class Stage:
     diag(phases), each block (start, W, V^T) the compact-WY form I - V T V^H
     of WY_BLOCK consecutive reflectors from `start` on, restricted to the
     columns from `start` (V's rows before it are zero) and W = conj(V) T^T
-    (see `_reflector_stage`); `low` acts on the low qubits (the last axis of
-    the amplitudes reshaped to (..., len(low))), `high` on the remaining
+    (see `_reflector_stage`); an n x n `low` acts on the low qubits (the
+    last axis of the amplitudes reshaped to (..., n)), `high` on the remaining
     high qubits, and `perm` gathers amplitude i from index perm[i]. A dense
-    stage is a `low` matrix over all M qubits. Every array is read-only.
+    stage is a `low` matrix over all M qubits. `low` and `high` may carry a
+    leading draw axis, (R, n, n), and then act on a (P, 2^M) batch or the
+    (R, P, 2^M) stack of each draw's batch as each draw's own stage does,
+    the same products slice by slice. Every array is read-only.
     """
 
     low: np.ndarray | None = None
@@ -364,7 +411,7 @@ class Stage:
             object.__setattr__(self, name, read_only(getattr(self, name)))
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
-        rows, dim = amps.shape
+        rows, dim = amps.shape[-2:]
         if self.parity is not None:
             # with lo, hi the halves of a row and p = U+/2 (lo + R hi),
             # m = U-/2 (lo - R hi): U [lo; hi] = [p + m; R (p - m)]. The GEMMs
@@ -373,46 +420,56 @@ class Stage:
             # cost as much as the arithmetic at 7-9 qubits.
             half_plus, half_minus = self.parity
             n = dim // 2
-            lo, hi_reversed = amps[:, :n], amps[:, :n - 1:-1]
-            amps = np.empty((rows, dim), dtype=complex)   # never the caller's array
-            p, m = amps[:, :n], amps[:, n:]
+            lo, hi_reversed = amps[..., :n], amps[..., :n - 1:-1]
+            amps = np.empty(amps.shape, dtype=complex)   # never the caller's array
+            p, m = amps[..., :n], amps[..., n:]
             work = lo + hi_reversed
             np.matmul(work, half_plus.T, out=p)
             np.subtract(lo, hi_reversed, out=work)
             np.matmul(work, half_minus.T, out=m)
             np.subtract(p, m, out=work)
             p += m
-            m[...] = work[:, ::-1]
+            m[...] = work[..., ::-1]
         if self.reflectors is not None:
             # a row x becomes x D Q^T, and Q^T is the blocks' I - conj(V) T^T
             # V^T in reverse order; each touches only the columns from its start
             phases, blocks = self.reflectors
             amps = amps * phases   # fresh: never the caller's array
             for start, w, vt in reversed(blocks):
-                tail = amps[:, start:]
+                tail = amps[..., start:]
                 tail -= (tail @ w) @ vt
         if self.low is not None:
-            amps = (amps.reshape(-1, len(self.low)) @ self.low.T).reshape(rows, dim)
+            size = self.low.shape[-1]
+            amps = amps.reshape(amps.shape[:-2] + (-1, size)) @ np.swapaxes(self.low, -1, -2)
+            amps = amps.reshape(amps.shape[:-2] + (rows, dim))
         if self.high is not None:
-            amps = (self.high @ amps.reshape(rows, len(self.high), -1)).reshape(rows, dim)
+            size = self.high.shape[-1]
+            amps = self.high[..., None, :, :] @ amps.reshape(amps.shape[:-1] + (size, -1))
+            amps = amps.reshape(amps.shape[:-3] + (rows, dim))
         if self.perm is not None:
-            amps = np.take(amps, self.perm, axis=1)
+            amps = np.take(amps, self.perm, axis=-1)
         return amps
 
     def multiply_adds(self, dim: int) -> int:
-        """Complex multiply-adds `apply` spends per row of a (P, dim) batch:
-        the permutation costs none."""
+        """Complex multiply-adds `apply` spends per row of a (P, dim) batch,
+        per draw of a stack: the permutation costs none."""
         cost = 0 if self.parity is None else 2 * len(self.parity[0]) ** 2
         if self.reflectors is not None:
             cost += sum(2 * w.size for _, w, _ in self.reflectors[1])
-        return cost + sum(dim * len(mat) for mat in (self.low, self.high) if mat is not None)
+        return cost + sum(dim * mat.shape[-1] for mat in (self.low, self.high) if mat is not None)
 
 
 @dataclass(frozen=True, eq=False)
 class Reservoir:
     """Built reservoir: its compiled stages, and the sampled `params` they
     were compiled from (as in `ReservoirSpec`, and not checked again), so it
-    serializes without the seed. Frozen; HAAR params are read-only arrays."""
+    serializes without the seed. Frozen; HAAR params are read-only arrays.
+
+    A stack of R draws of one kind (`draws` is R) holds each draw's stage
+    matrices along a leading axis, and its `params` are the (R, 2^M, 2^M)
+    HAAR unitaries or the tuple of each draw's params. `reservoir[r]` is
+    draw r as one reservoir, bit for bit the one its seed builds alone, and
+    `reservoir[i:j]` the stack of draws i to j - 1."""
 
     kind: str
     num_qubits: int
@@ -424,6 +481,21 @@ class Reservoir:
         object.__setattr__(self, "stages", tuple(self.stages))
         if self.kind == "HAAR":   # the one kind whose params are arrays
             object.__setattr__(self, "params", read_only(self.params))
+
+    @property
+    def draws(self) -> int | None:
+        """R for a stack of R draws, None for one reservoir."""
+        low = self.stages[0].low if self.stages else None
+        return None if low is None or low.ndim < 3 else len(low)
+
+    def __getitem__(self, index: int | slice) -> "Reservoir":
+        if self.draws is None:
+            raise ShapeError("only a stack of reservoir draws can be indexed")
+        # a stack's stages are dense or ROTATION ones: low, high and perm
+        stages = tuple(Stage(stage.low[index],
+                             None if stage.high is None else stage.high[index], stage.perm)
+                       for stage in self.stages)
+        return Reservoir(self.kind, self.num_qubits, self.depth, stages, self.params[index])
 
 
 def _sample_rotation_layers(num_qubits: int, depth: int, seed: int) -> RotationLayers:
@@ -451,28 +523,29 @@ def _ring_permutation(num_qubits: int, depth: int) -> np.ndarray:
     return perm
 
 
-def _rotation_factors(layers: RotationLayers, split: int) -> tuple[np.ndarray, np.ndarray]:
+def _rotation_factors(layers: RotationLayers | tuple[RotationLayers, ...],
+                      split: int) -> tuple[np.ndarray, np.ndarray]:
     """Kronecker factors of every layer's rotations: (L, 2^split, 2^split) for
     qubits below `split` and (L, 2^(M-split), 2^(M-split)) for the rest (1x1
     identities when no qubit is left), the first qubit of each factor on its
-    least significant index bit.
+    least significant index bit. A tuple of R draws' layers gives (R, L, ...).
 
     One `quantum.rotation_matrix` call gives every slot's 2x2 matrix, and
     each factor grows one qubit at a time as u (x) mat by a broadcast outer
-    product over all L layers at once."""
-    rot = quantum.rotation_matrix([[axis for axis, _ in layer] for layer in layers],
-                                  [[angle for _, angle in layer] for layer in layers])
-    num_layers = len(rot)   # rot is (L, M, 2, 2)
+    product over all layers (of all draws) at once."""
+    entries = np.array(layers, dtype=object)   # (..., L, M, 2): axis, angle
+    rot = quantum.rotation_matrix(entries[..., 0], entries[..., 1])
+    lead = rot.shape[:-3]   # rot is (..., L, M, 2, 2)
 
     def kron(qubits: np.ndarray) -> np.ndarray:
-        mat = np.ones((num_layers, 1, 1), dtype=complex)
-        for q in range(qubits.shape[1]):
-            dim = mat.shape[1]
-            mat = (qubits[:, q, :, None, :, None] * mat[:, None, :, None, :]
-                   ).reshape(num_layers, 2 * dim, 2 * dim)
+        mat = np.ones(lead + (1, 1), dtype=complex)
+        for q in range(qubits.shape[-3]):
+            dim = mat.shape[-1]
+            mat = (qubits[..., q, :, None, :, None] * mat[..., None, :, None, :]
+                   ).reshape(lead + (2 * dim, 2 * dim))
         return mat
 
-    return kron(rot[:, :split]), kron(rot[:, split:])
+    return kron(rot[..., :split, :, :]), kron(rot[..., split:, :, :])
 
 
 def _reflector_stage(qr: np.ndarray, tau: np.ndarray) -> Stage:
@@ -504,18 +577,23 @@ def build_reservoir(spec: ReservoirSpec) -> Reservoir:
     as one dense unitary below HAAR_REFLECTOR_QUBITS qubits and as its
     Householder reflectors from there. The stages are then compiled from the
     parameters alone, so a spec carrying a built reservoir's `params`
-    rebuilds its stages exactly."""
-    kind, d, params = spec.kind, spec.num_qubits, spec.params
+    rebuilds its stages exactly. A tuple of R seeds builds a stack of R
+    draws (see `Reservoir`) through the same calls: one stacked QR for HAAR,
+    one stacked `eigh` per parity block for ISING, one broadcast for every
+    draw's ROTATION factors."""
+    kind, d, params, seed = spec.kind, spec.num_qubits, spec.params, spec.seed
+    stack = isinstance(seed, tuple)
     if kind == "CNOT":
         stages = (Stage(perm=_ring_permutation(d, spec.depth)),)
     elif kind == "HAAR":
         if params is None:   # read-only here, so a dense stage shares the array
             params = read_only((quantum.haar_unitary if d < HAAR_REFLECTOR_QUBITS
-                                else quantum.haar_reflectors)(1 << d, spec.seed))
+                                else quantum.haar_reflectors)(1 << d, seed))
         stages = (_reflector_stage(*params) if isinstance(params, tuple) else Stage(params),)
     elif kind == "ISING":
         if params is None:
-            params = quantum.sample_ising_params(d, spec.seed)
+            params = (tuple(quantum.sample_ising_params(d, s) for s in seed) if stack
+                      else quantum.sample_ising_params(d, seed))
         if d < ISING_PARITY_QUBITS:
             stages = (Stage(quantum.ising_unitary(params)),)
         else:
@@ -523,11 +601,13 @@ def build_reservoir(spec: ReservoirSpec) -> Reservoir:
             stages = (Stage(parity=halves),)
     else:
         if params is None:
-            params = _sample_rotation_layers(d, spec.depth, spec.seed)
+            params = (tuple(_sample_rotation_layers(d, spec.depth, s) for s in seed) if stack
+                      else _sample_rotation_layers(d, spec.depth, seed))
         # frozen here once: each layer's slice of a read-only array is read-only
         ring = read_only(_ring_permutation(d, 1))
         low, high = read_only(_rotation_factors(params, d - d // 2))
-        stages = tuple(Stage(low[k], high[k], ring) for k in range(spec.depth))
+        stages = tuple(Stage(low[..., k, :, :], high[..., k, :, :], ring)
+                       for k in range(spec.depth))
     return Reservoir(kind, d, spec.depth, stages, params)
 
 
@@ -546,26 +626,50 @@ def _angle_batch(encoder: EncoderSpec, angles) -> np.ndarray:
     return angles
 
 
+@lru_cache(maxsize=None)
+def _ring_signs(num_qubits: int) -> np.ndarray:
+    """The encoder's CZ ring on the pairs (k, k + 1 mod M) as one read-only
+    +-1 vector over the basis, built once per width."""
+    bits = quantum.basis_bits(num_qubits)
+    signs = 1.0 - 2.0 * ((bits & np.roll(bits, -1, axis=1)).sum(axis=1) & 1)
+    return read_only(signs)
+
+
+def _first_column(axes: tuple[str, ...], angles: np.ndarray) -> np.ndarray:
+    """(P, M, 2) column 0 of every row's and qubit's rotation, R|0>, without
+    the rest of `quantum.rotation_matrix`: with c and s the cosine and sine
+    of half the angle, X gives (c, -i s), Y (c, s) and Z (c - i s, 0). It is
+    written as 0.0 - s and s + 0.0, which are +0.0 where s is a zero of
+    either sign, as the matrix's complex products are, so the bytes match."""
+    half = angles / 2.0
+    sin = np.sin(half)
+    parts = np.zeros(angles.shape + (2, 2))   # row, qubit, amplitude, (re, im)
+    parts[..., 0, 0] = np.cos(half)
+    for q, axis in enumerate(axes):
+        if axis == "Y":
+            np.add(sin[:, q], 0.0, out=parts[:, q, 1, 0])
+        else:   # the imaginary part of amplitude 1 (X) or 0 (Z)
+            np.subtract(0.0, sin[:, q], out=parts[:, q, int(axis == "X"), 1])
+    return parts.view(complex)[..., 0]
+
+
 def encode_batch(encoder: EncoderSpec, angles: np.ndarray) -> np.ndarray:
     """Encoded (P, 2^M) batch for a batch of angle vectors (P, M).
 
-    One `quantum.rotation_matrix` call per layer gives every row's and
-    qubit's rotation. The first layer acts on |0...0>, so it is built as
-    the product of each qubit's R|0> (column 0), one qubit at a time: qubit
-    q doubles the 2^q amplitudes built so far. A row-major step runs over
+    The first layer acts on |0...0>, so it is built as the product of each
+    qubit's R|0> (`_first_column`), one qubit at a time: qubit q doubles
+    the 2^q amplitudes built so far. A row-major step runs over
     P slices of 2^q amplitudes, too short below LONG_SLICE_QUBITS qubits, so
     those first qubits are built in a (2^q, P) array whose steps each run
     over all P rows, transposed once into the batch; the later qubits double
     it in place. Re-uploaded layers go through `quantum.apply_single_qubit`
-    with one matrix per row. The CZ ring on the pairs (k, k + 1 mod M) is one
-    +-1 sign vector. The batch depends only on the angles and the axis
-    assignment (see `harness`)."""
+    with one `quantum.rotation_matrix` per row and qubit. The CZ ring on the
+    pairs (k, k + 1 mod M) is one +-1 sign vector (`_ring_signs`). The batch
+    depends only on the angles and the axis assignment (see `harness`)."""
     angles = _angle_batch(encoder, angles)
     m = encoder.num_features
-    bits = quantum.basis_bits(m)
-    ring_signs = 1.0 - 2.0 * ((bits & np.roll(bits, -1, axis=1)).sum(axis=1) & 1)
-    layers = [quantum.rotation_matrix(axes, angles) for axes in encoder.axis_assignment]
-    on_zero = layers[0][..., 0]   # (P, M, 2): each qubit's R|0>
+    ring_signs = _ring_signs(m)
+    on_zero = _first_column(encoder.axis_assignment[0], angles)   # (P, M, 2)
     low = min(m, LONG_SLICE_QUBITS)
     by_qubit = np.ascontiguousarray(on_zero[:, :low].transpose(1, 2, 0))   # (low, 2, P)
     columns = np.empty((1 << low, len(angles)), dtype=complex)
@@ -581,7 +685,8 @@ def encode_batch(encoder: EncoderSpec, angles: np.ndarray) -> np.ndarray:
         np.multiply(on_zero[:, q, 1, None], amps[:, :half], out=amps[:, half:2 * half])
         amps[:, :half] *= on_zero[:, q, 0, None]
     amps *= ring_signs
-    for rot in layers[1:]:
+    for axes in encoder.axis_assignment[1:]:
+        rot = quantum.rotation_matrix(axes, angles)
         for k in range(m):
             amps = quantum.apply_single_qubit(amps, m, k, rot[:, k])
         amps *= ring_signs
@@ -616,7 +721,8 @@ def _support_transfer(encoder: EncoderSpec, reservoir: Reservoir,
 
 def run_circuit_batch(encoder: EncoderSpec, reservoir: Reservoir,
                       angles: np.ndarray, encoded: np.ndarray | None = None) -> np.ndarray:
-    """Observation matrix (P, 3M) for a batch of angle vectors (P, M).
+    """Observation matrix (P, 3M) for a batch of angle vectors (P, M), or
+    the (R, P, 3M) stack of each draw's for a stack of R reservoir draws.
 
     Rows start in |0...0>, go through the encoder with each row's angles
     bound, then through the reservoir's compiled stages; columns are ordered
@@ -630,7 +736,9 @@ def run_circuit_batch(encoder: EncoderSpec, reservoir: Reservoir,
     block may instead run as one GEMM on the support that the encoder's
     frozen qubits (axis Z in every layer) leave occupied, every index when
     none is, through the stages' transfer matrix on it (`_support_transfer`
-    says when); only the floating-point order differs.
+    says when); only the floating-point order differs. A stack runs the
+    same blocks and takes the same path as each of its draws alone, so each
+    slice is that draw's matrix bit for bit; it holds R times the memory.
     """
     angles = _angle_batch(encoder, angles)
     m = encoder.num_features
@@ -639,7 +747,8 @@ def run_circuit_batch(encoder: EncoderSpec, reservoir: Reservoir,
     if encoded is not None and np.shape(encoded) != (len(angles), 1 << m):
         raise ShapeError(f"encoded batch must be {(len(angles), 1 << m)}, "
                          f"got {np.shape(encoded)}")
-    obs = np.empty((len(angles), 3 * m))
+    obs = np.empty((() if reservoir.draws is None else (reservoir.draws,))
+                   + (len(angles), 3 * m))
     subspace = _support_transfer(encoder, reservoir, len(angles))
     step = max(1, BLOCK_AMPLITUDES >> m)
     for start in range(0, len(angles), step):
@@ -651,7 +760,7 @@ def run_circuit_batch(encoder: EncoderSpec, reservoir: Reservoir,
         else:
             for stage in reservoir.stages:   # each stage returns a new array
                 amps = stage.apply(amps)
-        obs[rows] = quantum.pauli_expectations(amps, m)
+        obs[..., rows, :] = quantum.pauli_expectations(amps, m)
     return obs
 
 
@@ -717,8 +826,9 @@ class Pipeline:
 
     Frozen, with frozen parts and read-only arrays, so it predicts as it was
     trained; prediction is pure. The parts must fit: reservoir and
-    normalization as wide as the encoder, 3M readout weights, and a training
-    RSS that is NaN (unknown) or >= 0."""
+    normalization as wide as the encoder, one reservoir rather than a stack
+    of draws, 3M readout weights, and a training RSS that is NaN (unknown)
+    or >= 0."""
 
     normalization: NormalizationParams
     encoder: EncoderSpec
@@ -732,6 +842,9 @@ class Pipeline:
         if widths != (m, m):
             raise ValidationError(f"reservoir and normalization widths {widths} must match "
                                   f"the encoder's width {m}")
+        if self.reservoir.draws is not None:
+            raise ValidationError(f"a pipeline holds one reservoir, not a stack of "
+                                  f"{self.reservoir.draws} draws")
         if self.readout.weights.shape != (3 * m,):
             raise ValidationError(f"readout needs {3 * m} weights, got "
                                   f"{len(self.readout.weights)}")
@@ -792,6 +905,9 @@ def qelm_train(train, encoder: EncoderSpec, reservoir: ReservoirSpec,
         raise ShapeError(f"targets must hold one entry per feature row, got {targets.shape}")
     if reservoir.num_qubits != encoder.num_features:
         raise ShapeError("reservoir size does not match encoder width")
+    if isinstance(reservoir.seed, tuple):
+        raise ConfigurationError("field 'seed' must be one seed: a pipeline holds one "
+                                 f"reservoir, not a stack of {len(reservoir.seed)} draws")
     _check_ridge_lambda(ridge_lambda)
     built = build_reservoir(reservoir)
     angles = apply_normalization(norm, features)

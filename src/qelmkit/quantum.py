@@ -10,7 +10,10 @@ Conventions used throughout:
 
 States are plain complex amplitude arrays. All gate kernels operate on the
 last axis, so a batch of states with shape (batch, 2^D) goes through the
-same code path as a single state. The compiled circuits of `qelm` call
+same code path as a single state. `haar_unitary`, `ising_unitary` and
+`ising_parity_blocks` also draw a stack of R unitaries at once, and
+`pauli_expectations` reads a (R, batch, 2^D) stack, each slice bit for bit
+what it gives alone. The compiled circuits of `qelm` call
 `rotation_matrix`, `apply_single_qubit`, `apply_gate_kernel`,
 `pauli_expectations`, `haar_reflectors` or `ising_parity_blocks` (wide
 registers), `haar_unitary` or `ising_unitary` (narrow ones) and
@@ -160,21 +163,22 @@ def apply_gate_kernel(amps: np.ndarray, num_qubits: int, gate: GateOp) -> np.nda
 
 def pauli_expectations(amps: np.ndarray, num_qubits: int) -> np.ndarray:
     """Columns [<X^0>, <Y^0>, <Z^0>, ..., <X^{D-1}>, <Y^{D-1}>, <Z^{D-1}>] of a
-    (batch, 2^D) amplitude array, clipped to [-1, 1].
+    (batch, 2^D) amplitude array, clipped to [-1, 1]; a (R, batch, 2^D) stack
+    gives the (R, batch, 3D) stack of each slice's columns.
 
     <Z> of every qubit is one product |a|^2 @ signs; <X> and <Y> are 2 Re c
     and 2 Im c with c = sum conj(a0) a1 over the qubit's two half-slices.
     Never materializes a 2^D x 2^D operator.
     """
-    rows, dim = amps.shape
-    obs = np.empty((rows, 3 * num_qubits))
-    obs[:, 2::3] = (amps.real ** 2 + amps.imag ** 2) @ (1.0 - 2.0 * basis_bits(num_qubits))
+    dim = amps.shape[-1]
+    obs = np.empty(amps.shape[:-1] + (3 * num_qubits,))
+    obs[..., 2::3] = (amps.real ** 2 + amps.imag ** 2) @ (1.0 - 2.0 * basis_bits(num_qubits))
     conj = amps.conj()
     for q in range(num_qubits):
-        shape = (rows, dim >> (q + 1), 2, 1 << q)
-        cross = np.einsum("phl,phl->p", conj.reshape(shape)[:, :, 0, :],
-                          amps.reshape(shape)[:, :, 1, :])
-        obs[:, 3 * q], obs[:, 3 * q + 1] = 2.0 * cross.real, 2.0 * cross.imag
+        shape = amps.shape[:-1] + (dim >> (q + 1), 2, 1 << q)
+        cross = np.einsum("...hl,...hl->...", conj.reshape(shape)[..., 0, :],
+                          amps.reshape(shape)[..., 1, :])
+        obs[..., 3 * q], obs[..., 3 * q + 1] = 2.0 * cross.real, 2.0 * cross.imag
     return np.clip(obs, -1.0, 1.0, out=obs)
 
 
@@ -196,16 +200,19 @@ def _ginibre(dim: int, seed: int) -> np.ndarray:
     return z
 
 
-def haar_unitary(dim: int, seed: int) -> np.ndarray:
+def haar_unitary(dim: int, seed) -> np.ndarray:
     """Haar-distributed random unitary via QR of a complex Ginibre matrix.
 
     The QR phases are fixed by rescaling Q's columns with R_ii / |R_ii|,
     which makes the distribution exactly Haar rather than QR-convention
-    dependent (Mezzadri 2007). Deterministic for a fixed seed.
+    dependent (Mezzadri 2007). Deterministic for a fixed seed. A sequence
+    of R seeds gives the (R, dim, dim) stack of their draws from one stacked
+    QR, each slice bit for bit the draw of its seed alone.
     """
-    q, r = np.linalg.qr(_ginibre(dim, seed))
-    diag = np.diagonal(r)
-    q *= diag / np.abs(diag)
+    z = _ginibre(dim, seed) if np.ndim(seed) == 0 else np.stack([_ginibre(dim, s) for s in seed])
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    q *= (diag / np.abs(diag))[..., None, :]
     return q
 
 
@@ -258,17 +265,19 @@ def ising_hamiltonian(params: IsingParams) -> np.ndarray:
     return h
 
 
-def _real_symmetric_exponential(h: np.ndarray, time_step: float) -> np.ndarray:
-    """exp(-i h t) = (V cos(l t)) V^T - i (V sin(l t)) V^T for h = V diag(l) V^T."""
+def _real_symmetric_exponential(h: np.ndarray, time_step) -> np.ndarray:
+    """exp(-i h t) = (V cos(l t)) V^T - i (V sin(l t)) V^T for h = V diag(l) V^T;
+    for a (R, n, n) stack of h, `time_step` is (R, 1), one step per matrix."""
     eigvals, eigvecs = np.linalg.eigh(h)
     phase = eigvals * time_step
+    transposed = np.swapaxes(eigvecs, -1, -2)
     entries = np.empty(h.shape, dtype=complex)
-    entries.real = (eigvecs * np.cos(phase)) @ eigvecs.T
-    entries.imag = (eigvecs * -np.sin(phase)) @ eigvecs.T
+    entries.real = (eigvecs * np.cos(phase)[..., None, :]) @ transposed
+    entries.imag = (eigvecs * -np.sin(phase)[..., None, :]) @ transposed
     return entries
 
 
-def ising_parity_blocks(params: IsingParams) -> tuple[np.ndarray, np.ndarray]:
+def ising_parity_blocks(params) -> tuple[np.ndarray, np.ndarray]:
     """exp(-i H dt) on H's two spin-flip parity blocks: U+ and U-, each
     2^(D-1) x 2^(D-1), exact (no Trotter error).
 
@@ -280,27 +289,39 @@ def ising_parity_blocks(params: IsingParams) -> tuple[np.ndarray, np.ndarray]:
     acts as the real symmetric n x n blocks A + B R and A - B R. Each block
     is exponentiated through its own real `eigh`: two half-size
     eigendecompositions and GEMMs in place of one of the full size.
+
+    `params` is one `IsingParams`, or a sequence of R of one width: then
+    each block is the (R, n, n) stack of their blocks, from one stacked
+    `eigh` per block, each slice bit for bit its draw's alone.
     """
-    if not 1 <= params.num_qubits <= MAX_DENSE_QUBITS:
+    single = isinstance(params, IsingParams)
+    draws = (params,) if single else tuple(params)
+    widths = {p.num_qubits for p in draws}
+    if len(widths) != 1 or not 1 <= min(widths) <= MAX_DENSE_QUBITS:
         raise ConfigurationError(
-            f"dense exponential needs 1 to {MAX_DENSE_QUBITS} qubits"
+            f"dense exponential needs IsingParams of one width, 1 to {MAX_DENSE_QUBITS} qubits"
         )
-    h = ising_hamiltonian(params)   # symmetric by construction, so exactly
-    n = h.shape[0] // 2
-    a_block, b_reversed = h[:n, :n], h[:n, ::-1][:, :n]
-    return (_real_symmetric_exponential(a_block + b_reversed, params.time_step),
-            _real_symmetric_exponential(a_block - b_reversed, params.time_step))
+    if single:   # symmetric by construction, so exactly
+        h, time_step = ising_hamiltonian(params), params.time_step
+    else:
+        h = np.stack([ising_hamiltonian(p) for p in draws])
+        time_step = np.array([[p.time_step] for p in draws])
+    n = h.shape[-1] // 2
+    a_block, b_reversed = h[..., :n, :n], h[..., :n, ::-1][..., :n]
+    return (_real_symmetric_exponential(a_block + b_reversed, time_step),
+            _real_symmetric_exponential(a_block - b_reversed, time_step))
 
 
-def ising_unitary(params: IsingParams) -> np.ndarray:
+def ising_unitary(params) -> np.ndarray:
     """Dense exp(-i H dt) assembled from `ising_parity_blocks`: with
-    a = (U+ + U-)/2 and b = (U+ - U-)/2, U = [[a, b R], [R b, R a R]]."""
+    a = (U+ + U-)/2 and b = (U+ - U-)/2, U = [[a, b R], [R b, R a R]]. A
+    sequence of R `IsingParams` gives the (R, 2^D, 2^D) stack."""
     plus, minus = ising_parity_blocks(params)
-    n = len(plus)
+    n = plus.shape[-1]
     a, b = (plus + minus) / 2.0, (plus - minus) / 2.0
-    entries = np.empty((2 * n, 2 * n), dtype=complex)
-    entries[:n, :n], entries[:n, n:] = a, b[:, ::-1]
-    entries[n:, :n], entries[n:, n:] = b[::-1], a[::-1, ::-1]
+    entries = np.empty(plus.shape[:-2] + (2 * n, 2 * n), dtype=complex)
+    entries[..., :n, :n], entries[..., :n, n:] = a, b[..., ::-1]
+    entries[..., n:, :n], entries[..., n:, n:] = b[..., ::-1, :], a[..., ::-1, ::-1]
     return entries
 
 

@@ -301,10 +301,12 @@ def test_no_leakage_into_baseline(toy_days, monkeypatch):
 
 def test_shared_encoding_sweep_matches_per_cell_circuits(monkeypatch):
     days = harness.generate_days({"num_days": 3, "seed": 5, "rate_jitter": 0.1})
-    cfg = toy_config(feature_sets=["FS2", "FS3a"],
-                     combinations=list(harness.ALL_COMBINATIONS))
-    encodings, cnot_runs, batches = [], [], []
-    original, run = qelm.encode_batch, qelm.run_circuit_batch
+    # 5 repetitions: an FS3a fold's stack of 5 draws runs in circuit chunks
+    # of at most 3 (its 539 distinct rows * 2^3 amplitudes each)
+    cfg = toy_config(feature_sets=["FS2", "FS3a", "FS4", "FS5"],
+                     combinations=list(harness.ALL_COMBINATIONS), repetitions=5)
+    encodings, cnot_runs, batches, runs, stacks = [], [], [], [], []
+    original, run, build = qelm.encode_batch, qelm.run_circuit_batch, qelm.build_reservoir
 
     def spy_encode(enc, angles):
         encodings.append(enc)
@@ -316,11 +318,17 @@ def test_shared_encoding_sweep_matches_per_cell_circuits(monkeypatch):
         if reservoir.kind == "CNOT":
             cnot_runs.append(enc.axis_assignment)
         batches.append(angles)
+        runs.append((angles.tobytes(), enc.axis_assignment, reservoir.draws, enc.num_features))
         return run(enc, reservoir, angles, encoded)
     monkeypatch.setattr(qelm, "run_circuit_batch", spy_run)
+
+    def spy_build(spec):
+        stacks.append((len(spec.seed) if isinstance(spec.seed, tuple) else 1, spec.num_qubits))
+        return build(spec)
+    monkeypatch.setattr(qelm, "build_reservoir", spy_build)
     _, results = harness.run_rq1_sweep(cfg, days)
     monkeypatch.undo()
-    assert len(results) == 2 * 3 * 8
+    assert len(results) == 4 * 3 * 8
     distinct, distinct_cnot = set(), set()
     fold_rows = {}   # (day, feature set) -> (the fold's distinct angle rows, its row count)
     for r in results:
@@ -352,10 +360,16 @@ def test_shared_encoding_sweep_matches_per_cell_circuits(monkeypatch):
     # every encoding and circuit run gets only its fold's distinct angle
     # rows, in np.unique's order, and the folds hold repeated rows
     assert {a.tobytes() for a in batches} == {rows.tobytes() for rows, _ in fold_rows.values()}
-    assert len(fold_rows) == 2 * 3 and all(len(rows) < n for rows, n in fold_rows.values())
-    # one encoding per distinct (fold, axis assignment), not one per cell:
-    # an all-X RHE cell shares its fold's DHE batch
-    assert len(encodings) == len(distinct)
+    assert len(fold_rows) == 4 * 3 and all(len(rows) < n for rows, n in fold_rows.values())
+    # FS3a draws are built as stacks of 5, each run in more than one circuit
+    # chunk of stacked draws
+    assert max(size for size, width in stacks if width == 3) == 5
+    assert max(draws or 1 for *_, draws, width in runs if width == 3) == 3
+    # one encoding per run of equal (fold, axis assignment) among the circuit
+    # runs, not one per cell: at least one per distinct pair
+    changes = sum(1 for before, after in zip([None] + runs, runs)
+                  if before is None or before[:2] != after[:2])
+    assert len(encodings) == changes >= len(distinct)
     # a CNOT reservoir has no parameters: one circuit run per distinct (fold,
     # axis assignment) covers every CNOT cell of both encoders that drew it
     assert len(cnot_runs) == len(distinct_cnot)

@@ -257,6 +257,17 @@ def test_encode_batch_matches_row_major_oracle(m, depth):
             assert batch.tobytes() == row_major_encode(enc, angles).tobytes()
 
 
+@pytest.mark.parametrize("axis", quantum.PAULI_KINDS)
+def test_first_encoder_column_is_the_rotation_column(axis):
+    # R|0> built from the cosine and sine alone has the bytes of column 0 of
+    # rotation_matrix, signed zeros included
+    angles = np.array([[0.0, -0.0, np.pi, -np.pi, 1e-300, 2 * np.pi, -7.0, 0.3]]).T
+    angles = np.hstack([angles, np.random.default_rng(1).uniform(-9.0, 9.0, (8, 1))])
+    axes = (axis, "Y" if axis != "Y" else "Z")
+    column = qelm._first_column(axes, angles)
+    assert column.tobytes() == quantum.rotation_matrix(axes, angles)[..., 0].tobytes()
+
+
 def test_encoder_rejects_single_qubit():
     # used to construct and fail only when run
     with pytest.raises(ConfigurationError, match="2 qubits"):
@@ -443,6 +454,24 @@ def test_haar_spec_rejects_bad_params(params, fragment):
     pytest.param(lambda: ReservoirSpec("CNOT", 3, seed=True), "seed",
                  id="reservoir-seed-bool"),
     pytest.param(lambda: ReservoirSpec("CNOT", 3, params=()), "params", id="cnot-params"),
+    # a tuple seed asks for a stack of draws
+    pytest.param(lambda: ReservoirSpec("HAAR", 3, seed=()), "seed", id="stack-empty"),
+    pytest.param(lambda: ReservoirSpec("HAAR", 3, seed=(1, -2)), "seed", id="stack-negative"),
+    pytest.param(lambda: ReservoirSpec("ISING", 3, seed=(1, True)), "seed", id="stack-bool"),
+    pytest.param(lambda: ReservoirSpec("ROTATION", 3, seed=(1, 2.5)), "seed",
+                 id="stack-float"),
+    pytest.param(lambda: ReservoirSpec("ROTATION", 3, seed=(1, "a")), "seed",
+                 id="stack-string"),
+    pytest.param(lambda: ReservoirSpec("HAAR", 3, seed=(1, None)), "seed", id="stack-none"),
+    # nothing to draw, or stages that hold one draw each
+    pytest.param(lambda: ReservoirSpec("CNOT", 3, seed=(1, 2)), "seed", id="stack-cnot"),
+    pytest.param(lambda: ReservoirSpec("HAAR", qelm.HAAR_REFLECTOR_QUBITS, seed=(1, 2)),
+                 "seed", id="stack-haar-reflectors"),
+    pytest.param(lambda: ReservoirSpec("ISING", qelm.ISING_PARITY_QUBITS, seed=(1, 2)),
+                 "seed", id="stack-ising-parity"),
+    pytest.param(lambda: ReservoirSpec("ISING", 3, seed=(1, 2),
+                                       params=quantum.sample_ising_params(3, 1)),
+                 "params", id="stack-params"),
     pytest.param(lambda: ReservoirSpec("ISING", 3, params=quantum.sample_ising_params(4, 0)),
                  "params", id="ising-params-width"),
 ])
@@ -690,6 +719,76 @@ def stage_path_observations(enc: EncoderSpec, res: qelm.Reservoir,
     for stage in res.stages:
         amps = stage.apply(amps)
     return quantum.pauli_expectations(amps, enc.num_features)
+
+
+def stage_bytes(reservoir: qelm.Reservoir) -> list:
+    return [None if a is None else a.tobytes() for stage in reservoir.stages
+            for a in (stage.low, stage.high, stage.perm, stage.parity, stage.reflectors)]
+
+
+@pytest.mark.parametrize("kind", ["HAAR", "ISING", "ROTATION"])
+@pytest.mark.parametrize("m", range(2, 7))
+def test_stacked_reservoir_slices_equal_single_builds(kind, m):
+    # a tuple of seeds builds one stack of draws through one stacked QR,
+    # eigh or broadcast; each draw of it is its seed's reservoir bit for bit
+    seeds = (5, 6, 7)
+    stack = qelm.build_reservoir(ReservoirSpec(kind, m, depth=3, seed=seeds))
+    assert stack.draws == 3 and stack[1:].draws == 2
+    assert stack.stages[0].low.shape[0] == 3
+    for i, seed in enumerate(seeds):
+        single = qelm.build_reservoir(ReservoirSpec(kind, m, depth=3, seed=seed))
+        draw, part = stack[i], stack[i:i + 1]
+        assert single.draws is None and draw.draws is None and part.draws == 1
+        assert stage_bytes(draw) == stage_bytes(single)
+        assert stage_bytes(part[0]) == stage_bytes(single)
+        if kind == "HAAR":
+            assert draw.params.tobytes() == single.params.tobytes()
+        elif kind == "ISING":
+            assert draw.params.couplings.tobytes() == single.params.couplings.tobytes()
+            assert draw.params.fields.tobytes() == single.params.fields.tobytes()
+        else:
+            assert draw.params == single.params
+
+
+def test_only_a_stack_is_indexed():
+    with pytest.raises(ShapeError, match="stack"):
+        qelm.build_reservoir(ReservoirSpec("HAAR", 3, seed=1))[0]
+
+
+@pytest.mark.parametrize("kind", ["HAAR", "ISING", "ROTATION"])
+def test_stacked_circuit_run_equals_per_draw_runs(kind):
+    # with and without frozen Z qubits, on the stages and through the
+    # transfer matrix: each slice of a stacked run is its draw's run
+    m, seeds = 4, (11, 12, 13)
+    stack = qelm.build_reservoir(ReservoirSpec(kind, m, depth=3, seed=seeds))
+    singles = [qelm.build_reservoir(ReservoirSpec(kind, m, depth=3, seed=s)) for s in seeds]
+    rng = np.random.default_rng(4)
+    paths = set()
+    for axes in (("X", "Y", "X", "X"), ("Z", "X", "Z", "Y")):   # none frozen, two frozen
+        enc = EncoderSpec("RHE", m, axis_assignment=(axes,))
+        for rows in (1, 300):
+            angles = rng.uniform(0.0, np.pi, (rows, m))
+            paths.add(qelm._support_transfer(enc, stack, rows) is None)
+            obs = qelm.run_circuit_batch(enc, stack, angles)
+            shared = qelm.run_circuit_batch(enc, stack, angles, qelm.encode_batch(enc, angles))
+            assert obs.shape == (3, rows, 3 * m) and obs.tobytes() == shared.tobytes()
+            for single, draw_obs in zip(singles, obs):
+                assert draw_obs.tobytes() == qelm.run_circuit_batch(enc, single, angles).tobytes()
+    assert paths == {True, False}
+
+
+def test_pipeline_and_training_refuse_a_stack(monkeypatch):
+    stack = qelm.build_reservoir(ReservoirSpec("HAAR", 2, seed=(1, 2)))
+    enc = EncoderSpec("DHE", 2)
+    norm = qelm.NormalizationParams([0.0, 0.0], [1.0, 1.0])
+    with pytest.raises(ValidationError, match="stack of 2 draws"):
+        qelm.Pipeline(norm, enc, stack, qelm.ReadoutModel(np.zeros(6)))
+    # refused before any reservoir is built
+    monkeypatch.setattr(qelm, "build_reservoir", lambda spec: pytest.fail("built"))
+    features = np.random.default_rng(0).uniform(size=(20, 2))
+    with pytest.raises(ConfigurationError, match="seed"):
+        qelm.qelm_train((features, features.sum(axis=1)), enc,
+                        ReservoirSpec("HAAR", 2, seed=(1, 2)))
 
 
 def test_stage_multiply_adds():

@@ -278,6 +278,44 @@ def test_haar_first_entry_moment():
     assert abs(np.mean(values) - 0.25) < 0.02
 
 
+@pytest.mark.parametrize("num_qubits", range(2, 7))
+def test_stacked_draws_equal_single_draws(num_qubits):
+    # a sequence of seeds or IsingParams runs one stacked QR or eigh per
+    # parity block; each slice is the draw its seed or params give alone
+    dim, seeds = 1 << num_qubits, (3, 14, 15, 92)
+    params = [q.sample_ising_params(num_qubits, s) for s in seeds]
+    haar, ising = q.haar_unitary(dim, seeds), q.ising_unitary(params)
+    blocks = q.ising_parity_blocks(params)
+    assert haar.shape == ising.shape == (len(seeds), dim, dim)
+    for i, (seed, p) in enumerate(zip(seeds, params)):
+        assert haar[i].tobytes() == q.haar_unitary(dim, seed).tobytes()
+        assert ising[i].tobytes() == q.ising_unitary(p).tobytes()
+        for stacked, single in zip(blocks, q.ising_parity_blocks(p)):
+            assert stacked[i].tobytes() == single.tobytes()
+
+
+def test_stacked_ising_draws_keep_their_time_steps():
+    first = q.sample_ising_params(3, 1)
+    second = replace(q.sample_ising_params(3, 2), time_step=0.25)
+    stack = q.ising_unitary([first, second])
+    assert stack[1].tobytes() == q.ising_unitary(second).tobytes()
+    assert not np.allclose(stack[1], q.ising_unitary(replace(second, time_step=1.0)))
+    for bad in ([], [first, q.sample_ising_params(2, 1)]):   # none, or two widths
+        with pytest.raises(ConfigurationError, match="one width"):
+            q.ising_unitary(bad)
+
+
+def test_stacked_pauli_expectations_equal_each_slice():
+    rng = np.random.default_rng(8)
+    for num_qubits, rows in ((2, 265), (5, 37)):
+        amps = rng.normal(size=(3, rows, 1 << num_qubits)) * (1 + 1j)
+        amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+        obs = q.pauli_expectations(amps, num_qubits)
+        assert obs.shape == (3, rows, 3 * num_qubits)
+        for stacked, slice_amps in zip(obs, amps):
+            assert stacked.tobytes() == q.pauli_expectations(slice_amps, num_qubits).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Ising unitaries
 # ---------------------------------------------------------------------------
